@@ -89,8 +89,10 @@ class DiscreteSystem:
     eliminated when ``clamped``. ``mass_tip`` adds the payload inertia J on
     the tip-slope DOF and mass M on the tip-value DOF; it is the Gram block
     of the velocity field in the energy inner product. ``mass_tip_inv`` is
-    its precomputed (symmetrized) inverse, shared by every generator
-    application so the linear/nonlinear split stays exact at roundoff.
+    its precomputed (symmetrized) dense inverse, shared by the generator
+    functions of ``dynamics`` so their linear/nonlinear split stays exact at
+    roundoff; the midpoint stepper solves with a banded Cholesky factor of
+    ``mass_tip`` instead.
     """
 
     beam: BeamParams

@@ -2,10 +2,12 @@
 
 The midpoint rule conserves the quadratic energy of the undamped linear
 subsystem exactly, so conservation and monotonicity checks measure model
-structure rather than scheme drift. Newton steps use the prefactored linear
-part; the low-rank remainder Jacobian (it touches only the tip traces and the
-block states) enters through a Woodbury correction, so no refactorization
-happens inside the time loop.
+structure rather than scheme drift. Newton steps solve with the linear part
+through its banded Schur complement on the velocity (the displacement and
+block states are eliminated), factored once per stepper; the low-rank
+remainder Jacobian (it touches only the tip traces and the block states)
+enters through a Woodbury correction, so no refactorization happens inside
+the time loop and a step costs O(n).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from .beam_model import ClosedLoopConfig, linearize_block
 from .discretization import DiscreteSystem, interpolate
@@ -35,6 +39,7 @@ from .dynamics import (
     unpack,
 )
 from .errors import (
+    DimensionMismatch,
     InsufficientResolution,
     LinearSolveFailure,
     NewtonDivergence,
@@ -116,13 +121,41 @@ class Trajectory:
         ]
 
 
+#: half-bandwidth of the Hermite beam matrices: an element couples the
+#: (value, slope) DOFs of its two nodes
+_BANDWIDTH = 3
+
+
+def _upper_band(a: np.ndarray) -> np.ndarray:
+    """LAPACK upper symmetric-band storage of a symmetric banded matrix."""
+    lower, upper = scipy.linalg.bandwidth(a)
+    if max(lower, upper) > _BANDWIDTH:
+        raise DimensionMismatch(
+            f"beam matrix has half-bandwidth {max(lower, upper)}, expected at most {_BANDWIDTH}"
+        )
+    ab = np.zeros((_BANDWIDTH + 1, a.shape[0]), order="F")  # LAPACK layout: no copy per call
+    for k in range(_BANDWIDTH + 1):
+        ab[_BANDWIDTH - k, k:] = np.diagonal(a, k)
+    return ab
+
+
+def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """alpha * A @ x for A in upper symmetric-band storage."""
+    return scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, x)
+
+
 class MidpointStepper:
     """Precomputed implicit-midpoint machinery for one (system, config, dt).
 
-    The Newton matrix is the prefactored linear part corrected by the
-    forward-difference remainder Jacobian through a Woodbury identity, so the
-    time loop never refactors. The Jacobian is refreshed once per step (and
-    again within a step if the iteration is slow)."""
+    The Newton matrix is I - dt/2 G for the linear generator G, corrected by
+    the forward-difference remainder Jacobian through a Woodbury identity.
+    I - dt/2 G is never formed: eliminating the displacement and the block
+    states leaves one banded velocity matrix (the Schur complement), factored
+    once, so a solve, a generator application and an energy norm all cost
+    O(n). Newton iterates on the increment d = w - y and applies the
+    stiffness to the fixed y once per step, so the roundoff of the stiff load
+    does not change between iterations. The Jacobian is refreshed once per
+    step (and again within a step if the iteration is slow)."""
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.sys = sys
@@ -131,25 +164,79 @@ class MidpointStepper:
         self.lin1 = linearize_block(config.block_rotational)
         self.lin2 = linearize_block(config.block_translational)
         self.remainder = RemainderMap(sys, config, self.lin1, self.lin2)
-        g = linear_generator_matrix(sys, config, self.lin1, self.lin2)
-        self.n_total = g.shape[0]
-        kmat = np.eye(self.n_total) - 0.5 * self.dt * g
-        try:
-            self._lu = scipy.linalg.lu_factor(kmat)
-        except scipy.linalg.LinAlgError as exc:
-            raise LinearSolveFailure("midpoint system matrix could not be factored") from exc
-        self._kinv_e = scipy.linalg.lu_solve(self._lu, self.remainder.placement)
-        self._sel_kinv_e = self._kinv_e[self.remainder.q_indices]
-        # flat-array shortcuts for the hot loop
         n = sys.n_dof
-        self._n = n
-        self._n1 = config.block_rotational.dim
+        n1 = config.block_rotational.dim
+        self._n, self._n1 = n, n1
+        self.n_total = 2 * n + n1 + config.block_translational.dim
         self._iv = sys.tip_value_index
         self._isl = sys.tip_slope_index
-        self._k1 = config.sd_rotational.spring_slope
-        self._k2 = config.sd_translational.spring_slope
+
+        self._stiff_band = _upper_band(sys.stiffness_beam)
+        self._mass_band = _upper_band(sys.mass_tip)
+        # displacement Gram: curvature plus the linear spring slopes
+        self._gram_band = self._stiff_band.copy(order="F")
+        self._gram_band[_BANDWIDTH, self._isl] += config.sd_rotational.spring_slope
+        self._gram_band[_BANDWIDTH, self._iv] += config.sd_translational.spring_slope
+        self._mass_chol, info = scipy.linalg.lapack.dpbtrf(self._mass_band)
+        if info != 0:
+            raise LinearSolveFailure("tip mass matrix could not be factored")
+
+        # Schur complement on the velocity, h = dt/2:
+        # S = M_tip + h^2 K_q + h d_i + h^2 c_i (I - h A_i)^-1 b_i (tip diagonal)
+        h = 0.5 * self.dt
+        s_band = self._mass_band + h * h * self._gram_band
+        self._blocks = []
+        for lin, z_slice, tip, damper in (
+            (self.lin1, slice(2 * n, 2 * n + n1), self._isl, config.sd_rotational.damper_slope),
+            (self.lin2, slice(2 * n + n1, self.n_total), self._iv,
+             config.sd_translational.damper_slope),
+        ):
+            try:
+                resolvent = np.linalg.inv(np.eye(len(lin.B)) - h * lin.A)
+            except np.linalg.LinAlgError as exc:
+                raise LinearSolveFailure("block resolvent (I - dt/2 A) is singular") from exc
+            # x_z = resolvent r_z + gain x_v[tip]; the tip load row sees h c x_z
+            gain = h * (resolvent @ lin.B)
+            s_band[_BANDWIDTH, tip] += h * damper + h * float(lin.C @ gain)
+            self._blocks.append((z_slice, tip, resolvent, gain, h * lin.C))
+        kl = ku = _BANDWIDTH
+        general = np.zeros((2 * kl + ku + 1, n))
+        general[kl : kl + ku + 1] = s_band
+        for k in range(1, kl + 1):
+            general[kl + ku + k, : n - k] = s_band[ku - k, k:]
+        self._schur_lu, self._schur_piv, info = scipy.linalg.lapack.dgbtrf(general, kl, ku)
+        if info != 0:
+            raise LinearSolveFailure("midpoint velocity system could not be factored")
+
+        self._kinv_e = np.column_stack([self.solve(col) for col in self.remainder.placement.T])
+        self._sel_kinv_e = self._kinv_e[self.remainder.q_indices]
 
     # -- flat-vector operations ---------------------------------------------
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Exact solution x of (I - dt/2 G) x = r, G the linear generator.
+
+        With h = dt/2, the Schur velocity system gives x_v; then
+        x_u = r_u + h x_v and x_zi = (I - h A_i)^-1 (r_zi + h b_i x_v[tip_i]).
+        """
+        n = self._n
+        h = 0.5 * self.dt
+        out = np.empty(self.n_total)
+        b = _band_mv(self._mass_band, r[n : 2 * n])
+        b -= _band_mv(self._gram_band, r[:n], h)
+        for z_slice, tip, resolvent, _, hc in self._blocks:
+            out[z_slice] = resolvent @ r[z_slice]
+            b[tip] -= float(hc @ out[z_slice])
+        x_v, info = scipy.linalg.lapack.dgbtrs(
+            self._schur_lu, _BANDWIDTH, _BANDWIDTH, b, self._schur_piv
+        )
+        if info != 0:
+            raise LinearSolveFailure("midpoint velocity solve failed")
+        out[:n] = r[:n] + h * x_v
+        out[n : 2 * n] = x_v
+        for z_slice, tip, _, gain, _ in self._blocks:
+            out[z_slice] += gain * x_v[tip]
+        return out
+
     def qnorm(self, flat: np.ndarray) -> float:
         """Energy norm of a packed state vector."""
         n, n1 = self._n, self._n1
@@ -157,15 +244,16 @@ class MidpointStepper:
         v = flat[n : 2 * n]
         z1 = flat[2 * n : 2 * n + n1]
         z2 = flat[2 * n + n1 :]
-        val = float(u @ (self.sys.stiffness_beam @ u))
-        val += self._k1 * u[self._isl] ** 2 + self._k2 * u[self._iv] ** 2
-        val += float(v @ (self.sys.mass_tip @ v))
+        val = float(u @ _band_mv(self._gram_band, u))
+        val += float(v @ _band_mv(self._mass_band, v))
         val += float(z1 @ (self.lin1.P @ z1)) + float(z2 @ (self.lin2.P @ z2))
         return float(np.sqrt(max(val, 0.0)))
 
-    def rhs(self, flat: np.ndarray) -> np.ndarray:
-        """Generator applied to a packed state (same arithmetic as
-        apply_generator, without the dataclass wrapping)."""
+    def rhs(self, flat: np.ndarray, stiff_load: np.ndarray | None = None) -> np.ndarray:
+        """Generator applied to a packed state (the arithmetic of
+        apply_generator on the flat vector, with banded products and a banded
+        tip-mass solve). ``stiff_load``, when given, stands in for
+        stiffness_beam @ u."""
         n, n1 = self._n, self._n1
         cfg = self.config
         u = flat[:n]
@@ -178,12 +266,15 @@ class MidpointStepper:
         sd1, sd2 = cfg.sd_rotational, cfg.sd_translational
         torque = float(blk1.output(z1)) + float(sd1.damper.eval(vp_l)) + float(sd1.spring.eval(up_l))
         force = float(blk2.output(z2)) + float(sd2.damper.eval(v_l)) + float(sd2.spring.eval(u_l))
-        load = -(self.sys.stiffness_beam @ u)
+        if stiff_load is None:
+            load = _band_mv(self._stiff_band, u, -1.0)
+        else:
+            load = -stiff_load
         load[self._isl] -= torque
         load[self._iv] -= force
         out = np.empty_like(flat)
         out[:n] = v
-        out[n : 2 * n] = self.sys.mass_tip_inv @ load
+        out[n : 2 * n] = scipy.linalg.lapack.dpbtrs(self._mass_chol, load)[0]
         out[2 * n : 2 * n + n1] = np.asarray(blk1.drift(z1)) + np.asarray(blk1.input_gain(z1)) * vp_l
         out[2 * n + n1 :] = np.asarray(blk2.drift(z2)) + np.asarray(blk2.input_gain(z2)) * v_l
         return out
@@ -196,27 +287,37 @@ class MidpointStepper:
     def step_flat(self, y: np.ndarray, newton_tol: float, newton_max_iter: int) -> np.ndarray:
         y_scale = self.qnorm(y)
         tol = newton_tol * (1.0 + y_scale)
-        w = y.copy()
+        n = self._n
         dt = self.dt
         m = self.remainder.m
         eye_m = np.eye(m)
+        # midpoint stiff load K (y_u + d_u / 2): K y_u is applied once per step
+        stiff_y = _band_mv(self._stiff_band, y[:n])
+        d = np.zeros_like(y)
         jac_f = None
         residual_norm = np.inf
         for iteration in range(newton_max_iter):
-            mid = 0.5 * (y + w)
-            residual = w - y - dt * self.rhs(mid)
+            mid = y + 0.5 * d
+            stiff_mid = stiff_y + _band_mv(self._stiff_band, d[:n], 0.5)
+            residual = d - dt * self.rhs(mid, stiff_mid)
             residual_norm = self.qnorm(residual)
+            if not np.isfinite(residual_norm):
+                raise NewtonDivergence(
+                    f"state is not finite (Newton residual {residual_norm} "
+                    f"at iteration {iteration})",
+                    residual=residual_norm,
+                )
             if residual_norm <= tol:
-                return w
+                return y + d
             if jac_f is None or iteration >= 3:
                 jac_f = self.remainder.jacobian_fd(self.remainder.q_of(mid), y_scale)
-            t = scipy.linalg.lu_solve(self._lu, -residual)
+            t = self.solve(-residual)
             small = eye_m - 0.5 * dt * (self._sel_kinv_e @ jac_f)
             try:
                 gvec = np.linalg.solve(small, t[self.remainder.q_indices])
             except np.linalg.LinAlgError as exc:
                 raise LinearSolveFailure("Woodbury correction solve failed") from exc
-            w = w + t + 0.5 * dt * (self._kinv_e @ (jac_f @ gvec))
+            d = d + t + 0.5 * dt * (self._kinv_e @ (jac_f @ gvec))
         raise NewtonDivergence(
             f"Newton did not reach tolerance {tol:.3e} in {newton_max_iter} iterations "
             f"(residual {residual_norm:.3e}); halve dt",
@@ -303,8 +404,12 @@ def simulate(
         t = k * settings.dt
         try:
             flat = stepper.step_flat(flat, settings.newton_tol, settings.newton_max_iter)
-        except (NewtonDivergence, LinearSolveFailure) as exc:
-            raise type(exc)(f"step to t={t:.6g} failed: {exc}") from exc
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(
+                f"step to t={t:.6g} failed: {exc}", residual=exc.residual
+            ) from exc
+        except LinearSolveFailure as exc:
+            raise LinearSolveFailure(f"step to t={t:.6g} failed: {exc}") from exc
         if k % settings.record_every == 0 or k == n_steps:
             state = unpack(flat, sys, config)
             record(t, state)

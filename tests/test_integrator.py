@@ -1,11 +1,14 @@
 """Implicit midpoint stepping, trajectories, and the tangent-system check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import passivebeam as pb
-from passivebeam.dynamics import pack
+from passivebeam.dynamics import apply_generator, linear_generator_matrix, pack, pack_tangent
 from passivebeam.errors import (
+    DimensionMismatch,
     EmptyTrajectory,
     InsufficientResolution,
     NewtonDivergence,
@@ -93,6 +96,71 @@ def test_newton_divergence_reported(sys6, beam):
     state = white_state(sys6, config, rng, scale=5.0)
     with pytest.raises(NewtonDivergence):
         pb.step_midpoint(state, 1e-3, sys6, config, newton_max_iter=1)
+
+
+def test_simulate_keeps_newton_residual(sys6, beam):
+    config = default_config(beam)
+    rng = np.random.default_rng(1)
+    state = white_state(sys6, config, rng, scale=5.0)
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=0.01, newton_max_iter=1)
+    with pytest.raises(NewtonDivergence) as info:
+        pb.simulate(state, settings, sys6, config)
+    assert "t=0.001" in str(info.value)
+    assert info.value.residual is not None and info.value.residual > 0.0
+
+
+def test_non_finite_state_stops_newton_at_once(sys6, beam):
+    config = default_config(beam)
+    stepper = MidpointStepper(sys6, config, 1e-3)
+    flat = pack(pb.first_mode_initial_state(sys6, config))
+    flat[3] = np.nan
+    calls = []
+    rhs = stepper.rhs
+    stepper.rhs = lambda *args: calls.append(1) or rhs(*args)
+    with pytest.raises(NewtonDivergence, match="not finite") as info:
+        stepper.step_flat(flat, 1e-10, 25)
+    assert len(calls) == 1
+    assert np.isnan(info.value.residual)
+
+
+@pytest.mark.parametrize("n_elements", [6, 64])
+@pytest.mark.parametrize("dt", [1e-3, -1e-3])
+def test_schur_solve_inverts_midpoint_matrix(beam, n_elements, dt):
+    sys_n = make_system(beam, n_elements)
+    config = default_config(beam)
+    stepper = MidpointStepper(sys_n, config, dt)
+    g = linear_generator_matrix(sys_n, config, stepper.lin1, stepper.lin2)
+    rng = np.random.default_rng(3)
+    r = pack(white_state(sys_n, config, rng))
+    x = stepper.solve(r)
+    defect = x - 0.5 * dt * (g @ x) - r
+    assert stepper.qnorm(defect) <= 1e-12 * stepper.qnorm(r)
+
+
+def test_stepper_rhs_matches_apply_generator(beam):
+    sys_n = make_system(beam, 64)
+    config = default_config(beam)
+    stepper = MidpointStepper(sys_n, config, 1e-3)
+    state = white_state(sys_n, config, np.random.default_rng(4))
+    expected = pack_tangent(apply_generator(state, sys_n, config))
+    got = stepper.rhs(pack(state))
+    assert stepper.qnorm(got - expected) <= 1e-14 * stepper.qnorm(expected)
+
+
+def test_stepper_rejects_non_banded_system(sys6, beam):
+    dense = dataclasses.replace(sys6, stiffness_beam=np.ones_like(sys6.stiffness_beam))
+    with pytest.raises(DimensionMismatch):
+        MidpointStepper(dense, default_config(beam), 1e-3)
+
+
+@pytest.mark.parametrize("n_elements", [256, 512])
+def test_fine_mesh_steps_at_default_tolerance(beam, n_elements):
+    sys_n = make_system(beam, n_elements)
+    config = default_config(beam)
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=0.1, record_every=100)
+    traj = pb.simulate(pb.first_mode_initial_state(sys_n, config), settings, sys_n, config)
+    assert traj.times[-1] == pytest.approx(0.1)
+    assert not traj.h_flagged
 
 
 def test_step_rejected_with_budget(sys6, beam):
