@@ -4,6 +4,11 @@ Checks sample a deterministic low-discrepancy set plus seeded uniform points;
 failures are report entries with concrete witness points, never exceptions.
 Strict inequalities are tested with an absolute margin so that re-evaluating
 a witness reproduces the violation.
+
+Each law and block callback is evaluated over the whole sample set in one
+call (the spring potentials in fixed-size chunks of points); a callback
+whose batched result fails a shape and per-point probe check is evaluated
+point by point instead, with the same report.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_model import PassiveBlock, SpringDamperLaw, _storage_hessian
+from .beam_model import PassiveBlock, SpringDamperLaw, _batch, _storage_hessian
 
 #: absolute margin for strict inequalities
 STRICT_MARGIN = 1e-9
@@ -23,6 +28,9 @@ _INNER_FRACTION = 1e-3
 
 _GRID_POINTS = 257
 _BLOCK_GRID_POINTS = 512
+
+#: sample points per spring-potential chunk (bounds the node-grid memory)
+_POTENTIAL_CHUNK = 64
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -78,15 +86,22 @@ def _finish(checks: list[CheckResult], radius: float, count: int) -> CertReport:
     )
 
 
-def _halton(index: int, base: int) -> float:
-    result = 0.0
+def _halton(indices: np.ndarray, base: int) -> np.ndarray:
+    """Radical inverse of each index in the given base."""
+    result = np.zeros(len(indices))
     f = 1.0
-    i = index
-    while i > 0:
+    i = indices.copy()
+    while i.any():
         f /= base
         result += f * (i % base)
         i //= base
     return result
+
+
+def _in_shell(points: np.ndarray, r_min: float, radius: float) -> np.ndarray:
+    # row-wise dot, so that the norms match np.linalg.norm of each point bit for bit
+    r = np.sqrt(np.vecdot(points, points))
+    return (r_min <= r) & (r <= radius)
 
 
 def _ball_points(dim: int, radius: float, n_halton: int, n_uniform: int, seed: int) -> np.ndarray:
@@ -94,23 +109,22 @@ def _ball_points(dim: int, radius: float, n_halton: int, n_uniform: int, seed: i
     excluding a small inner ball. Prefixes are stable: enlarging the counts
     extends the sample set."""
     r_min = _INNER_FRACTION * radius
-    accepted = []
-    idx = 1
-    while len(accepted) < n_halton and idx <= 100 * n_halton + 1000:
-        point = np.array([2.0 * _halton(idx, _PRIMES[d]) - 1.0 for d in range(dim)]) * radius
-        idx += 1
-        r = np.linalg.norm(point)
-        if r_min <= r <= radius:
-            accepted.append(point)
+    cap = 100 * n_halton + 1000
+    count = min(2**dim * n_halton, cap)
+    while True:
+        cube = np.stack([2.0 * _halton(np.arange(1, count + 1), p) - 1.0 for p in _PRIMES[:dim]], axis=1) * radius
+        halton = cube[_in_shell(cube, r_min, radius)][:n_halton]
+        if len(halton) == n_halton or count == cap:
+            break
+        count = min(2 * count, cap)
+    # one PCG64 word per double: drawing (k, dim) blocks keeps the stream of
+    # successive single-point draws
     rng = np.random.default_rng(seed)
-    taken = 0
-    while taken < n_uniform:
-        point = rng.uniform(-radius, radius, size=dim)
-        r = np.linalg.norm(point)
-        if r_min <= r <= radius:
-            accepted.append(point)
-            taken += 1
-    return np.array(accepted)
+    uniform = np.empty((0, dim))
+    while len(uniform) < n_uniform:
+        draw = rng.uniform(-radius, radius, size=(2**dim * (n_uniform - len(uniform)), dim))
+        uniform = np.concatenate([uniform, draw[_in_shell(draw, r_min, radius)]])
+    return np.concatenate([halton, uniform[:n_uniform]])
 
 
 def _law_samples(radius: float, samples: int, seed: int) -> np.ndarray:
@@ -121,25 +135,30 @@ def _law_samples(radius: float, samples: int, seed: int) -> np.ndarray:
     return pts[np.abs(pts) >= _INNER_FRACTION * radius]
 
 
-def _simpson_129(f, upper: float) -> float:
-    """Composite Simpson with 129 nodes on [0, upper]."""
-    x = np.linspace(0.0, upper, 129)
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise ValueError
-    except Exception:
-        y = np.array([float(f(v)) for v in x])
-    h = upper / 128.0
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+def _spring_potentials(f, uppers: np.ndarray) -> np.ndarray:
+    """Composite Simpson with 129 nodes on [0, s] for each s in ``uppers``."""
+    out = []
+    for i in range(0, len(uppers), _POTENTIAL_CHUNK):
+        upper = uppers[i : i + _POTENTIAL_CHUNK]
+        x = np.linspace(0.0, upper, 129, axis=-1)
+        y = _batch(f, x.ravel()).reshape(x.shape)
+        h = upper / 128.0
+        out.append(h / 3.0 * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1:-1:2].sum(axis=1)
+                              + 2.0 * y[:, 2:-1:2].sum(axis=1)))
+    return np.concatenate(out)
 
 
-def _worst(points, values, flip: bool = False):
-    """(worst value, witness) with 'worst' meaning smallest (or largest if flip)."""
-    values = np.asarray(values, dtype=float)
+def _check(name: str, ok, witness, value) -> CheckResult:
+    """A check result that carries its witness point only on failure."""
+    ok = bool(ok)
+    witness = None if ok else tuple(float(w) for w in np.atleast_1d(witness))
+    return CheckResult(name, ok, witness, float(value))
+
+
+def _sampled(name: str, points, values, passes, flip: bool = False) -> CheckResult:
+    """The check on the worst sampled value: the smallest, or the largest if flip."""
     idx = int(np.argmax(values)) if flip else int(np.argmin(values))
-    witness = np.atleast_1d(points[idx])
-    return float(values[idx]), tuple(float(w) for w in witness)
+    return _check(name, passes(float(values[idx])), points[idx], values[idx])
 
 
 def certify_spring_damper(
@@ -157,42 +176,18 @@ def certify_spring_damper(
     if samples < 100:
         raise ValueError("samples must be >= 100")
     pts = _law_samples(radius, samples, seed)
-    checks = []
-
-    d0 = float(law.damper.eval(0.0))
-    checks.append(
-        CheckResult("damper-vanishes-at-zero", abs(d0) <= STRICT_MARGIN,
-                    None if abs(d0) <= STRICT_MARGIN else (0.0,), d0)
-    )
-
-    dprime = np.asarray([float(law.damper.deriv(s)) for s in pts])
-    worst, witness = _worst(pts, dprime)
-    ok = worst >= -STRICT_MARGIN
-    checks.append(
-        CheckResult("damper-derivative-nonnegative", ok, None if ok else witness, worst)
-    )
-
-    dslope = float(law.damper.deriv(0.0))
-    ok = dslope >= STRICT_MARGIN
-    checks.append(CheckResult("damper-slope-positive", ok, None if ok else (0.0,), dslope))
-
-    kslope = float(law.spring.deriv(0.0))
-    ok = kslope >= STRICT_MARGIN
-    checks.append(CheckResult("spring-slope-positive", ok, None if ok else (0.0,), kslope))
-
-    k0 = float(law.spring.eval(0.0))
-    checks.append(
-        CheckResult("spring-vanishes-at-zero", abs(k0) <= STRICT_MARGIN,
-                    None if abs(k0) <= STRICT_MARGIN else (0.0,), k0)
-    )
-
-    potentials = np.asarray([_simpson_129(law.spring.eval, s) for s in pts])
-    worst, witness = _worst(pts, potentials)
-    ok = worst >= STRICT_MARGIN
-    checks.append(
-        CheckResult("spring-potential-positive", ok, None if ok else witness, worst)
-    )
-
+    d0, dslope = float(law.damper.eval(0.0)), float(law.damper.deriv(0.0))
+    k0, kslope = float(law.spring.eval(0.0)), float(law.spring.deriv(0.0))
+    checks = [
+        _check("damper-vanishes-at-zero", abs(d0) <= STRICT_MARGIN, 0.0, d0),
+        _sampled("damper-derivative-nonnegative", pts, _batch(law.damper.deriv, pts),
+                 lambda worst: worst >= -STRICT_MARGIN),
+        _check("damper-slope-positive", dslope >= STRICT_MARGIN, 0.0, dslope),
+        _check("spring-slope-positive", kslope >= STRICT_MARGIN, 0.0, kslope),
+        _check("spring-vanishes-at-zero", abs(k0) <= STRICT_MARGIN, 0.0, k0),
+        _sampled("spring-potential-positive", pts, _spring_potentials(law.spring.eval, pts),
+                 lambda worst: worst >= STRICT_MARGIN),
+    ]
     return _finish(checks, radius, len(pts))
 
 
@@ -212,66 +207,29 @@ def certify_block(
     if samples < 100 * block.dim:
         raise ValueError(f"samples must be >= {100 * block.dim} for dim {block.dim}")
     pts = _ball_points(block.dim, radius, _BLOCK_GRID_POINTS, samples, seed)
-    checks = []
-
-    storage = np.array([float(block.storage(z)) for z in pts])
-    worst, witness = _worst(pts, storage)
-    ok = worst >= STRICT_MARGIN
-    checks.append(CheckResult("storage-positive", ok, None if ok else witness, worst))
-
-    dissipation = np.array(
-        [float(np.asarray(block.storage_grad(z)) @ np.asarray(block.drift(z))) for z in pts]
-    )
-    worst, witness = _worst(pts, dissipation, flip=True)
-    ok = worst <= -STRICT_MARGIN
-    checks.append(CheckResult("dissipation-strict", ok, None if ok else witness, worst))
-
-    kyp = np.array(
-        [
-            abs(
-                float(np.asarray(block.storage_grad(z)) @ np.asarray(block.input_gain(z)))
-                - float(block.output(z))
-            )
-            / (1.0 + abs(float(block.output(z))))
-            for z in pts
-        ]
-    )
-    worst, witness = _worst(pts, kyp, flip=True)
-    ok = worst <= STRICT_MARGIN
-    checks.append(CheckResult("kyp-output-match", ok, None if ok else witness, worst))
+    dim = (block.dim,)
+    grad = _batch(block.storage_grad, pts, dim)
+    output = _batch(block.output, pts)
+    kyp = np.abs(np.vecdot(grad, _batch(block.input_gain, pts, dim)) - output) / (1.0 + np.abs(output))
 
     hess = _storage_hessian(block)
     hess = 0.5 * (hess + hess.T)
     eigvals, eigvecs = np.linalg.eigh(hess)
-    ok = bool(eigvals[0] >= STRICT_MARGIN)
-    checks.append(
-        CheckResult(
-            "hessian-positive-definite", ok,
-            None if ok else tuple(float(w) for w in eigvecs[:, 0]), float(eigvals[0]),
-        )
-    )
-
     amat = np.asarray(block.drift_jac(np.zeros(block.dim)), dtype=float)
     svals = np.linalg.svd(amat, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0.0 else np.inf
-    ok = bool(np.isfinite(cond) and cond <= 1e12)
-    direction = np.linalg.svd(amat)[2][-1]
-    checks.append(
-        CheckResult("drift-jacobian-invertible", ok, None if ok else tuple(float(w) for w in direction), cond)
-    )
-
     sphere = pts * (radius / np.linalg.norm(pts, axis=1))[:, None]
-    sphere_storage = np.array([float(block.storage(z)) for z in sphere])
-    worst, witness = _worst(sphere, sphere_storage)
-    ok = bool(worst > h_threshold)
-    checks.append(CheckResult("radial-growth", ok, None if ok else witness, worst))
 
-    pa = hess @ amat
-    rayleigh = np.array([float(z @ (pa @ z)) / float(z @ z) for z in pts])
-    worst, witness = _worst(pts, rayleigh, flip=True)
-    ok = worst <= STRICT_MARGIN
-    checks.append(
-        CheckResult("pa-negative-semidefinite", ok, None if ok else witness, worst)
-    )
-
+    checks = [
+        _sampled("storage-positive", pts, _batch(block.storage, pts), lambda worst: worst >= STRICT_MARGIN),
+        _sampled("dissipation-strict", pts, np.vecdot(grad, _batch(block.drift, pts, dim)),
+                 lambda worst: worst <= -STRICT_MARGIN, flip=True),
+        _sampled("kyp-output-match", pts, kyp, lambda worst: worst <= STRICT_MARGIN, flip=True),
+        _check("hessian-positive-definite", eigvals[0] >= STRICT_MARGIN, eigvecs[:, 0], eigvals[0]),
+        _check("drift-jacobian-invertible", np.isfinite(cond) and cond <= 1e12,
+               np.linalg.svd(amat)[2][-1], cond),
+        _sampled("radial-growth", sphere, _batch(block.storage, sphere), lambda worst: worst > h_threshold),
+        _sampled("pa-negative-semidefinite", pts, np.vecdot(pts, pts @ (hess @ amat).T) / np.vecdot(pts, pts),
+                 lambda worst: worst <= STRICT_MARGIN, flip=True),
+    ]
     return _finish(checks, radius, len(pts))

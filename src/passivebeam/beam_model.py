@@ -69,6 +69,35 @@ class ScalarLaw:
                 )
 
 
+def _batch(f: Callable, pts: np.ndarray, shape: tuple = (), probe: bool = True) -> np.ndarray:
+    """``f`` at every point along the leading axis of ``pts``, as a
+    ``(P,) + shape`` array.
+
+    ``f`` is called once on the whole batch. With ``probe`` the result is
+    accepted when it broadcasts to ``(P,) + shape`` and agrees with
+    per-point calls on the first, middle and last point to rtol 1e-13;
+    without (hot paths that rely on the elementwise contract of
+    ``ScalarLaw``) when it has exactly that shape. Otherwise (a callback that
+    rejects or mishandles the batch axis) ``f`` is called once per point.
+    """
+    pts = np.asarray(pts, dtype=float)
+    count = len(pts)
+    try:
+        y = np.asarray(f(pts), dtype=float)
+        if probe and count:
+            y = np.broadcast_to(y, (count,) + shape)
+            idx = [0, count // 2, count - 1]
+            per_point = np.reshape([np.asarray(f(pts[i]), dtype=float) for i in idx], (len(idx),) + shape)
+            accepted = np.allclose(y[idx], per_point, rtol=1e-13, atol=0.0, equal_nan=True)
+        else:
+            accepted = y.shape == (count,) + shape
+        if accepted:
+            return y
+    except Exception:  # whatever a callback raises on a batch, evaluate per point
+        pass
+    return np.array([np.asarray(f(p), dtype=float).reshape(shape) for p in pts]).reshape((count,) + shape)
+
+
 @dataclass(frozen=True)
 class SpringDamperLaw:
     """Damper/spring pair acting on one tip degree of freedom.
@@ -123,6 +152,13 @@ class PassiveBlock:
     time-differentiated system. Supplied derivatives are validated against
     centered differences at construction; a(0), c(0) and V(0) must vanish
     exactly.
+
+    Callbacks take one state of shape (dim,). ``drift``, ``input_gain``,
+    ``output``, ``storage`` and ``storage_grad`` may also accept a leading
+    batch axis, (P, dim) -> (P, ...); certification probes each of them for
+    that and falls back to per-point calls when the batched result is
+    missing, has the wrong shape or disagrees with the per-point values.
+    The registry blocks broadcast.
     """
 
     dim: int
@@ -336,8 +372,8 @@ def _make_linear_block(dim: int = 1, rate: float = 1.0, gain: float = 1.0) -> Pa
         dim=dim,
         drift=lambda z: -rate * np.asarray(z, dtype=float),
         input_gain=lambda z: B.copy(),
-        output=lambda z: float(B @ np.asarray(z, dtype=float)),
-        storage=lambda z: 0.5 * float(np.asarray(z) @ np.asarray(z)),
+        output=lambda z: np.asarray(z, dtype=float) @ B,
+        storage=lambda z: 0.5 * np.vecdot(z, z),
         storage_grad=lambda z: np.asarray(z, dtype=float).copy(),
         drift_jac=lambda z: -rate * np.eye(dim),
         input_jac=lambda z: np.zeros((dim, dim)),
@@ -352,11 +388,12 @@ _ROTATE_STABLE = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 def _make_cubic_drift_block(strength: float = 1.0) -> PassiveBlock:
     """Two-state block with drift A z - strength * z |z|^2 and unit storage."""
     A = _ROTATE_STABLE
+    A_T = A.T
     B = np.array([0.0, 1.0])
 
     def drift(z):
         z = np.asarray(z, dtype=float)
-        return A @ z - strength * z * float(z @ z)
+        return z @ A_T - (strength * np.vecdot(z, z))[..., None] * z
 
     def drift_jac(z):
         z = np.asarray(z, dtype=float)
@@ -366,8 +403,8 @@ def _make_cubic_drift_block(strength: float = 1.0) -> PassiveBlock:
         dim=2,
         drift=drift,
         input_gain=lambda z: B.copy(),
-        output=lambda z: float(np.asarray(z, dtype=float)[1]),
-        storage=lambda z: 0.5 * float(np.asarray(z) @ np.asarray(z)),
+        output=lambda z: np.asarray(z, dtype=float)[..., 1],
+        storage=lambda z: 0.5 * np.vecdot(z, z),
         storage_grad=lambda z: np.asarray(z, dtype=float).copy(),
         drift_jac=drift_jac,
         input_jac=lambda z: np.zeros((2, 2)),
@@ -382,6 +419,7 @@ def _make_saturating_block() -> PassiveBlock:
     Storage sum(log cosh z_i) makes the KYP identity exact: grad V = tanh(z).
     """
     A = _ROTATE_STABLE
+    A_T = A.T
     B = np.array([0.0, 1.0])
 
     def sech2(z):
@@ -395,10 +433,10 @@ def _make_saturating_block() -> PassiveBlock:
 
     return PassiveBlock(
         dim=2,
-        drift=lambda z: A @ np.tanh(np.asarray(z, dtype=float)),
+        drift=lambda z: np.tanh(np.asarray(z, dtype=float)) @ A_T,
         input_gain=lambda z: B.copy(),
-        output=lambda z: float(np.tanh(np.asarray(z, dtype=float)[1])),
-        storage=lambda z: float(np.sum(np.log(np.cosh(np.asarray(z, dtype=float))))),
+        output=lambda z: np.tanh(np.asarray(z, dtype=float)[..., 1]),
+        storage=lambda z: np.sum(np.log(np.cosh(np.asarray(z, dtype=float))), axis=-1),
         storage_grad=lambda z: np.tanh(np.asarray(z, dtype=float)),
         drift_jac=lambda z: A @ np.diag(sech2(np.asarray(z, dtype=float))),
         input_jac=lambda z: np.zeros((2, 2)),
@@ -413,8 +451,8 @@ def _make_anti_stable_block() -> PassiveBlock:
         dim=1,
         drift=lambda z: np.asarray(z, dtype=float).copy(),
         input_gain=lambda z: np.ones(1),
-        output=lambda z: float(np.asarray(z, dtype=float)[0]),
-        storage=lambda z: 0.5 * float(np.asarray(z) @ np.asarray(z)),
+        output=lambda z: np.asarray(z, dtype=float)[..., 0],
+        storage=lambda z: 0.5 * np.vecdot(z, z),
         storage_grad=lambda z: np.asarray(z, dtype=float).copy(),
         drift_jac=lambda z: np.eye(1),
         input_jac=lambda z: np.zeros((1, 1)),

@@ -68,6 +68,14 @@ def _require(section: dict, keys, where: str):
         raise ConfigParseError(f"missing keys in {where}: {missing}")
 
 
+def _number(value, where: str, expect: str = "a number", ok=lambda v: True):
+    """``value`` if it is a finite JSON number that satisfies ``ok``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and np.isfinite(value) and ok(value)):
+        raise ConfigParseError(f"{where} must be {expect}, got {value!r}")
+    return value
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -136,10 +144,16 @@ class RunConfig:
             if self.initial["kind"] not in ("first-mode", "zero"):
                 raise ConfigParseError("initial.kind must be 'first-mode' or 'zero'")
 
-        self.certify = {"radius": 2.0, "samples": 300, "h_threshold": 0.0}
+        certify = {"radius": 2.0, "samples": 300, "h_threshold": 0.0}
         if "certify" in raw:
             _reject_unknown(raw["certify"], _CERTIFY_KEYS, "certify")
-            self.certify.update(raw["certify"])
+            certify.update(raw["certify"])
+        self.certify = {
+            "radius": float(_number(certify["radius"], "certify.radius", "a number > 0", lambda v: v > 0)),
+            "samples": int(_number(certify["samples"], "certify.samples", "an integer >= 100",
+                                   lambda v: float(v).is_integer() and v >= 100)),
+            "h_threshold": float(_number(certify["h_threshold"], "certify.h_threshold")),
+        }
 
         self.meshes = None
         if "convergence" in raw:
@@ -239,9 +253,7 @@ class ArtifactWriter:
 # ---------------------------------------------------------------------------
 
 def _run_certification(cfg: RunConfig, loop: ClosedLoopConfig):
-    radius = float(cfg.certify["radius"])
-    samples = int(cfg.certify["samples"])
-    threshold = float(cfg.certify["h_threshold"])
+    radius, samples, threshold = (cfg.certify[k] for k in ("radius", "samples", "h_threshold"))
     reports = {
         "sd_rotational": assumptions.certify_spring_damper(
             loop.sd_rotational, radius, samples, seed=cfg.seed

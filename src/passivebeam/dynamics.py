@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_model import BlockLinearization, ClosedLoopConfig, ScalarLaw
+from .beam_model import BlockLinearization, ClosedLoopConfig, ScalarLaw, _batch
 from .discretization import DiscreteSystem
 from .errors import DimensionMismatch
 
@@ -155,19 +155,10 @@ def unpack(vec: np.ndarray, sys: DiscreteSystem, config: ClosedLoopConfig) -> St
 # Spring potential quadrature
 # ---------------------------------------------------------------------------
 
-def _eval_array(f, x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except Exception:
-        pass
-    return np.array([float(f(v)) for v in x])
-
-
 def _simpson(f, a: float, b: float, intervals: int) -> float:
     x = np.linspace(a, b, intervals + 1)
-    y = _eval_array(f, x)
+    # this runs on every record: rely on the elementwise contract of ScalarLaw
+    y = _batch(f, x, probe=False)
     h = (b - a) / intervals
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 

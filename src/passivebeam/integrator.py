@@ -148,7 +148,8 @@ class MidpointStepper:
     """Precomputed implicit-midpoint machinery for one (system, config, dt).
 
     The Newton matrix is I - dt/2 G for the linear generator G, corrected by
-    the forward-difference remainder Jacobian through a Woodbury identity.
+    the analytic remainder Jacobian (from the supplied law and block
+    derivatives) through a Woodbury identity.
     I - dt/2 G is never formed: eliminating the displacement and the block
     states leaves one banded velocity matrix (the Schur complement), factored
     once, so a solve, a generator application and an energy norm all cost
@@ -310,7 +311,7 @@ class MidpointStepper:
             if residual_norm <= tol:
                 return y + d
             if jac_f is None or iteration >= 3:
-                jac_f = self.remainder.jacobian_fd(self.remainder.q_of(mid), y_scale)
+                jac_f = self.remainder.jacobian_analytic(self.remainder.q_of(mid))
             t = self.solve(-residual)
             small = eye_m - 0.5 * dt * (self._sel_kinv_e @ jac_f)
             try:

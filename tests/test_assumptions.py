@@ -1,9 +1,14 @@
 """Certification of laws and blocks: pass/fail outcomes and witnesses."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 import passivebeam as pb
+from passivebeam import assumptions
+from passivebeam.beam_model import BLOCK_BUILDERS, LAW_BUILDERS
 
 
 def make_sd(damper, spring):
@@ -129,3 +134,102 @@ def test_preconditions_rejected():
         pb.certify_spring_damper(sd, radius=1.0, samples=50)
     with pytest.raises(ValueError):
         pb.certify_block(pb.make_block("cubic-drift"), radius=1.0, samples=150)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation: same reports as per-point evaluation
+# ---------------------------------------------------------------------------
+
+BATCHED_CALLBACKS = ("drift", "input_gain", "output", "storage", "storage_grad")
+BLOCKS = {name: {} for name in BLOCK_BUILDERS} | {"linear-dim3": {"dim": 3}}
+
+
+def _pointwise(f, max_ndim):
+    def call(x):
+        if np.ndim(x) > max_ndim:
+            raise TypeError("batched input rejected")
+        return f(x)
+    return call
+
+
+def pointwise_law(law):
+    return pb.ScalarLaw(**{k: _pointwise(getattr(law, k), 0) for k in ("eval", "deriv", "deriv2")})
+
+
+def pointwise_block(block):
+    return dataclasses.replace(block, **{k: _pointwise(getattr(block, k), 1) for k in BATCHED_CALLBACKS})
+
+
+def assert_same_report(batched, per_point):
+    assert (batched.passed, batched.sample_count) == (per_point.passed, per_point.sample_count)
+    assert [c.name for c in batched.checks] == [c.name for c in per_point.checks]
+    for a, b in zip(batched.checks, per_point.checks):
+        assert (a.passed, a.witness) == (b.passed, b.witness), a.name
+        assert a.value == pytest.approx(b.value, rel=1e-13, abs=0.0), a.name
+
+
+@pytest.mark.parametrize("damper,spring", list(itertools.product(LAW_BUILDERS, repeat=2)))
+def test_batched_law_report_equals_per_point(damper, spring):
+    d, k = pb.make_law(damper), pb.make_law(spring)
+    batched = pb.certify_spring_damper(pb.SpringDamperLaw(d, k), radius=2.0, samples=100, seed=4)
+    per_point = pb.certify_spring_damper(
+        pb.SpringDamperLaw(pointwise_law(d), pointwise_law(k)), radius=2.0, samples=100, seed=4
+    )
+    assert_same_report(batched, per_point)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_batched_block_report_equals_per_point(name):
+    block = pb.make_block(name.removesuffix("-dim3"), **BLOCKS[name])
+    kwargs = dict(radius=2.5, samples=100 * block.dim, h_threshold=0.5, seed=9)
+    assert_same_report(pb.certify_block(block, **kwargs), pb.certify_block(pointwise_block(block), **kwargs))
+
+
+def test_broadcasting_but_wrong_storage_is_evaluated_per_point():
+    # the storage sums over every axis: right for one state, one number for a batch
+    block = dataclasses.replace(
+        pb.make_block("linear", dim=2), storage=lambda z: 0.5 * float(np.sum(np.square(z)))
+    )
+    batched = pb.certify_block(block, radius=2.0, samples=200, seed=2)
+    per_point = pb.certify_block(pointwise_block(block), radius=2.0, samples=200, seed=2)
+    assert_same_report(batched, per_point)
+    pts = assumptions._ball_points(2, 2.0, 512, 200, 2)
+    assert batched.check("storage-positive").value == pytest.approx(0.5 * np.min(np.sum(pts**2, axis=1)))
+
+
+def _ball_points_per_point(dim, radius, n_halton, n_uniform, seed):
+    """The original one-point-at-a-time rejection sampler."""
+
+    def halton(index, base):
+        result, f, i = 0.0, 1.0, index
+        while i > 0:
+            f /= base
+            result += f * (i % base)
+            i //= base
+        return result
+
+    r_min = 1e-3 * radius
+    accepted = []
+    idx = 1
+    while len(accepted) < n_halton and idx <= 100 * n_halton + 1000:
+        point = np.array([2.0 * halton(idx, (2, 3, 5)[d]) - 1.0 for d in range(dim)]) * radius
+        idx += 1
+        if r_min <= np.linalg.norm(point) <= radius:
+            accepted.append(point)
+    rng = np.random.default_rng(seed)
+    taken = 0
+    while taken < n_uniform:
+        point = rng.uniform(-radius, radius, size=dim)
+        if r_min <= np.linalg.norm(point) <= radius:
+            accepted.append(point)
+            taken += 1
+    return np.array(accepted)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 11, 101])
+def test_ball_points_equal_per_point_sampler(dim, seed):
+    fast = assumptions._ball_points(dim, 1.7, 512, 300 * dim, seed)
+    reference = _ball_points_per_point(dim, 1.7, 512, 300 * dim, seed)
+    assert fast.shape == reference.shape
+    assert np.array_equal(fast, reference)

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import passivebeam as pb
+from passivebeam.beam_model import BLOCK_BUILDERS
 from passivebeam.errors import SingularHessian
 
 
@@ -161,3 +165,15 @@ def test_block_rejects_nonzero_origin():
             output_grad=lambda z: np.ones(1),
             output_hess=lambda z: np.zeros((1, 1)),
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(BLOCK_BUILDERS)), count=st.integers(1, 6))
+def test_registry_block_callbacks_broadcast_over_batch(data, name, count):
+    block = pb.make_block(name, **({"dim": data.draw(st.integers(1, 4))} if name == "linear" else {}))
+    z = data.draw(arrays(np.float64, (count, block.dim), elements=st.floats(-5.0, 5.0)))
+    for callback in ("drift", "input_gain", "output", "storage", "storage_grad"):
+        f = getattr(block, callback)
+        rows = np.array([np.asarray(f(row), dtype=float) for row in z])
+        batched = np.broadcast_to(np.asarray(f(z), dtype=float), rows.shape)
+        np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=1e-13, err_msg=callback)

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from passivebeam import cli
 
@@ -184,3 +185,16 @@ def test_main_entry_point(tmp_path):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
     assert cli.main(["certify", "--config", str(path), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("samples", 50), ("samples", "many"), ("samples", 150.5), ("radius", -1), ("radius", 0),
+     ("radius", "wide"), ("h_threshold", "low"), ("h_threshold", True)],
+)
+def test_bad_certify_values_exit_1(tmp_path, capsys, key, value):
+    cfg = base_config()
+    cfg["certify"][key] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.run("certify", path, out=tmp_path / "out") == 1
+    assert f"certify.{key}" in capsys.readouterr().err

@@ -99,6 +99,15 @@ def test_spring_potential_matches_antiderivatives():
     assert spring_potential(cubic, 0.0) == 0.0
 
 
+def test_spring_potential_of_non_elementwise_law_is_evaluated_per_point():
+    # eval sums an array to one number, so only scalar calls give s + s^3
+    law = pb.ScalarLaw(
+        eval=lambda s: np.sum(s) + np.sum(s) ** 3, deriv=lambda s: 1.0 + 3.0 * np.sum(s) ** 2,
+        deriv2=lambda s: 6.0 * np.sum(s),
+    )
+    assert spring_potential(law, 0.5) == pytest.approx(0.5**2 / 2 + 0.5**4 / 4, rel=1e-12)
+
+
 def test_energy_dimension_mismatch(sys8, sys4, nonlinear):
     state = pb.zero_state(sys4, nonlinear)
     with pytest.raises(DimensionMismatch):
