@@ -28,7 +28,6 @@ from .beam_model import (
     linearize_spring_damper,
     make_block,
     make_law,
-    make_spring_damper,
 )
 from .discretization import (
     DiscreteSystem,
@@ -104,7 +103,6 @@ __all__ = [
     "linearize_spring_damper",
     "make_block",
     "make_law",
-    "make_spring_damper",
     "pair_with_state",
     "projected_system",
     "simulate",

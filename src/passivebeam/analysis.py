@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .beam_model import BlockLinearization, ClosedLoopConfig
 from .discretization import DiscreteSystem, displacement_gram
-from .dynamics import linear_generator_matrix
+# the dense matrix G with G y = apply_linear_part(y), under its public name
+from .dynamics import linear_generator_matrix as assemble_linear_matrix  # noqa: F401
 from .errors import EigenSolverFailure, EmptyTrajectory
 
 UNSTABLE_TOL = 1e-8
@@ -66,16 +66,6 @@ class DecayReport:
         }
 
 
-def assemble_linear_matrix(
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> np.ndarray:
-    """Dense matrix G with G y = apply_linear_part(y) on packed states."""
-    return linear_generator_matrix(sys, config, lin1, lin2)
-
-
 def spectrum(g: np.ndarray, q: np.ndarray) -> SpectrumReport:
     """Eigenvalues of a generator, computed in energy coordinates.
 
@@ -119,10 +109,8 @@ def projected_system(
     g = np.zeros((2 * n, 2 * n))
     g[:n, n:] = np.eye(n)
     g[n:, :n] = -minv @ q_u
-    if d1 != 0.0:
-        g[n:, n + sys.tip_slope_index] -= d1 * minv[:, sys.tip_slope_index]
-    if d2 != 0.0:
-        g[n:, n + sys.tip_value_index] -= d2 * minv[:, sys.tip_value_index]
+    g[n:, n + sys.tip_slope_index] -= d1 * minv[:, sys.tip_slope_index]
+    g[n:, n + sys.tip_value_index] -= d2 * minv[:, sys.tip_value_index]
     q = scipy.linalg.block_diag(q_u, sys.mass_tip)
     return g, q
 

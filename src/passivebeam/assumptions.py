@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam_model import PassiveBlock, SpringDamperLaw, _batch, _storage_hessian
+from .dynamics import _simpson
 
 #: absolute margin for strict inequalities
 STRICT_MARGIN = 1e-9
@@ -141,10 +142,7 @@ def _spring_potentials(f, uppers: np.ndarray) -> np.ndarray:
     for i in range(0, len(uppers), _POTENTIAL_CHUNK):
         upper = uppers[i : i + _POTENTIAL_CHUNK]
         x = np.linspace(0.0, upper, 129, axis=-1)
-        y = _batch(f, x.ravel()).reshape(x.shape)
-        h = upper / 128.0
-        out.append(h / 3.0 * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1:-1:2].sum(axis=1)
-                              + 2.0 * y[:, 2:-1:2].sum(axis=1)))
+        out.append(_simpson(_batch(f, x.ravel()).reshape(x.shape), upper / 128.0))
     return np.concatenate(out)
 
 

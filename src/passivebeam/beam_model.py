@@ -135,14 +135,6 @@ class SpringDamperLaw:
                 f"|f(s) - f'(0) s| / s^2 grows to {worst:.3g}"
             )
 
-    def damper_remainder(self, s):
-        """d(s) - D*s, the nonlinear damper remainder."""
-        return self.damper.eval(s) - self.damper_slope * s
-
-    def spring_remainder(self, s):
-        """k(s) - K*s, the nonlinear spring remainder."""
-        return self.spring.eval(s) - self.spring_slope * s
-
 
 @dataclass(frozen=True)
 class PassiveBlock:
@@ -476,8 +468,3 @@ def make_block(name: str, **params) -> PassiveBlock:
     except KeyError:
         raise KeyError(f"unknown block {name!r}; available: {sorted(BLOCK_BUILDERS)}") from None
     return builder(**params)
-
-
-def make_spring_damper(damper: ScalarLaw, spring: ScalarLaw) -> SpringDamperLaw:
-    """Pair a damper and a spring law into one tip channel."""
-    return SpringDamperLaw(damper=damper, spring=spring)

@@ -9,6 +9,7 @@ hashes in summary.json; identical config and seed give byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -56,18 +57,6 @@ _CERTIFY_KEYS = {"radius", "samples", "h_threshold"}
 _CONVERGENCE_KEYS = {"meshes"}
 
 
-def _reject_unknown(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigParseError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _require(section: dict, keys, where: str):
-    missing = [k for k in keys if k not in section]
-    if missing:
-        raise ConfigParseError(f"missing keys in {where}: {missing}")
-
-
 def _number(value, where: str, expect: str = "a number", ok=lambda v: True):
     """``value`` if it is a finite JSON number that satisfies ``ok``."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -76,78 +65,89 @@ def _number(value, where: str, expect: str = "a number", ok=lambda v: True):
     return value
 
 
+@contextlib.contextmanager
+def _section(parent: dict, key: str | None, allowed: set, required=(), where: str | None = None):
+    """The config section ``parent[key]`` (``parent`` itself for key None),
+    checked for unknown and missing keys; a bad value met while parsing it is
+    a ConfigParseError naming the section."""
+    where = where or key
+    section = parent if key is None else parent[key]
+    if not isinstance(section, dict):
+        raise ConfigParseError(f"{where} must be a JSON object, got {section!r}")
+    unknown = set(section) - allowed
+    if unknown:
+        raise ConfigParseError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [k for k in required if k not in section]
+    if missing:
+        raise ConfigParseError(f"missing keys in {where}: {missing}")
+    try:
+        yield section
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"bad value in {where}: {exc}") from exc
+
+
 class RunConfig:
     """Validated run configuration."""
 
     def __init__(self, raw: dict, mode: str, seed_override=None, out_override=None):
-        if not isinstance(raw, dict):
-            raise ConfigParseError("config root must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "config root")
-        if raw.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigParseError(
-                f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
-            )
-        if "mode" in raw and raw["mode"] != mode:
-            raise ConfigParseError(
-                f"config mode {raw['mode']!r} does not match requested mode {mode!r}"
-            )
-        if mode not in MODES:
-            raise ConfigParseError(f"mode must be one of {MODES}")
+        with _section(raw, None, _TOP_KEYS, ["beam"], "config root"):
+            if raw.get("schema_version") != SCHEMA_VERSION:
+                raise ConfigParseError(
+                    f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
+                )
+            if "mode" in raw and raw["mode"] != mode:
+                raise ConfigParseError(
+                    f"config mode {raw['mode']!r} does not match requested mode {mode!r}"
+                )
+            if mode not in MODES:
+                raise ConfigParseError(f"mode must be one of {MODES}")
+            self.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+            self.output_dir = Path(out_override if out_override is not None else raw.get("output_dir", "out"))
         self.mode = mode
-        self.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-        self.output_dir = Path(out_override if out_override is not None else raw.get("output_dir", "out"))
         self.raw = raw
 
-        _require(raw, ["beam"], "config root")
-        _reject_unknown(raw["beam"], _BEAM_KEYS, "beam")
-        _require(raw["beam"], _BEAM_KEYS, "beam")
-        self.beam = BeamParams(**{k: float(raw["beam"][k]) for k in _BEAM_KEYS})
+        with _section(raw, "beam", _BEAM_KEYS, _BEAM_KEYS) as section:
+            self.beam = BeamParams(**{k: float(section[k]) for k in _BEAM_KEYS})
 
         self.n_elements = None
         if "mesh" in raw:
-            _reject_unknown(raw["mesh"], _MESH_KEYS, "mesh")
-            _require(raw["mesh"], _MESH_KEYS, "mesh")
-            self.n_elements = int(raw["mesh"]["n_elements"])
+            with _section(raw, "mesh", _MESH_KEYS, _MESH_KEYS) as section:
+                self.n_elements = int(_number(section["n_elements"], "mesh.n_elements", "an integer >= 1",
+                                              lambda v: float(v).is_integer() and v >= 1))
 
         self.channels = {}
         for channel in ("rotational", "translational"):
             if channel not in raw:
                 continue
-            section = raw[channel]
-            _reject_unknown(section, _CHANNEL_KEYS, channel)
-            _require(section, _CHANNEL_KEYS, channel)
-            parsed = {}
-            for part in _CHANNEL_KEYS:
-                entry = section[part]
-                _reject_unknown(entry, _NAMED_KEYS, f"{channel}.{part}")
-                _require(entry, ["name"], f"{channel}.{part}")
-                parsed[part] = (str(entry["name"]), dict(entry.get("params", {})))
-            self.channels[channel] = parsed
+            with _section(raw, channel, _CHANNEL_KEYS, _CHANNEL_KEYS) as section:
+                self.channels[channel] = {}
+                for part in _CHANNEL_KEYS:
+                    with _section(section, part, _NAMED_KEYS, ["name"], f"{channel}.{part}") as entry:
+                        self.channels[channel][part] = (str(entry["name"]), dict(entry.get("params", {})))
 
         self.integrator = None
         if "integrator" in raw:
-            section = raw["integrator"]
-            _reject_unknown(section, _INTEGRATOR_KEYS, "integrator")
-            _require(section, ["dt", "t_end"], "integrator")
-            self.integrator = integrator.IntegratorSettings(
-                dt=float(section["dt"]),
-                t_end=float(section["t_end"]),
-                newton_tol=float(section.get("newton_tol", 1e-10)),
-                newton_max_iter=int(section.get("newton_max_iter", 25)),
-                record_every=int(section.get("record_every", 1)),
-            )
+            with _section(raw, "integrator", _INTEGRATOR_KEYS, ["dt", "t_end"]) as section:
+                self.integrator = integrator.IntegratorSettings(
+                    dt=float(section["dt"]),
+                    t_end=float(section["t_end"]),
+                    newton_tol=float(section.get("newton_tol", 1e-10)),
+                    newton_max_iter=int(section.get("newton_max_iter", 25)),
+                    record_every=int(section.get("record_every", 1)),
+                )
 
         self.initial = {"kind": "first-mode", "tip_fraction": 0.1}
         if "initial" in raw:
-            _reject_unknown(raw["initial"], _INITIAL_KEYS, "initial")
-            self.initial.update(raw["initial"])
-            if self.initial["kind"] not in ("first-mode", "zero"):
-                raise ConfigParseError("initial.kind must be 'first-mode' or 'zero'")
+            with _section(raw, "initial", _INITIAL_KEYS) as section:
+                self.initial.update(section)
+                if self.initial["kind"] not in ("first-mode", "zero"):
+                    raise ConfigParseError("initial.kind must be 'first-mode' or 'zero'")
+                self.initial["tip_fraction"] = float(self.initial["tip_fraction"])
 
         certify = {"radius": 2.0, "samples": 300, "h_threshold": 0.0}
         if "certify" in raw:
-            _reject_unknown(raw["certify"], _CERTIFY_KEYS, "certify")
-            certify.update(raw["certify"])
+            with _section(raw, "certify", _CERTIFY_KEYS) as section:
+                certify.update(section)
         self.certify = {
             "radius": float(_number(certify["radius"], "certify.radius", "a number > 0", lambda v: v > 0)),
             "samples": int(_number(certify["samples"], "certify.samples", "an integer >= 100",
@@ -157,9 +157,8 @@ class RunConfig:
 
         self.meshes = None
         if "convergence" in raw:
-            _reject_unknown(raw["convergence"], _CONVERGENCE_KEYS, "convergence")
-            _require(raw["convergence"], ["meshes"], "convergence")
-            self.meshes = [int(m) for m in raw["convergence"]["meshes"]]
+            with _section(raw, "convergence", _CONVERGENCE_KEYS, ["meshes"]) as section:
+                self.meshes = [int(m) for m in section["meshes"]]
 
     # -- builders -----------------------------------------------------------
     def needs(self, *attrs):
@@ -223,12 +222,12 @@ class ArtifactWriter:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
         self._register(name)
 
-    def write_json(self, name: str, payload: dict):
-        path = self.out_dir / name
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    def write_json(self, name: str, payload: dict, register: bool = True):
+        with open(self.out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        self._register(name)
+        if register:
+            self._register(name)
 
     def write_svg(self, name: str, series, title, xlabel, ylabel, logy=False):
         line_plot_svg(self.out_dir / name, series, title, xlabel, ylabel, logy=logy)
@@ -242,72 +241,51 @@ class ArtifactWriter:
             "files": dict(sorted(self.files.items())),
             "metrics": metrics,
         }
-        path = self.out_dir / "summary.json"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self.write_json("summary.json", payload, register=False)
 
 
 # ---------------------------------------------------------------------------
 # Modes
 # ---------------------------------------------------------------------------
 
-def _run_certification(cfg: RunConfig, loop: ClosedLoopConfig):
+def _certify(cfg: RunConfig, writer: ArtifactWriter, loop: ClosedLoopConfig) -> bool:
+    """Certify the four channels and write certification.json; on a failure
+    also write the summary of exit status 2."""
     radius, samples, threshold = (cfg.certify[k] for k in ("radius", "samples", "h_threshold"))
-    reports = {
-        "sd_rotational": assumptions.certify_spring_damper(
-            loop.sd_rotational, radius, samples, seed=cfg.seed
-        ),
-        "sd_translational": assumptions.certify_spring_damper(
-            loop.sd_translational, radius, samples, seed=cfg.seed
-        ),
-        "block_rotational": assumptions.certify_block(
-            loop.block_rotational, radius, max(samples, 100 * loop.block_rotational.dim),
-            h_threshold=threshold, seed=cfg.seed,
-        ),
-        "block_translational": assumptions.certify_block(
-            loop.block_translational, radius, max(samples, 100 * loop.block_translational.dim),
-            h_threshold=threshold, seed=cfg.seed,
-        ),
-    }
-    all_passed = all(r.passed for r in reports.values())
+    reports = {name: assumptions.certify_spring_damper(getattr(loop, name), radius, samples, seed=cfg.seed)
+               for name in ("sd_rotational", "sd_translational")}
+    for name in ("block_rotational", "block_translational"):
+        block = getattr(loop, name)
+        reports[name] = assumptions.certify_block(
+            block, radius, max(samples, 100 * block.dim), h_threshold=threshold, seed=cfg.seed
+        )
+    passed = all(r.passed for r in reports.values())
     payload = {name: rep.as_dict() for name, rep in reports.items()}
-    payload["passed"] = all_passed
-    return all_passed, payload
+    payload["passed"] = passed
+    writer.write_json("certification.json", payload)
+    if not passed:
+        writer.summary(cfg.mode, cfg.seed, 2, {"certification_passed": False})
+    return passed
 
 
 def _mode_certify(cfg: RunConfig, writer: ArtifactWriter) -> int:
-    loop = cfg.closed_loop()
-    passed, payload = _run_certification(cfg, loop)
-    writer.write_json("certification.json", payload)
-    status = 0 if passed else 2
-    writer.summary(cfg.mode, cfg.seed, status, {"certification_passed": passed})
-    return status
+    if not _certify(cfg, writer, cfg.closed_loop()):
+        return 2
+    writer.summary(cfg.mode, cfg.seed, 0, {"certification_passed": True})
+    return 0
 
 
 def _mode_simulate(cfg: RunConfig, writer: ArtifactWriter) -> int:
     loop = cfg.closed_loop()
-    passed, payload = _run_certification(cfg, loop)
-    writer.write_json("certification.json", payload)
-    if not passed:
-        writer.summary(cfg.mode, cfg.seed, 2, {"certification_passed": False})
+    if not _certify(cfg, writer, loop):
         return 2
     cfg.needs("integrator")
     sys_d = cfg.system()
     if cfg.initial["kind"] == "zero":
         y0 = dynamics.zero_state(sys_d, loop)
     else:
-        y0 = integrator.first_mode_initial_state(
-            sys_d, loop, tip_fraction=float(cfg.initial["tip_fraction"])
-        )
+        y0 = integrator.first_mode_initial_state(sys_d, loop, tip_fraction=cfg.initial["tip_fraction"])
     traj = integrator.simulate(y0, cfg.integrator, sys_d, loop)
-
-    lin1 = linearize_block(loop.block_rotational)
-    lin2 = linearize_block(loop.block_translational)
-    qnorms = [
-        float(np.sqrt(max(dynamics.state_qnorm2(s, sys_d, loop, lin1, lin2), 0.0)))
-        for s in traj.states
-    ]
 
     energy_rows = [e.csv_row(t) for t, e in zip(traj.times, traj.energies)]
     writer.write_csv("energy.csv", dynamics.EnergyBreakdown.CSV_COLUMNS, energy_rows)
@@ -318,7 +296,7 @@ def _mode_simulate(cfg: RunConfig, writer: ArtifactWriter) -> int:
         "energy.svg",
         [
             ("H(t)", list(traj.times), list(totals)),
-            ("|y|_Q", list(traj.times), qnorms),
+            ("|y|_Q", list(traj.times), list(traj.state_norms)),
         ],
         "closed-loop energy decay",
         "t",
@@ -335,10 +313,7 @@ def _mode_simulate(cfg: RunConfig, writer: ArtifactWriter) -> int:
 
 def _mode_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     loop = cfg.closed_loop()
-    passed, payload = _run_certification(cfg, loop)
-    writer.write_json("certification.json", payload)
-    if not passed:
-        writer.summary(cfg.mode, cfg.seed, 2, {"certification_passed": False})
+    if not _certify(cfg, writer, loop):
         return 2
     sys_d = cfg.system()
     lin1 = linearize_block(loop.block_rotational)

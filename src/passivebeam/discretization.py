@@ -89,10 +89,11 @@ class DiscreteSystem:
     eliminated when ``clamped``. ``mass_tip`` adds the payload inertia J on
     the tip-slope DOF and mass M on the tip-value DOF; it is the Gram block
     of the velocity field in the energy inner product. ``mass_tip_inv`` is
-    its precomputed (symmetrized) dense inverse, shared by the generator
-    functions of ``dynamics`` so their linear/nonlinear split stays exact at
-    roundoff; the midpoint stepper solves with a banded Cholesky factor of
-    ``mass_tip`` instead.
+    its precomputed (symmetrized) dense inverse. Only the dense views
+    (``dynamics.linear_generator_matrix``, ``analysis.projected_system``) and
+    ``dynamics.RemainderMap.placement`` read it; the generator itself solves
+    with a banded Cholesky factor of ``mass_tip``, so its linear/nonlinear
+    split holds to roundoff of that solve rather than exactly.
     """
 
     beam: BeamParams
@@ -103,8 +104,6 @@ class DiscreteSystem:
     stiffness_beam: np.ndarray
     mass_tip: np.ndarray
     mass_tip_inv: np.ndarray
-    tip_value_selector: np.ndarray
-    tip_slope_selector: np.ndarray
 
     @property
     def tip_value_index(self) -> int:
@@ -137,11 +136,6 @@ def assemble(beam: BeamParams, mesh: Mesh, clamp_left: bool = True) -> DiscreteS
         stiff = stiff[2:, 2:]
     n_dof = mass.shape[0]
 
-    e_value = np.zeros(n_dof)
-    e_value[n_dof - 2] = 1.0
-    e_slope = np.zeros(n_dof)
-    e_slope[n_dof - 1] = 1.0
-
     mass_tip = mass.copy()
     mass_tip[n_dof - 2, n_dof - 2] += beam.tip_mass
     mass_tip[n_dof - 1, n_dof - 1] += beam.tip_inertia
@@ -159,8 +153,6 @@ def assemble(beam: BeamParams, mesh: Mesh, clamp_left: bool = True) -> DiscreteS
         stiffness_beam=stiff,
         mass_tip=mass_tip,
         mass_tip_inv=inv,
-        tip_value_selector=e_value,
-        tip_slope_selector=e_slope,
     )
 
 

@@ -1,6 +1,9 @@
 """The discrete closed-loop generator, its linear/nonlinear split, and the
 Lyapunov functional with its closed-form rate.
 
+``ClosedLoopOperator`` implements the generator, the split and the energy
+inner product once, on packed states; the state-level functions are views.
+
 The state keeps (u, v, z1, z2); the tip momenta are derived quantities,
 xi = J v'(L) and psi = M v(L), so every state satisfies the domain coupling
 by construction. Boundary feedback enters through virtual work at the tip
@@ -12,10 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
-from .beam_model import BlockLinearization, ClosedLoopConfig, ScalarLaw, _batch
-from .discretization import DiscreteSystem
-from .errors import DimensionMismatch
+from .beam_model import BlockLinearization, ClosedLoopConfig, ScalarLaw, _batch, linearize_block
+from .discretization import DiscreteSystem, displacement_gram
+from .errors import DimensionMismatch, LinearSolveFailure
 
 #: per-step energy increase budget, as a fraction of H(y0)
 ENERGY_INCREASE_ETA = 1e-8
@@ -155,12 +161,16 @@ def unpack(vec: np.ndarray, sys: DiscreteSystem, config: ClosedLoopConfig) -> St
 # Spring potential quadrature
 # ---------------------------------------------------------------------------
 
-def _simpson(f, a: float, b: float, intervals: int) -> float:
-    x = np.linspace(a, b, intervals + 1)
+def _simpson(y: np.ndarray, h):
+    """Composite Simpson rule along the last axis of samples ``y`` taken at
+    spacing ``h`` over an even number of intervals."""
+    return h / 3.0 * (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
+                      + 2.0 * y[..., 2:-1:2].sum(axis=-1))
+
+
+def _simpson_law(f, s: float, intervals: int) -> float:
     # this runs on every record: rely on the elementwise contract of ScalarLaw
-    y = _batch(f, x, probe=False)
-    h = (b - a) / intervals
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+    return _simpson(_batch(f, np.linspace(0.0, s, intervals + 1), probe=False), s / intervals)
 
 
 def spring_potential(law: ScalarLaw, s: float, tol: float = 1e-12) -> float:
@@ -172,10 +182,10 @@ def spring_potential(law: ScalarLaw, s: float, tol: float = 1e-12) -> float:
     if s == 0.0:
         return 0.0
     intervals = 16
-    coarse = _simpson(law.eval, 0.0, s, intervals)
+    coarse = _simpson_law(law.eval, s, intervals)
     for _ in range(20):
         intervals *= 2
-        fine = _simpson(law.eval, 0.0, s, intervals)
+        fine = _simpson_law(law.eval, s, intervals)
         err = (fine - coarse) / 15.0
         if abs(err) <= tol:
             return fine + err
@@ -230,36 +240,142 @@ def eval_Hdot(state: StateVector, sys: DiscreteSystem, config: ClosedLoopConfig)
 
 
 # ---------------------------------------------------------------------------
-# Generator and its split
+# The closed-loop operator on packed states
 # ---------------------------------------------------------------------------
 
-def _tangent_from_load(state, sys, load, z1_dot, z2_dot) -> Tangent:
-    return Tangent(
-        u_dot=state.v_dofs.copy(),
-        v_dot=sys.mass_tip_inv @ load,
-        z1_dot=np.asarray(z1_dot, dtype=float),
-        z2_dot=np.asarray(z2_dot, dtype=float),
-        v_load=load,
-    )
+#: half-bandwidth of the Hermite beam matrices: an element couples the
+#: (value, slope) DOFs of its two nodes
+_BANDWIDTH = 3
+
+
+def _upper_band(a: np.ndarray) -> np.ndarray:
+    """LAPACK upper symmetric-band storage of a symmetric banded matrix."""
+    lower, upper = scipy.linalg.bandwidth(a)
+    if max(lower, upper) > _BANDWIDTH:
+        raise DimensionMismatch(
+            f"beam matrix has half-bandwidth {max(lower, upper)}, expected at most {_BANDWIDTH}"
+        )
+    ab = np.zeros((_BANDWIDTH + 1, a.shape[0]), order="F")  # LAPACK layout: no copy per call
+    for k in range(_BANDWIDTH + 1):
+        ab[_BANDWIDTH - k, k:] = np.diagonal(a, k)
+    return ab
+
+
+def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """alpha * A @ x for A in upper symmetric-band storage."""
+    return scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, x)
+
+
+class ClosedLoopOperator:
+    """The closed-loop generator, its linear/nonlinear split and the energy
+    inner product, on packed states (u, v, z1, z2).
+
+    Built once per (system, config, lin1, lin2), the linearizations defaulting
+    to those of the config's blocks; it does not depend on a time step. The
+    beam matrices are held in symmetric-band storage and the tip mass as its
+    banded Cholesky factor, so every operation costs O(n). The full generator
+    and its linear part fill one skeleton (stiff load, tip loads, tip-mass
+    solve, block rows); the remainder is ``RemainderMap.value`` placed by
+    ``RemainderMap.placement``. Each generator method returns the tangent and
+    the load of its velocity equation (mass_tip @ v_dot).
+    """
+
+    def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig,
+                 lin1: BlockLinearization | None = None, lin2: BlockLinearization | None = None):
+        self.config = config
+        self.lin1 = lin1 if lin1 is not None else linearize_block(config.block_rotational)
+        self.lin2 = lin2 if lin2 is not None else linearize_block(config.block_translational)
+        self.remainder = RemainderMap(sys, config, self.lin1, self.lin2)
+        self.n, self.n1 = sys.n_dof, config.block_rotational.dim
+        self.iv, self.isl = sys.tip_value_index, sys.tip_slope_index
+        self.stiff_band = _upper_band(sys.stiffness_beam)
+        self.mass_band = _upper_band(sys.mass_tip)
+        self.gram_band = _upper_band(displacement_gram(
+            sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope))
+        self._mass_chol, info = scipy.linalg.lapack.dpbtrf(self.mass_band)
+        if info != 0:
+            raise LinearSolveFailure("tip mass matrix could not be factored")
+
+    def split(self, flat: np.ndarray):
+        """Views (u, v, z1, z2) of a packed vector."""
+        n, n1 = self.n, self.n1
+        return flat[:n], flat[n : 2 * n], flat[2 * n : 2 * n + n1], flat[2 * n + n1 :]
+
+    def _fill(self, flat, torque, force, z1_dot, z2_dot, stiff_load=None):
+        """The one generator skeleton: stiff and tip loads, tip-mass solve, block rows."""
+        n, n1 = self.n, self.n1
+        load = _band_mv(self.stiff_band, flat[:n], -1.0) if stiff_load is None else -stiff_load
+        load[self.isl] -= torque
+        load[self.iv] -= force
+        out = np.empty_like(flat)
+        out[:n] = flat[n : 2 * n]
+        out[n : 2 * n] = scipy.linalg.lapack.dpbtrs(self._mass_chol, load)[0]
+        out[2 * n : 2 * n + n1] = z1_dot
+        out[2 * n + n1 :] = z2_dot
+        return out, load
+
+    def generator(self, flat: np.ndarray, stiff_load: np.ndarray | None = None):
+        """Full nonlinear generator. ``stiff_load``, when given, stands in for
+        stiffness_beam @ u."""
+        up_l, u_l, vp_l, v_l, z1, z2 = self.remainder.split_q(self.remainder.q_of(flat))
+        blk1, blk2 = self.config.block_rotational, self.config.block_translational
+        sd1, sd2 = self.config.sd_rotational, self.config.sd_translational
+        torque = float(blk1.output(z1)) + float(sd1.damper.eval(vp_l)) + float(sd1.spring.eval(up_l))
+        force = float(blk2.output(z2)) + float(sd2.damper.eval(v_l)) + float(sd2.spring.eval(u_l))
+        z1_dot = np.asarray(blk1.drift(z1)) + np.asarray(blk1.input_gain(z1)) * vp_l
+        z2_dot = np.asarray(blk2.drift(z2)) + np.asarray(blk2.input_gain(z2)) * v_l
+        return self._fill(flat, torque, force, z1_dot, z2_dot, stiff_load)
+
+    def linear(self, flat: np.ndarray):
+        """Linearized generator: laws and blocks replaced by their origin slopes."""
+        up_l, u_l, vp_l, v_l, z1, z2 = self.remainder.split_q(self.remainder.q_of(flat))
+        lin1, lin2 = self.lin1, self.lin2
+        sd1, sd2 = self.config.sd_rotational, self.config.sd_translational
+        torque = float(lin1.C @ z1) + sd1.damper_slope * vp_l + sd1.spring_slope * up_l
+        force = float(lin2.C @ z2) + sd2.damper_slope * v_l + sd2.spring_slope * u_l
+        return self._fill(flat, torque, force, lin1.A @ z1 + lin1.B * vp_l, lin2.A @ z2 + lin2.B * v_l)
+
+    def nonlinear(self, flat: np.ndarray):
+        """Remainder part of the generator; its load is zero off the tip DOFs."""
+        rem = self.remainder
+        f = rem.value(rem.q_of(flat))
+        load = np.zeros(self.n)
+        load[self.isl], load[self.iv] = f[0], f[1]
+        return rem.placement @ f, load
+
+    def inner(self, a: np.ndarray, b: np.ndarray, a_load: np.ndarray | None = None) -> float:
+        """Energy inner product of packed vectors: banded displacement Gram,
+        tip mass, storage Hessians P1, P2. With ``a_load`` (mass_tip @ a_v)
+        the velocity term is a_load . b_v, without re-applying the mass."""
+        n = self.n
+        m = 2 * n + self.n1  # z2 starts here
+        val = float(a[:n] @ _band_mv(self.gram_band, b[:n]))
+        if a_load is None:
+            val += float(a[n : 2 * n] @ _band_mv(self.mass_band, b[n : 2 * n]))
+        else:
+            val += float(a_load @ b[n : 2 * n])
+        val += float(a[2 * n : m] @ (self.lin1.P @ b[2 * n : m])) + float(a[m:] @ (self.lin2.P @ b[m:]))
+        return val
+
+    def qnorm(self, flat: np.ndarray) -> float:
+        """Energy norm of a packed vector."""
+        return float(np.sqrt(max(self.inner(flat, flat), 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# State-level views of the operator
+# ---------------------------------------------------------------------------
+
+def _tangent(op: ClosedLoopOperator, out_and_load) -> Tangent:
+    out, load = out_and_load
+    return Tangent(*op.split(out), v_load=load)
 
 
 def apply_generator(state: StateVector, sys: DiscreteSystem, config: ClosedLoopConfig) -> Tangent:
     """Full nonlinear generator applied to a state."""
     _check_dims(state, sys, config)
-    u_l, up_l, v_l, vp_l = tip_traces(state, sys)
-    blk1, blk2 = config.block_rotational, config.block_translational
-    sd1, sd2 = config.sd_rotational, config.sd_translational
-
-    torque = float(blk1.output(state.z1)) + float(sd1.damper.eval(vp_l)) + float(sd1.spring.eval(up_l))
-    force = float(blk2.output(state.z2)) + float(sd2.damper.eval(v_l)) + float(sd2.spring.eval(u_l))
-
-    load = -(sys.stiffness_beam @ state.u_dofs)
-    load[sys.tip_slope_index] -= torque
-    load[sys.tip_value_index] -= force
-
-    z1_dot = np.asarray(blk1.drift(state.z1)) + np.asarray(blk1.input_gain(state.z1)) * vp_l
-    z2_dot = np.asarray(blk2.drift(state.z2)) + np.asarray(blk2.input_gain(state.z2)) * v_l
-    return _tangent_from_load(state, sys, load, z1_dot, z2_dot)
+    op = ClosedLoopOperator(sys, config)
+    return _tangent(op, op.generator(pack(state)))
 
 
 def apply_linear_part(
@@ -271,42 +387,8 @@ def apply_linear_part(
 ) -> Tangent:
     """Linearized generator: laws and blocks replaced by their origin slopes."""
     _check_dims(state, sys, config)
-    u_l, up_l, v_l, vp_l = tip_traces(state, sys)
-    d1 = config.sd_rotational.damper_slope
-    k1 = config.sd_rotational.spring_slope
-    d2 = config.sd_translational.damper_slope
-    k2 = config.sd_translational.spring_slope
-
-    torque = float(lin1.C @ state.z1) + d1 * vp_l + k1 * up_l
-    force = float(lin2.C @ state.z2) + d2 * v_l + k2 * u_l
-
-    load = -(sys.stiffness_beam @ state.u_dofs)
-    load[sys.tip_slope_index] -= torque
-    load[sys.tip_value_index] -= force
-
-    z1_dot = lin1.A @ state.z1 + lin1.B * vp_l
-    z2_dot = lin2.A @ state.z2 + lin2.B * v_l
-    return _tangent_from_load(state, sys, load, z1_dot, z2_dot)
-
-
-def remainder_forces(
-    state: StateVector,
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> tuple[float, float]:
-    """Nonlinear remainder of the tip torque and force (gamma + delta + kappa)."""
-    u_l, up_l, v_l, vp_l = tip_traces(state, sys)
-    blk1, blk2 = config.block_rotational, config.block_translational
-    sd1, sd2 = config.sd_rotational, config.sd_translational
-    gamma1 = float(blk1.output(state.z1)) - float(lin1.C @ state.z1)
-    gamma2 = float(blk2.output(state.z2)) - float(lin2.C @ state.z2)
-    delta1 = float(sd1.damper.eval(vp_l)) - sd1.damper_slope * vp_l
-    delta2 = float(sd2.damper.eval(v_l)) - sd2.damper_slope * v_l
-    kappa1 = float(sd1.spring.eval(up_l)) - sd1.spring_slope * up_l
-    kappa2 = float(sd2.spring.eval(u_l)) - sd2.spring_slope * u_l
-    return gamma1 + delta1 + kappa1, gamma2 + delta2 + kappa2
+    op = ClosedLoopOperator(sys, config, lin1, lin2)
+    return _tangent(op, op.linear(pack(state)))
 
 
 def apply_nonlinear_part(
@@ -322,27 +404,8 @@ def apply_nonlinear_part(
     drifts are nonzero; the displacement row vanishes identically.
     """
     _check_dims(state, sys, config)
-    _, _, v_l, vp_l = tip_traces(state, sys)
-    blk1, blk2 = config.block_rotational, config.block_translational
-    torque_rem, force_rem = remainder_forces(state, sys, config, lin1, lin2)
-
-    load = np.zeros(sys.n_dof)
-    load[sys.tip_slope_index] = -torque_rem
-    load[sys.tip_value_index] = -force_rem
-
-    z1_dot = (np.asarray(blk1.drift(state.z1)) - lin1.A @ state.z1) + (
-        np.asarray(blk1.input_gain(state.z1)) - lin1.B
-    ) * vp_l
-    z2_dot = (np.asarray(blk2.drift(state.z2)) - lin2.A @ state.z2) + (
-        np.asarray(blk2.input_gain(state.z2)) - lin2.B
-    ) * v_l
-    return Tangent(
-        u_dot=np.zeros(sys.n_dof),
-        v_dot=sys.mass_tip_inv @ load,
-        z1_dot=z1_dot,
-        z2_dot=z2_dot,
-        v_load=load,
-    )
+    op = ClosedLoopOperator(sys, config, lin1, lin2)
+    return _tangent(op, op.nonlinear(pack(state)))
 
 
 def add_tangents(a: Tangent, b: Tangent) -> Tangent:
@@ -358,14 +421,6 @@ def add_tangents(a: Tangent, b: Tangent) -> Tangent:
     )
 
 
-# ---------------------------------------------------------------------------
-# Energy inner product helpers
-# ---------------------------------------------------------------------------
-
-def _spring_slopes(config: ClosedLoopConfig) -> tuple[float, float]:
-    return config.sd_rotational.spring_slope, config.sd_translational.spring_slope
-
-
 def state_qnorm2(
     state: StateVector,
     sys: DiscreteSystem,
@@ -374,14 +429,8 @@ def state_qnorm2(
     lin2: BlockLinearization,
 ) -> float:
     """Squared energy norm of a state (the Gram quadratic form)."""
-    k1, k2 = _spring_slopes(config)
-    u, v = state.u_dofs, state.v_dofs
-    u_l, up_l = u[sys.tip_value_index], u[sys.tip_slope_index]
-    val = float(u @ (sys.stiffness_beam @ u)) + k1 * up_l**2 + k2 * u_l**2
-    val += float(v @ (sys.mass_tip @ v))
-    val += float(state.z1 @ (lin1.P @ state.z1))
-    val += float(state.z2 @ (lin2.P @ state.z2))
-    return val
+    flat = pack(state)
+    return ClosedLoopOperator(sys, config, lin1, lin2).inner(flat, flat)
 
 
 def tangent_qnorm(
@@ -392,14 +441,7 @@ def tangent_qnorm(
     lin2: BlockLinearization,
 ) -> float:
     """Energy norm of a tangent vector."""
-    k1, k2 = _spring_slopes(config)
-    ud, vd = tangent.u_dot, tangent.v_dot
-    val = float(ud @ (sys.stiffness_beam @ ud))
-    val += k1 * ud[sys.tip_slope_index] ** 2 + k2 * ud[sys.tip_value_index] ** 2
-    val += float(vd @ (sys.mass_tip @ vd))
-    val += float(tangent.z1_dot @ (lin1.P @ tangent.z1_dot))
-    val += float(tangent.z2_dot @ (lin2.P @ tangent.z2_dot))
-    return float(np.sqrt(max(val, 0.0)))
+    return ClosedLoopOperator(sys, config, lin1, lin2).qnorm(pack_tangent(tangent))
 
 
 def pair_with_state(
@@ -416,18 +458,8 @@ def pair_with_state(
     (mass v_dot) . v without re-applying the mass matrix; this keeps the
     dissipation identity sharp to roundoff.
     """
-    k1, k2 = _spring_slopes(config)
-    u, v = state.u_dofs, state.v_dofs
-    iv, isl = sys.tip_value_index, sys.tip_slope_index
-    val = float(tangent.u_dot @ (sys.stiffness_beam @ u))
-    val += k1 * tangent.u_dot[isl] * u[isl] + k2 * tangent.u_dot[iv] * u[iv]
-    if tangent.v_load is not None:
-        val += float(tangent.v_load @ v)
-    else:
-        val += float(tangent.v_dot @ (sys.mass_tip @ v))
-    val += float(tangent.z1_dot @ (lin1.P @ state.z1))
-    val += float(tangent.z2_dot @ (lin2.P @ state.z2))
-    return val
+    op = ClosedLoopOperator(sys, config, lin1, lin2)
+    return op.inner(pack_tangent(tangent), pack(state), tangent.v_load)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +478,6 @@ class RemainderMap:
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig,
                  lin1: BlockLinearization, lin2: BlockLinearization):
-        self.sys = sys
         self.config = config
         self.lin1 = lin1
         self.lin2 = lin2
@@ -594,15 +625,14 @@ def linear_generator_matrix(
     lin2: BlockLinearization,
 ) -> np.ndarray:
     """Dense matrix realizing apply_linear_part on packed states."""
-    from .discretization import displacement_gram
-
     n = sys.n_dof
     n1, n2 = lin1.A.shape[0], lin2.A.shape[0]
     total = 2 * n + n1 + n2
     iv, isl = sys.tip_value_index, sys.tip_slope_index
     d1 = config.sd_rotational.damper_slope
     d2 = config.sd_translational.damper_slope
-    k1, k2 = _spring_slopes(config)
+    k1 = config.sd_rotational.spring_slope
+    k2 = config.sd_translational.spring_slope
     minv = sys.mass_tip_inv
     col_s = minv[:, isl]
     col_v = minv[:, iv]

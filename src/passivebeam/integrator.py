@@ -16,30 +16,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .beam_model import ClosedLoopConfig, linearize_block
 from .discretization import DiscreteSystem, interpolate
 from .dynamics import (
+    _BANDWIDTH,
     ENERGY_INCREASE_ETA,
+    ClosedLoopOperator,
     EnergyBreakdown,
-    RemainderMap,
     StateVector,
-    apply_generator,
-    apply_linear_part,
-    apply_nonlinear_part,
+    _band_mv,
     eval_H,
     eval_Hdot,
     linear_generator_matrix,
     pack,
-    pack_tangent,
-    state_qnorm2,
-    tangent_qnorm,
     unpack,
 )
 from .errors import (
-    DimensionMismatch,
     InsufficientResolution,
     LinearSolveFailure,
     NewtonDivergence,
@@ -52,7 +46,7 @@ _BETA1_L = 1.8751040687119612
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Fixed-step midpoint settings."""
+    """Fixed-step midpoint settings; t_end must be a whole number of steps dt."""
 
     dt: float
     t_end: float
@@ -63,14 +57,21 @@ class IntegratorSettings:
     def __post_init__(self):
         if not (self.dt > 0.0):
             raise ValueError("dt must be positive")
-        if not (self.dt < self.t_end):
-            raise ValueError("dt must be smaller than t_end")
+        if not (self.dt < self.t_end < np.inf):
+            raise ValueError("t_end must be finite and larger than dt")
+        steps = self.t_end / self.dt
+        if not abs(steps - np.rint(steps)) <= 1e-9 * steps:
+            raise ValueError(f"t_end = {self.t_end!r} is not a whole number of steps dt = {self.dt!r}")
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.t_end / self.dt)
 
 
 @dataclass
@@ -79,7 +80,8 @@ class Trajectory:
 
     ``h_increase_max`` is the largest energy increase between consecutive
     recorded samples; ``h_flagged`` marks runs that exceeded the per-step
-    budget ENERGY_INCREASE_ETA * H(y0).
+    budget ENERGY_INCREASE_ETA * H(y0). ``state_norms`` holds the energy norm
+    of each recorded state (``simulate`` fills it).
     """
 
     times: np.ndarray
@@ -90,18 +92,15 @@ class Trajectory:
     tangent_norms: np.ndarray
     h_increase_max: float = 0.0
     h_flagged: bool = field(default=False)
+    state_norms: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        lengths = {
-            len(self.times),
-            len(self.states),
-            len(self.energies),
-            len(self.hdots),
-            len(self.nonlinearity_norms),
-            len(self.tangent_norms),
-        }
-        if len(lengths) != 1:
+        records = [self.times, self.states, self.energies, self.hdots,
+                   self.nonlinearity_norms, self.tangent_norms]
+        if self.state_norms is not None:
+            records.append(self.state_norms)
+        if len({len(r) for r in records}) != 1:
             raise ValueError("trajectory records must have equal lengths")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
@@ -121,35 +120,13 @@ class Trajectory:
         ]
 
 
-#: half-bandwidth of the Hermite beam matrices: an element couples the
-#: (value, slope) DOFs of its two nodes
-_BANDWIDTH = 3
-
-
-def _upper_band(a: np.ndarray) -> np.ndarray:
-    """LAPACK upper symmetric-band storage of a symmetric banded matrix."""
-    lower, upper = scipy.linalg.bandwidth(a)
-    if max(lower, upper) > _BANDWIDTH:
-        raise DimensionMismatch(
-            f"beam matrix has half-bandwidth {max(lower, upper)}, expected at most {_BANDWIDTH}"
-        )
-    ab = np.zeros((_BANDWIDTH + 1, a.shape[0]), order="F")  # LAPACK layout: no copy per call
-    for k in range(_BANDWIDTH + 1):
-        ab[_BANDWIDTH - k, k:] = np.diagonal(a, k)
-    return ab
-
-
-def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """alpha * A @ x for A in upper symmetric-band storage."""
-    return scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, x)
-
-
 class MidpointStepper:
     """Precomputed implicit-midpoint machinery for one (system, config, dt).
 
-    The Newton matrix is I - dt/2 G for the linear generator G, corrected by
-    the analytic remainder Jacobian (from the supplied law and block
-    derivatives) through a Woodbury identity.
+    Holds the closed-loop operator of (system, config) and the factored
+    Newton matrix I - dt/2 G for the linear generator G, corrected by the
+    analytic remainder Jacobian (from the supplied law and block derivatives)
+    through a Woodbury identity.
     I - dt/2 G is never formed: eliminating the displacement and the block
     states leaves one banded velocity matrix (the Schur complement), factored
     once, so a solve, a generator application and an energy norm all cost
@@ -162,34 +139,19 @@ class MidpointStepper:
         self.sys = sys
         self.config = config
         self.dt = float(dt)
-        self.lin1 = linearize_block(config.block_rotational)
-        self.lin2 = linearize_block(config.block_translational)
-        self.remainder = RemainderMap(sys, config, self.lin1, self.lin2)
-        n = sys.n_dof
-        n1 = config.block_rotational.dim
-        self._n, self._n1 = n, n1
-        self.n_total = 2 * n + n1 + config.block_translational.dim
-        self._iv = sys.tip_value_index
-        self._isl = sys.tip_slope_index
-
-        self._stiff_band = _upper_band(sys.stiffness_beam)
-        self._mass_band = _upper_band(sys.mass_tip)
-        # displacement Gram: curvature plus the linear spring slopes
-        self._gram_band = self._stiff_band.copy(order="F")
-        self._gram_band[_BANDWIDTH, self._isl] += config.sd_rotational.spring_slope
-        self._gram_band[_BANDWIDTH, self._iv] += config.sd_translational.spring_slope
-        self._mass_chol, info = scipy.linalg.lapack.dpbtrf(self._mass_band)
-        if info != 0:
-            raise LinearSolveFailure("tip mass matrix could not be factored")
+        self.operator = op = ClosedLoopOperator(sys, config)
+        self.lin1, self.lin2 = op.lin1, op.lin2
+        self.remainder = op.remainder
+        n, n1 = op.n, op.n1
 
         # Schur complement on the velocity, h = dt/2:
         # S = M_tip + h^2 K_q + h d_i + h^2 c_i (I - h A_i)^-1 b_i (tip diagonal)
         h = 0.5 * self.dt
-        s_band = self._mass_band + h * h * self._gram_band
+        s_band = op.mass_band + h * h * op.gram_band
         self._blocks = []
         for lin, z_slice, tip, damper in (
-            (self.lin1, slice(2 * n, 2 * n + n1), self._isl, config.sd_rotational.damper_slope),
-            (self.lin2, slice(2 * n + n1, self.n_total), self._iv,
+            (self.lin1, slice(2 * n, 2 * n + n1), op.isl, config.sd_rotational.damper_slope),
+            (self.lin2, slice(2 * n + n1, None), op.iv,
              config.sd_translational.damper_slope),
         ):
             try:
@@ -219,11 +181,12 @@ class MidpointStepper:
         With h = dt/2, the Schur velocity system gives x_v; then
         x_u = r_u + h x_v and x_zi = (I - h A_i)^-1 (r_zi + h b_i x_v[tip_i]).
         """
-        n = self._n
+        op = self.operator
+        n = op.n
         h = 0.5 * self.dt
-        out = np.empty(self.n_total)
-        b = _band_mv(self._mass_band, r[n : 2 * n])
-        b -= _band_mv(self._gram_band, r[:n], h)
+        out = np.empty(len(r))
+        b = _band_mv(op.mass_band, r[n : 2 * n])
+        b -= _band_mv(op.gram_band, r[:n], h)
         for z_slice, tip, resolvent, _, hc in self._blocks:
             out[z_slice] = resolvent @ r[z_slice]
             b[tip] -= float(hc @ out[z_slice])
@@ -240,45 +203,12 @@ class MidpointStepper:
 
     def qnorm(self, flat: np.ndarray) -> float:
         """Energy norm of a packed state vector."""
-        n, n1 = self._n, self._n1
-        u = flat[:n]
-        v = flat[n : 2 * n]
-        z1 = flat[2 * n : 2 * n + n1]
-        z2 = flat[2 * n + n1 :]
-        val = float(u @ _band_mv(self._gram_band, u))
-        val += float(v @ _band_mv(self._mass_band, v))
-        val += float(z1 @ (self.lin1.P @ z1)) + float(z2 @ (self.lin2.P @ z2))
-        return float(np.sqrt(max(val, 0.0)))
+        return self.operator.qnorm(flat)
 
     def rhs(self, flat: np.ndarray, stiff_load: np.ndarray | None = None) -> np.ndarray:
-        """Generator applied to a packed state (the arithmetic of
-        apply_generator on the flat vector, with banded products and a banded
-        tip-mass solve). ``stiff_load``, when given, stands in for
-        stiffness_beam @ u."""
-        n, n1 = self._n, self._n1
-        cfg = self.config
-        u = flat[:n]
-        v = flat[n : 2 * n]
-        z1 = flat[2 * n : 2 * n + n1]
-        z2 = flat[2 * n + n1 :]
-        u_l, up_l = u[self._iv], u[self._isl]
-        v_l, vp_l = v[self._iv], v[self._isl]
-        blk1, blk2 = cfg.block_rotational, cfg.block_translational
-        sd1, sd2 = cfg.sd_rotational, cfg.sd_translational
-        torque = float(blk1.output(z1)) + float(sd1.damper.eval(vp_l)) + float(sd1.spring.eval(up_l))
-        force = float(blk2.output(z2)) + float(sd2.damper.eval(v_l)) + float(sd2.spring.eval(u_l))
-        if stiff_load is None:
-            load = _band_mv(self._stiff_band, u, -1.0)
-        else:
-            load = -stiff_load
-        load[self._isl] -= torque
-        load[self._iv] -= force
-        out = np.empty_like(flat)
-        out[:n] = v
-        out[n : 2 * n] = scipy.linalg.lapack.dpbtrs(self._mass_chol, load)[0]
-        out[2 * n : 2 * n + n1] = np.asarray(blk1.drift(z1)) + np.asarray(blk1.input_gain(z1)) * vp_l
-        out[2 * n + n1 :] = np.asarray(blk2.drift(z2)) + np.asarray(blk2.input_gain(z2)) * v_l
-        return out
+        """Generator applied to a packed state. ``stiff_load``, when given,
+        stands in for stiffness_beam @ u."""
+        return self.operator.generator(flat, stiff_load)[0]
 
     def step_with(self, state: StateVector, newton_tol: float, newton_max_iter: int) -> StateVector:
         """One implicit midpoint step; raises NewtonDivergence on cap hit."""
@@ -288,18 +218,18 @@ class MidpointStepper:
     def step_flat(self, y: np.ndarray, newton_tol: float, newton_max_iter: int) -> np.ndarray:
         y_scale = self.qnorm(y)
         tol = newton_tol * (1.0 + y_scale)
-        n = self._n
+        n = self.operator.n
         dt = self.dt
         m = self.remainder.m
         eye_m = np.eye(m)
         # midpoint stiff load K (y_u + d_u / 2): K y_u is applied once per step
-        stiff_y = _band_mv(self._stiff_band, y[:n])
+        stiff_y = _band_mv(self.operator.stiff_band, y[:n])
         d = np.zeros_like(y)
         jac_f = None
         residual_norm = np.inf
         for iteration in range(newton_max_iter):
             mid = y + 0.5 * d
-            stiff_mid = stiff_y + _band_mv(self._stiff_band, d[:n], 0.5)
+            stiff_mid = stiff_y + _band_mv(self.operator.stiff_band, d[:n], 0.5)
             residual = d - dt * self.rhs(mid, stiff_mid)
             residual_norm = self.qnorm(residual)
             if not np.isfinite(residual_norm):
@@ -325,13 +255,13 @@ class MidpointStepper:
             residual=residual_norm,
         )
 
-    def nonlinear_norm(self, state: StateVector) -> float:
-        tangent = apply_nonlinear_part(state, self.sys, self.config, self.lin1, self.lin2)
-        return tangent_qnorm(tangent, self.sys, self.config, self.lin1, self.lin2)
+    def nonlinear_norm(self, flat: np.ndarray) -> float:
+        """Energy norm of the nonlinear remainder at a packed state."""
+        return self.operator.qnorm(self.operator.nonlinear(flat)[0])
 
-    def generator_norm(self, state: StateVector) -> float:
-        tangent = apply_generator(state, self.sys, self.config)
-        return tangent_qnorm(tangent, self.sys, self.config, self.lin1, self.lin2)
+    def generator_norm(self, flat: np.ndarray) -> float:
+        """Energy norm of the generator applied to a packed state."""
+        return self.operator.qnorm(self.operator.generator(flat)[0])
 
 
 def step_midpoint(
@@ -376,7 +306,7 @@ def simulate(
     between samples are flagged (or rejected when asked to raise).
     """
     stepper = MidpointStepper(sys, config, settings.dt)
-    n_steps = int(round(settings.t_end / settings.dt))
+    n_steps = settings.n_steps
 
     times = []
     states: list[StateVector] = []
@@ -384,23 +314,25 @@ def simulate(
     hdots = []
     nl_norms = []
     tan_norms = []
+    state_norms = []
 
-    def record(t: float, state: StateVector):
+    def record(t: float, state: StateVector, flat: np.ndarray):
         times.append(t)
         states.append(state)
         energies.append(eval_H(state, sys, config))
         hdots.append(eval_Hdot(state, sys, config))
-        nl_norms.append(stepper.nonlinear_norm(state))
-        tan_norms.append(stepper.generator_norm(state))
+        nl_norms.append(stepper.nonlinear_norm(flat))
+        tan_norms.append(stepper.generator_norm(flat))
+        state_norms.append(stepper.operator.qnorm(flat))
 
-    record(0.0, y0)
+    flat = pack(y0)
+    record(0.0, y0, flat)
     h0 = energies[0].total
     budget = ENERGY_INCREASE_ETA * h0
     h_prev = h0
     h_increase_max = 0.0
     flagged = False
 
-    flat = pack(y0)
     for k in range(1, n_steps + 1):
         t = k * settings.dt
         try:
@@ -412,8 +344,7 @@ def simulate(
         except LinearSolveFailure as exc:
             raise LinearSolveFailure(f"step to t={t:.6g} failed: {exc}") from exc
         if k % settings.record_every == 0 or k == n_steps:
-            state = unpack(flat, sys, config)
-            record(t, state)
+            record(t, unpack(flat, sys, config), flat)
             h_now = energies[-1].total
             h_increase_max = max(h_increase_max, h_now - h_prev)
             if h_now - h_prev > budget:
@@ -436,6 +367,7 @@ def simulate(
         tangent_norms=np.array(tan_norms),
         h_increase_max=h_increase_max,
         h_flagged=flagged,
+        state_norms=np.array(state_norms),
     )
 
 
@@ -450,32 +382,16 @@ def tangent_residual(traj: Trajectory, sys: DiscreteSystem, config: ClosedLoopCo
     """
     if len(traj.times) < 3:
         raise InsufficientResolution("need at least 3 recorded states (record_every = 1)")
-    lin1 = linearize_block(config.block_rotational)
-    lin2 = linearize_block(config.block_translational)
-    remainder = RemainderMap(sys, config, lin1, lin2)
-
-    def w_flat(i: int) -> np.ndarray:
-        return pack_tangent(apply_generator(traj.states[i], sys, config))
-
-    def qnorm(flat: np.ndarray) -> float:
-        state = unpack(flat, sys, config)
-        return float(np.sqrt(max(state_qnorm2(state, sys, config, lin1, lin2), 0.0)))
-
-    w_prev = w_flat(0)
-    w_here = w_flat(1)
+    op = ClosedLoopOperator(sys, config)
+    remainder = op.remainder
+    ws = [op.generator(pack(state))[0] for state in traj.states]
+    max_w = max(op.qnorm(w) for w in ws)
     max_residual = 0.0
-    max_w = max(qnorm(w_prev), qnorm(w_here))
-    for i in range(1, len(traj.times) - 1):
-        w_next = w_flat(i + 1)
-        max_w = max(max_w, qnorm(w_next))
-        wdot = (w_next - w_prev) / (traj.times[i + 1] - traj.times[i - 1])
-        w_state = unpack(w_here, sys, config)
-        linear = pack_tangent(apply_linear_part(w_state, sys, config, lin1, lin2))
-        y_flat = pack(traj.states[i])
-        jac = remainder.jacobian_analytic(remainder.q_of(y_flat))
-        nonlinear = remainder.placement @ (jac @ w_here[remainder.q_indices])
-        max_residual = max(max_residual, qnorm(wdot - linear - nonlinear))
-        w_prev, w_here = w_here, w_next
+    for i in range(1, len(ws) - 1):
+        wdot = (ws[i + 1] - ws[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
+        jac = remainder.jacobian_analytic(remainder.q_of(pack(traj.states[i])))
+        nonlinear = remainder.placement @ (jac @ remainder.q_of(ws[i]))
+        max_residual = max(max_residual, op.qnorm(wdot - op.linear(ws[i])[0] - nonlinear))
 
     if max_w == 0.0:
         return 0.0

@@ -198,3 +198,23 @@ def test_bad_certify_values_exit_1(tmp_path, capsys, key, value):
     path = write_config(tmp_path, cfg)
     assert cli.run("certify", path, out=tmp_path / "out") == 1
     assert f"certify.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,value",
+    [
+        ("certify", 5),
+        ("mesh", {"n_elements": "x"}),
+        ("beam", {"rho": -1, "lambda_rigidity": 1.0, "length": 1.0, "tip_inertia": 0.1, "tip_mass": 0.1}),
+        ("integrator", {"dt": 1.0, "t_end": 0.5}),
+        ("integrator", {"dt": 0.003, "t_end": 0.01}),
+        ("initial", {"tip_fraction": "a"}),
+    ],
+)
+def test_bad_section_values_exit_1(tmp_path, capsys, section, value):
+    cfg = base_config()
+    cfg[section] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.run("simulate", path, out=tmp_path / "out") == 1
+    assert section in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

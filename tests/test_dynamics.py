@@ -5,6 +5,7 @@ import pytest
 
 import passivebeam as pb
 from passivebeam.dynamics import (
+    ClosedLoopOperator,
     RemainderMap,
     add_tangents,
     pack,
@@ -319,6 +320,20 @@ def test_linear_config_generator_matches_assembled_matrix(sys8, linear):
         by_matrix = g @ pack(state)
         by_operator = pack_tangent(pb.apply_generator(state, sys8, linear))
         assert np.allclose(by_matrix, by_operator, rtol=1e-11, atol=1e-11 * np.abs(by_matrix).max())
+
+
+@pytest.mark.parametrize("make_config", [default_config, linear_config])
+def test_banded_energy_norm_matches_dense_gram(sys8, beam, make_config):
+    config = make_config(beam)
+    lin1, lin2 = lins_of(config)
+    op = ClosedLoopOperator(sys8, config, lin1, lin2)
+    gram = pb.assemble_gram(sys8, config, lin1, lin2)
+    rng = np.random.default_rng(15)
+    for sample in (white_state, smooth_state):
+        for _ in range(10):
+            x = pack(sample(sys8, config, rng))
+            dense = x @ gram @ x
+            assert abs(op.qnorm(x) ** 2 - dense) <= 1e-12 * dense
 
 
 def test_nonlinear_remainder_scales_quadratically(sys8, nonlinear):

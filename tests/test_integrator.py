@@ -41,6 +41,14 @@ def test_settings_validation():
         pb.IntegratorSettings(dt=0.1, t_end=1.0, newton_tol=-1.0)
 
 
+def test_settings_reject_t_end_off_the_step_grid():
+    # 0.01 / 0.003 = 3.33...: the run would stop at t = 0.009
+    with pytest.raises(ValueError, match="whole number of steps"):
+        pb.IntegratorSettings(dt=0.003, t_end=0.01)
+    assert pb.IntegratorSettings(dt=1e-3, t_end=0.05).n_steps == 50
+    assert pb.IntegratorSettings(dt=5e-4, t_end=5.0).n_steps == 10_000
+
+
 def test_zero_state_is_fixed_point(sys6, beam):
     config = default_config(beam)
     zero = pb.zero_state(sys6, config)
@@ -190,6 +198,14 @@ def test_simulate_record_layout(sys6, beam):
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.05)
     assert np.allclose(np.diff(traj.times), 0.01)
+
+
+def test_simulate_records_state_energy_norms(sys6, beam):
+    config = default_config(beam)
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=0.05, record_every=10)
+    traj = pb.simulate(pb.first_mode_initial_state(sys6, config), settings, sys6, config)
+    expected = [qnorm(state, sys6, config) for state in traj.states]
+    assert np.allclose(traj.state_norms, expected, rtol=1e-12, atol=0.0)
 
 
 def test_simulate_energy_monotone_and_rates_negative(sys6, beam):
