@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretization import DiscreteSystem, displacement_gram
+from .discretization import DiscreteSystem, displacement_gram, solve_mass_tip
 # the dense matrix G with G y = apply_linear_part(y), under its public name
 from .dynamics import linear_generator_matrix as assemble_linear_matrix  # noqa: F401
 from .errors import EigenSolverFailure, EmptyTrajectory
@@ -79,9 +79,10 @@ def spectrum(g: np.ndarray, q: np.ndarray) -> SpectrumReport:
         raise ValueError("G must be square and match Q")
     try:
         r = scipy.linalg.cholesky(q)
-        # R G R^{-1}
-        grg = scipy.linalg.solve_triangular(r.T, (r @ g).T, lower=True).T
-        eigs = scipy.linalg.eigvals(grg)
+        # (R G R^{-1})^T, which has the same eigenvalues; solved and
+        # diagonalized in place, in the column order LAPACK works in
+        grg_t = scipy.linalg.solve_triangular(r.T, (r @ g).T, lower=True, overwrite_b=True)
+        eigs = scipy.linalg.eigvals(grg_t, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolverFailure(f"eigenvalue computation failed: {exc}") from exc
     order = np.argsort(-eigs.real)
@@ -105,12 +106,13 @@ def projected_system(
     d1, d2 = damper_constants
     n = sys.n_dof
     q_u = displacement_gram(sys, k1, k2)
-    minv = sys.mass_tip_inv
+    # mass_tip^-1 applied to the displacement Gram and the two tip columns
+    sol = solve_mass_tip(sys, np.hstack([q_u, sys.tip_unit_columns()]))
     g = np.zeros((2 * n, 2 * n))
     g[:n, n:] = np.eye(n)
-    g[n:, :n] = -minv @ q_u
-    g[n:, n + sys.tip_slope_index] -= d1 * minv[:, sys.tip_slope_index]
-    g[n:, n + sys.tip_value_index] -= d2 * minv[:, sys.tip_value_index]
+    g[n:, :n] = -sol[:, :n]
+    g[n:, n + sys.tip_slope_index] -= d1 * sol[:, n]
+    g[n:, n + sys.tip_value_index] -= d2 * sol[:, n + 1]
     q = scipy.linalg.block_diag(q_u, sys.mass_tip)
     return g, q
 

@@ -6,9 +6,11 @@ Strict inequalities are tested with an absolute margin so that re-evaluating
 a witness reproduces the violation.
 
 Each law and block callback is evaluated over the whole sample set in one
-call (the spring potentials in fixed-size chunks of points); a callback
-whose batched result fails a shape and per-point probe check is evaluated
-point by point instead, with the same report.
+call, the closed-form spring potential included; a callback whose batched
+result fails a shape and per-point probe check is evaluated point by point
+instead, with the same report. A spring law without a closed-form potential
+is integrated by a 129-node Simpson rule per point, in fixed-size chunks of
+points.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_model import PassiveBlock, SpringDamperLaw, _batch, _storage_hessian
-from .dynamics import _simpson
+from .beam_model import PassiveBlock, ScalarLaw, SpringDamperLaw, _batch, _simpson, _storage_hessian
 
 #: absolute margin for strict inequalities
 STRICT_MARGIN = 1e-9
@@ -136,13 +137,16 @@ def _law_samples(radius: float, samples: int, seed: int) -> np.ndarray:
     return pts[np.abs(pts) >= _INNER_FRACTION * radius]
 
 
-def _spring_potentials(f, uppers: np.ndarray) -> np.ndarray:
-    """Composite Simpson with 129 nodes on [0, s] for each s in ``uppers``."""
+def _spring_potentials(law: ScalarLaw, uppers: np.ndarray) -> np.ndarray:
+    """The law's potential at each s in ``uppers``: its closed form in one
+    call, or else composite Simpson with 129 nodes on [0, s]."""
+    if law.potential is not None:
+        return _batch(law.potential, uppers)
     out = []
     for i in range(0, len(uppers), _POTENTIAL_CHUNK):
         upper = uppers[i : i + _POTENTIAL_CHUNK]
         x = np.linspace(0.0, upper, 129, axis=-1)
-        out.append(_simpson(_batch(f, x.ravel()).reshape(x.shape), upper / 128.0))
+        out.append(_simpson(_batch(law.eval, x.ravel()).reshape(x.shape), upper / 128.0))
     return np.concatenate(out)
 
 
@@ -167,7 +171,9 @@ def certify_spring_damper(
     The damper must vanish at the origin, have a nonnegative derivative
     everywhere sampled (the monotone reading of the damper assumption) and a
     strictly positive origin slope; the spring must have a strictly positive
-    origin slope and a positive potential (129-node Simpson) off the origin.
+    origin slope and a positive potential off the origin (the law's closed
+    form ``potential``, or 129-node Simpson of ``eval`` for a law without
+    one).
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -183,7 +189,7 @@ def certify_spring_damper(
         _check("damper-slope-positive", dslope >= STRICT_MARGIN, 0.0, dslope),
         _check("spring-slope-positive", kslope >= STRICT_MARGIN, 0.0, kslope),
         _check("spring-vanishes-at-zero", abs(k0) <= STRICT_MARGIN, 0.0, k0),
-        _sampled("spring-potential-positive", pts, _spring_potentials(law.spring.eval, pts),
+        _sampled("spring-potential-positive", pts, _spring_potentials(law.spring, pts),
                  lambda worst: worst >= STRICT_MARGIN),
     ]
     return _finish(checks, radius, len(pts))

@@ -45,26 +45,59 @@ class BeamParams:
                 raise ValueError(f"BeamParams.{name} must be > 0, got {value!r}")
 
 
+def _simpson(y: np.ndarray, h):
+    """Composite Simpson rule along the last axis of samples ``y`` taken at
+    spacing ``h`` over an even number of intervals."""
+    return h / 3.0 * (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
+                      + 2.0 * y[..., 2:-1:2].sum(axis=-1))
+
+
+#: Simpson intervals of the reference integral that a supplied potential is
+#: checked against, to the relative tolerance of the derivative check
+_POTENTIAL_CHECK_INTERVALS = 256
+
+
 @dataclass(frozen=True)
 class ScalarLaw:
-    """A scalar map with its first two derivatives.
+    """A scalar map with its first two derivatives and, optionally, its
+    antiderivative.
 
-    ``eval``, ``deriv`` and ``deriv2`` must be pure and accept numpy arrays
-    elementwise. ``deriv`` is validated against a centered difference of
-    ``eval`` on a small sample grid at construction.
+    ``eval``, ``deriv``, ``deriv2`` and ``potential`` must be pure and accept
+    numpy arrays elementwise. ``deriv`` is validated against a centered
+    difference of ``eval`` on a small sample grid at construction.
+    ``potential``, the integral of ``eval`` from 0 to s, must vanish at 0
+    exactly and is validated against a fine Simpson rule of ``eval`` on the
+    same grid; without it, spring potentials fall back to quadrature.
     """
 
     eval: Callable
     deriv: Callable
     deriv2: Callable
+    potential: Callable | None = None
 
     def __post_init__(self):
-        for s in (-1.0, -0.3, 0.0, 0.2, 0.7):
+        grid = (-1.0, -0.3, 0.0, 0.2, 0.7)
+        for s in grid:
             supplied = float(self.deriv(s))
             approx = _centered(self.eval, s, _DERIV_STEP * (1.0 + abs(s)))
             if abs(supplied - approx) > _DERIV_RTOL * (1.0 + abs(supplied)):
                 raise ValueError(
                     f"ScalarLaw.deriv disagrees with centered difference at s={s}: "
+                    f"{supplied} vs {approx}"
+                )
+        if self.potential is None:
+            return
+        if float(self.potential(0.0)) != 0.0:
+            raise ValueError("ScalarLaw requires potential(0) = 0 exactly")
+        uppers = np.array(grid)
+        nodes = np.linspace(0.0, uppers, _POTENTIAL_CHECK_INTERVALS + 1, axis=-1)
+        values = _batch(self.eval, nodes.ravel(), probe=False).reshape(nodes.shape)
+        reference = _simpson(values, uppers / _POTENTIAL_CHECK_INTERVALS)
+        for s, approx in zip(grid, reference):
+            supplied = float(self.potential(s))
+            if abs(supplied - approx) > _DERIV_RTOL * (1.0 + abs(supplied)):
+                raise ValueError(
+                    f"ScalarLaw.potential disagrees with the Simpson integral of eval at s={s}: "
                     f"{supplied} vs {approx}"
                 )
 
@@ -293,15 +326,24 @@ def _make_linear_law(slope: float = 1.0) -> ScalarLaw:
         eval=lambda s: slope * s,
         deriv=lambda s: slope * np.ones_like(np.asarray(s, dtype=float)),
         deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        potential=lambda s: 0.5 * slope * np.square(s),
     )
 
 
 def _make_cubic_law(slope: float = 1.0, cubic: float = 1.0) -> ScalarLaw:
+    def potential(s):
+        s2 = np.square(s)
+        return 0.5 * slope * s2 + 0.25 * cubic * s2 * s2
+
     return ScalarLaw(
         eval=lambda s: slope * s + cubic * s**3,
         deriv=lambda s: slope + 3.0 * cubic * s**2,
         deriv2=lambda s: 6.0 * cubic * s,
+        potential=potential,
     )
+
+
+_LOG2 = float(np.log(2.0))
 
 
 def _make_tanh_law(gain: float = 2.0) -> ScalarLaw:
@@ -309,10 +351,20 @@ def _make_tanh_law(gain: float = 2.0) -> ScalarLaw:
         t = np.tanh(gain * s)
         return -2.0 * gain**2 * t * (1.0 - t**2)
 
+    def potential(s):
+        # log cosh(x) / gain, x = gain s: log1p(2 sinh^2(x/2)) keeps full
+        # relative accuracy for |x| <= 1, |x| + log1p(e^{-2|x|}) - log 2 cannot
+        # overflow for |x| > 1
+        x = np.abs(gain * np.asarray(s, dtype=float))
+        small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(x, 1.0)) ** 2)
+        large = x + np.log1p(np.exp(-2.0 * x)) - _LOG2
+        return np.where(x <= 1.0, small, large) / gain if gain != 0.0 else np.zeros_like(x)
+
     return ScalarLaw(
         eval=lambda s: np.tanh(gain * s),
         deriv=lambda s: gain * (1.0 - np.tanh(gain * s) ** 2),
         deriv2=d2,
+        potential=potential,
     )
 
 
@@ -321,6 +373,7 @@ def _make_zero_law() -> ScalarLaw:
         eval=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         deriv=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        potential=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
 
 

@@ -14,12 +14,13 @@ import scipy.io
 import scipy.linalg
 
 from .beam_model import BeamParams, BlockLinearization, ClosedLoopConfig
-from .errors import InvalidElementCount, NotPositiveDefinite
+from .errors import DimensionMismatch, InvalidElementCount, NotPositiveDefinite
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform partition of [0, L]."""
+    """Partition of [0, L] by strictly increasing nodes (``build_mesh`` makes
+    it uniform)."""
 
     n_elements: int
     nodes: np.ndarray
@@ -88,12 +89,11 @@ class DiscreteSystem:
     the rigidity-weighted Gram of second derivatives, both with clamped DOFs
     eliminated when ``clamped``. ``mass_tip`` adds the payload inertia J on
     the tip-slope DOF and mass M on the tip-value DOF; it is the Gram block
-    of the velocity field in the energy inner product. ``mass_tip_inv`` is
-    its precomputed (symmetrized) dense inverse. Only the dense views
-    (``dynamics.linear_generator_matrix``, ``analysis.projected_system``) and
-    ``dynamics.RemainderMap.placement`` read it; the generator itself solves
-    with a banded Cholesky factor of ``mass_tip``, so its linear/nonlinear
-    split holds to roundoff of that solve rather than exactly.
+    of the velocity field in the energy inner product. All three are dense
+    symmetric matrices of half-bandwidth 3; no inverse is stored: readers
+    that need mass_tip^-1 apply it by a banded Cholesky solve
+    (``solve_mass_tip``), so the generator's linear/nonlinear split holds to
+    roundoff of that solve.
     """
 
     beam: BeamParams
@@ -103,7 +103,6 @@ class DiscreteSystem:
     mass_beam: np.ndarray
     stiffness_beam: np.ndarray
     mass_tip: np.ndarray
-    mass_tip_inv: np.ndarray
 
     @property
     def tip_value_index(self) -> int:
@@ -113,23 +112,33 @@ class DiscreteSystem:
     def tip_slope_index(self) -> int:
         return self.n_dof - 1
 
+    def tip_unit_columns(self) -> np.ndarray:
+        """(n_dof, 2) unit columns at the tip-slope and tip-value DOFs."""
+        cols = np.zeros((self.n_dof, 2))
+        cols[self.tip_slope_index, 0] = 1.0
+        cols[self.tip_value_index, 1] = 1.0
+        return cols
+
 
 def assemble(beam: BeamParams, mesh: Mesh, clamp_left: bool = True) -> DiscreteSystem:
     """Assemble beam matrices on a mesh.
 
     DOF layout is (value, slope) per node; with ``clamp_left`` the two DOFs of
-    the first node are removed, realizing u(0) = u'(0) = 0.
+    the first node are removed, realizing u(0) = u'(0) = 0. The element pair
+    is integrated once per distinct element length and scattered by index
+    arrays; every global entry sums at most two element entries, so the
+    result does not depend on the order of the scatter.
     """
     n_el = mesh.n_elements
     n_full = 2 * (n_el + 1)
+    lengths, which = np.unique(np.diff(mesh.nodes), return_inverse=True)
+    pairs = [element_matrices(h, beam.rho, beam.lambda_rigidity) for h in lengths]
+    dofs = 2 * np.arange(n_el)[:, None] + np.arange(4)
+    grid = (dofs[:, :, None], dofs[:, None, :])
     mass = np.zeros((n_full, n_full))
     stiff = np.zeros((n_full, n_full))
-    for e in range(n_el):
-        h = mesh.nodes[e + 1] - mesh.nodes[e]
-        me, ke = element_matrices(h, beam.rho, beam.lambda_rigidity)
-        sl = slice(2 * e, 2 * e + 4)
-        mass[sl, sl] += me
-        stiff[sl, sl] += ke
+    np.add.at(mass, grid, np.array([me for me, _ in pairs])[which])
+    np.add.at(stiff, grid, np.array([ke for _, ke in pairs])[which])
 
     if clamp_left:
         mass = mass[2:, 2:]
@@ -140,10 +149,6 @@ def assemble(beam: BeamParams, mesh: Mesh, clamp_left: bool = True) -> DiscreteS
     mass_tip[n_dof - 2, n_dof - 2] += beam.tip_mass
     mass_tip[n_dof - 1, n_dof - 1] += beam.tip_inertia
 
-    cho = scipy.linalg.cho_factor(mass_tip)
-    inv = scipy.linalg.cho_solve(cho, np.eye(n_dof))
-    inv = 0.5 * (inv + inv.T)
-
     return DiscreteSystem(
         beam=beam,
         mesh=mesh,
@@ -152,8 +157,31 @@ def assemble(beam: BeamParams, mesh: Mesh, clamp_left: bool = True) -> DiscreteS
         mass_beam=mass,
         stiffness_beam=stiff,
         mass_tip=mass_tip,
-        mass_tip_inv=inv,
     )
+
+
+#: half-bandwidth of the Hermite beam matrices: an element couples the
+#: (value, slope) DOFs of its two nodes
+_BANDWIDTH = 3
+
+
+def _upper_band(a: np.ndarray) -> np.ndarray:
+    """LAPACK upper symmetric-band storage of a symmetric banded matrix."""
+    lower, upper = scipy.linalg.bandwidth(a)
+    if max(lower, upper) > _BANDWIDTH:
+        raise DimensionMismatch(
+            f"beam matrix has half-bandwidth {max(lower, upper)}, expected at most {_BANDWIDTH}"
+        )
+    ab = np.zeros((_BANDWIDTH + 1, a.shape[0]), order="F")  # LAPACK layout: no copy per call
+    for k in range(_BANDWIDTH + 1):
+        ab[_BANDWIDTH - k, k:] = np.diagonal(a, k)
+    return ab
+
+
+def solve_mass_tip(sys: DiscreteSystem, rhs: np.ndarray) -> np.ndarray:
+    """mass_tip^-1 @ rhs (a vector or columns) by a banded Cholesky solve."""
+    factor = scipy.linalg.cholesky_banded(_upper_band(sys.mass_tip))
+    return scipy.linalg.cho_solve_banded((factor, False), rhs)
 
 
 def displacement_gram(sys: DiscreteSystem, k1: float, k2: float) -> np.ndarray:

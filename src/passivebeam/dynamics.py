@@ -19,9 +19,9 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .beam_model import BlockLinearization, ClosedLoopConfig, ScalarLaw, _batch, linearize_block
-from .discretization import DiscreteSystem, displacement_gram
-from .errors import DimensionMismatch, LinearSolveFailure
+from .beam_model import BlockLinearization, ClosedLoopConfig, ScalarLaw, _batch, _simpson, linearize_block
+from .discretization import _BANDWIDTH, DiscreteSystem, _upper_band, displacement_gram, solve_mass_tip
+from .errors import DimensionMismatch, LinearSolveFailure, QuadratureFailure
 
 #: per-step energy increase budget, as a fraction of H(y0)
 ENERGY_INCREASE_ETA = 1e-8
@@ -161,11 +161,8 @@ def unpack(vec: np.ndarray, sys: DiscreteSystem, config: ClosedLoopConfig) -> St
 # Spring potential quadrature
 # ---------------------------------------------------------------------------
 
-def _simpson(y: np.ndarray, h):
-    """Composite Simpson rule along the last axis of samples ``y`` taken at
-    spacing ``h`` over an even number of intervals."""
-    return h / 3.0 * (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
-                      + 2.0 * y[..., 2:-1:2].sum(axis=-1))
+#: doublings of the fallback quadrature: at most 16 * 2**10 intervals
+_MAX_DOUBLINGS = 10
 
 
 def _simpson_law(f, s: float, intervals: int) -> float:
@@ -176,21 +173,28 @@ def _simpson_law(f, s: float, intervals: int) -> float:
 def spring_potential(law: ScalarLaw, s: float, tol: float = 1e-12) -> float:
     """Integral of the spring law from 0 to s.
 
-    Composite Simpson, doubled with Richardson extrapolation until the
-    absolute update drops below ``tol``.
+    The law's closed-form ``potential`` when it has one. Otherwise composite
+    Simpson from 16 intervals, doubled with Richardson extrapolation until the
+    absolute update drops below ``tol``, at most 10 times (16 * 2**10
+    intervals); raises QuadratureFailure if the update is still above ``tol``.
     """
+    if law.potential is not None:
+        return float(law.potential(s))
     if s == 0.0:
         return 0.0
     intervals = 16
     coarse = _simpson_law(law.eval, s, intervals)
-    for _ in range(20):
+    for _ in range(_MAX_DOUBLINGS):
         intervals *= 2
         fine = _simpson_law(law.eval, s, intervals)
         err = (fine - coarse) / 15.0
         if abs(err) <= tol:
             return fine + err
         coarse = fine
-    return coarse
+    raise QuadratureFailure(
+        f"spring potential at s={s!r} did not converge in {intervals} Simpson intervals: "
+        f"last update {abs(err):.3e} > tol {tol:.3e}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +246,6 @@ def eval_Hdot(state: StateVector, sys: DiscreteSystem, config: ClosedLoopConfig)
 # ---------------------------------------------------------------------------
 # The closed-loop operator on packed states
 # ---------------------------------------------------------------------------
-
-#: half-bandwidth of the Hermite beam matrices: an element couples the
-#: (value, slope) DOFs of its two nodes
-_BANDWIDTH = 3
-
-
-def _upper_band(a: np.ndarray) -> np.ndarray:
-    """LAPACK upper symmetric-band storage of a symmetric banded matrix."""
-    lower, upper = scipy.linalg.bandwidth(a)
-    if max(lower, upper) > _BANDWIDTH:
-        raise DimensionMismatch(
-            f"beam matrix has half-bandwidth {max(lower, upper)}, expected at most {_BANDWIDTH}"
-        )
-    ab = np.zeros((_BANDWIDTH + 1, a.shape[0]), order="F")  # LAPACK layout: no copy per call
-    for k in range(_BANDWIDTH + 1):
-        ab[_BANDWIDTH - k, k:] = np.diagonal(a, k)
-    return ab
-
 
 def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """alpha * A @ x for A in upper symmetric-band storage."""
@@ -473,7 +459,8 @@ class RemainderMap:
     q = (u'(L), u(L), v'(L), v(L), z1, z2) determines the remainder tip loads
     and block drifts F(q) = (g_s, g_v, h1, h2); the full remainder tangent is
     a constant placement of F. The placement matrix spreads the two tip loads
-    through the inverse tip mass and injects the block rows directly.
+    through the tip-mass solve (two columns of mass_tip^-1) and injects the
+    block rows directly.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig,
@@ -498,8 +485,7 @@ class RemainderMap:
             ]
         ).astype(int)
         placement = np.zeros((total, self.p))
-        placement[n : 2 * n, 0] = sys.mass_tip_inv[:, sys.tip_slope_index]
-        placement[n : 2 * n, 1] = sys.mass_tip_inv[:, sys.tip_value_index]
+        placement[n : 2 * n, :2] = solve_mass_tip(sys, sys.tip_unit_columns())
         placement[2 * n : 2 * n + n1, 2 : 2 + n1] = np.eye(n1)
         placement[2 * n + n1 :, 2 + n1 :] = np.eye(n2)
         self.placement = placement
@@ -633,13 +619,13 @@ def linear_generator_matrix(
     d2 = config.sd_translational.damper_slope
     k1 = config.sd_rotational.spring_slope
     k2 = config.sd_translational.spring_slope
-    minv = sys.mass_tip_inv
-    col_s = minv[:, isl]
-    col_v = minv[:, iv]
+    # mass_tip^-1 applied to the displacement Gram and the two tip columns
+    sol = solve_mass_tip(sys, np.hstack([displacement_gram(sys, k1, k2), sys.tip_unit_columns()]))
+    col_s, col_v = sol[:, n], sol[:, n + 1]
 
     g = np.zeros((total, total))
     g[:n, n : 2 * n] = np.eye(n)
-    g[n : 2 * n, :n] = -minv @ displacement_gram(sys, k1, k2)
+    g[n : 2 * n, :n] = -sol[:, :n]
     g[n : 2 * n, n + isl] -= d1 * col_s
     g[n : 2 * n, n + iv] -= d2 * col_v
     g[n : 2 * n, 2 * n : 2 * n + n1] = -np.outer(col_s, lin1.C)

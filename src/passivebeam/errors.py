@@ -25,6 +25,10 @@ class LinearSolveFailure(PassiveBeamError):
     """A prefactored linear solve could not be completed."""
 
 
+class QuadratureFailure(PassiveBeamError):
+    """An adaptive quadrature did not converge within its work bound."""
+
+
 class NewtonDivergence(PassiveBeamError):
     """Newton iteration hit its iteration cap without converging."""
 

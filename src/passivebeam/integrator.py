@@ -19,9 +19,8 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .beam_model import ClosedLoopConfig, linearize_block
-from .discretization import DiscreteSystem, interpolate
+from .discretization import _BANDWIDTH, DiscreteSystem, interpolate
 from .dynamics import (
-    _BANDWIDTH,
     ENERGY_INCREASE_ETA,
     ClosedLoopOperator,
     EnergyBreakdown,
@@ -42,6 +41,10 @@ from .errors import (
 
 #: smallest positive root of 1 + cos(x) cosh(x), first clamped-free beam mode
 _BETA1_L = 1.8751040687119612
+
+#: a Newton residual that stops falling below this fraction of 1 + |y|_Q is
+#: taken to be at its roundoff floor (sqrt of the float64 epsilon)
+_ROUNDOFF_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,10 @@ class MidpointStepper:
     O(n). Newton iterates on the increment d = w - y and applies the
     stiffness to the fixed y once per step, so the roundoff of the stiff load
     does not change between iterations. The Jacobian is refreshed once per
-    step (and again within a step if the iteration is slow)."""
+    step (and again within a step if the iteration is slow). A residual that
+    stops falling after a refresh while within sqrt(eps) (1 + |y|_Q) of zero
+    sits at its roundoff floor: the step then raises NewtonDivergence saying
+    so instead of iterating to the cap."""
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.sys = sys
@@ -226,12 +232,13 @@ class MidpointStepper:
         stiff_y = _band_mv(self.operator.stiff_band, y[:n])
         d = np.zeros_like(y)
         jac_f = None
+        refreshed, falling = False, True
         residual_norm = np.inf
         for iteration in range(newton_max_iter):
             mid = y + 0.5 * d
             stiff_mid = stiff_y + _band_mv(self.operator.stiff_band, d[:n], 0.5)
             residual = d - dt * self.rhs(mid, stiff_mid)
-            residual_norm = self.qnorm(residual)
+            previous, residual_norm = residual_norm, self.qnorm(residual)
             if not np.isfinite(residual_norm):
                 raise NewtonDivergence(
                     f"state is not finite (Newton residual {residual_norm} "
@@ -240,7 +247,18 @@ class MidpointStepper:
                 )
             if residual_norm <= tol:
                 return y + d
-            if jac_f is None or iteration >= 3:
+            falling = residual_norm < previous
+            # an update with a fresh exact Jacobian that does not lower an
+            # already tiny residual has hit roundoff, which no dt cures
+            if refreshed and not falling and residual_norm <= _ROUNDOFF_RTOL * (1.0 + y_scale):
+                raise NewtonDivergence(
+                    f"Newton residual stagnated at {residual_norm:.3e} above tolerance {tol:.3e} "
+                    f"at iteration {iteration}: this is the roundoff floor of the residual, "
+                    "not a step-size problem; loosen newton_tol",
+                    residual=residual_norm,
+                )
+            refreshed = jac_f is None or iteration >= 3
+            if refreshed:
                 jac_f = self.remainder.jacobian_analytic(self.remainder.q_of(mid))
             t = self.solve(-residual)
             small = eye_m - 0.5 * dt * (self._sel_kinv_e @ jac_f)
@@ -251,7 +269,7 @@ class MidpointStepper:
             d = d + t + 0.5 * dt * (self._kinv_e @ (jac_f @ gvec))
         raise NewtonDivergence(
             f"Newton did not reach tolerance {tol:.3e} in {newton_max_iter} iterations "
-            f"(residual {residual_norm:.3e}); halve dt",
+            f"(residual {residual_norm:.3e}, {'still falling' if falling else 'not falling'}); halve dt",
             residual=residual_norm,
         )
 

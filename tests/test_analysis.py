@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import passivebeam as pb
+from passivebeam.discretization import displacement_gram
 from passivebeam.dynamics import pack_tangent, unpack
 from passivebeam.errors import EmptyTrajectory
 
@@ -206,3 +208,22 @@ def test_clamped_free_wavenumbers_are_roots():
     for b in betas:
         assert abs(1.0 + math.cos(b) * math.cosh(b)) <= 1e-9 * math.cosh(b)
     assert np.all(np.diff(betas) > 0.0)
+
+
+@pytest.mark.parametrize("n_elements", [8, 64, 256])
+@pytest.mark.parametrize("dampers", [(0.0, 0.0), (0.7, 1.3)])
+def test_projected_system_matches_dense_tip_mass_solve(beam, n_elements, dampers):
+    sys_n = make_system(beam, n_elements)
+    n = sys_n.n_dof
+    g, q = pb.projected_system(sys_n, (1.5, 2.5), dampers)
+    q_u = displacement_gram(sys_n, 1.5, 2.5)
+    # dense Cholesky oracle (a dense LU is off by cond * eps, 3e-13 at n=256)
+    cho = scipy.linalg.cho_factor(sys_n.mass_tip)
+    expected = np.zeros((n, 2 * n))
+    expected[:, :n] = -scipy.linalg.cho_solve(cho, q_u)
+    tips = scipy.linalg.cho_solve(cho, sys_n.tip_unit_columns())
+    expected[:, n + sys_n.tip_slope_index] = -dampers[0] * tips[:, 0]
+    expected[:, n + sys_n.tip_value_index] = -dampers[1] * tips[:, 1]
+    assert np.abs(g[n:] - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.array_equal(g[:n], np.hstack([np.zeros((n, n)), np.eye(n)]))
+    assert np.array_equal(q, scipy.linalg.block_diag(q_u, sys_n.mass_tip))

@@ -153,7 +153,8 @@ def _pointwise(f, max_ndim):
 
 
 def pointwise_law(law):
-    return pb.ScalarLaw(**{k: _pointwise(getattr(law, k), 0) for k in ("eval", "deriv", "deriv2")})
+    fields = {k: getattr(law, k) for k in ("eval", "deriv", "deriv2", "potential")}
+    return pb.ScalarLaw(**{k: _pointwise(f, 0) for k, f in fields.items() if f is not None})
 
 
 def pointwise_block(block):
@@ -176,6 +177,25 @@ def test_batched_law_report_equals_per_point(damper, spring):
         pb.SpringDamperLaw(pointwise_law(d), pointwise_law(k)), radius=2.0, samples=100, seed=4
     )
     assert_same_report(batched, per_point)
+
+
+POLYNOMIAL_SPRINGS = {"linear", "cubic", "zero", "negative-linear", "softening-cubic"}
+
+
+@pytest.mark.parametrize("damper,spring", list(itertools.product(LAW_BUILDERS, repeat=2)))
+def test_closed_form_potential_report_equals_simpson_report(damper, spring):
+    d, k = pb.make_law(damper), pb.make_law(spring)
+    simpson_spring = dataclasses.replace(k, potential=None)
+    for radius, samples in itertools.product((1.5, 2.0), (300, 10_000)):
+        closed = pb.certify_spring_damper(pb.SpringDamperLaw(d, k), radius, samples)
+        simpson = pb.certify_spring_damper(pb.SpringDamperLaw(d, simpson_spring), radius, samples)
+        assert (closed.passed, closed.sample_count) == (simpson.passed, simpson.sample_count)
+        for a, b in zip(closed.checks, simpson.checks, strict=True):
+            assert (a.name, a.passed, a.witness) == (b.name, b.passed, b.witness)
+            if a.name != "spring-potential-positive":
+                assert a.value == b.value, a.name
+            elif spring in POLYNOMIAL_SPRINGS:
+                assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(BLOCKS))

@@ -1,5 +1,7 @@
 """Domain types, linearization extraction, and the built-in registry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import passivebeam as pb
-from passivebeam.beam_model import BLOCK_BUILDERS
+from passivebeam.beam_model import BLOCK_BUILDERS, LAW_BUILDERS
+from passivebeam.dynamics import spring_potential
 from passivebeam.errors import SingularHessian
 
 
@@ -22,6 +25,51 @@ def test_beam_params_reject_nonpositive():
 def test_scalar_law_rejects_wrong_derivative():
     with pytest.raises(ValueError):
         pb.ScalarLaw(eval=lambda s: s**2, deriv=lambda s: 3.0 * s, deriv2=lambda s: 2.0)
+
+
+def cubic_law(potential):
+    return pb.ScalarLaw(eval=lambda s: s + s**3, deriv=lambda s: 1.0 + 3.0 * s**2,
+                        deriv2=lambda s: 6.0 * s, potential=potential)
+
+
+def test_scalar_law_accepts_its_antiderivative_as_potential():
+    law = cubic_law(lambda s: s**2 / 2 + s**4 / 4)
+    assert law.potential(2.0) == 6.0
+
+
+def test_scalar_law_rejects_potential_off_by_a_factor():
+    with pytest.raises(ValueError, match="potential disagrees"):
+        cubic_law(lambda s: 2.0 * (s**2 / 2 + s**4 / 4))
+
+
+def test_scalar_law_rejects_potential_nonzero_at_origin():
+    # the offset is far below the Simpson comparison, so only the exact rule catches it
+    with pytest.raises(ValueError, match=r"potential\(0\) = 0"):
+        cubic_law(lambda s: s**2 / 2 + s**4 / 4 + 1e-300)
+
+
+#: random parameters of each registry law (the broken laws take none)
+LAW_PARAMS = {
+    "linear": st.fixed_dictionaries({"slope": st.floats(-5.0, 5.0)}),
+    "cubic": st.fixed_dictionaries({"slope": st.floats(-5.0, 5.0), "cubic": st.floats(-5.0, 5.0)}),
+    "tanh": st.fixed_dictionaries({"gain": st.floats(0.1, 5.0) | st.floats(-5.0, -0.1)}),
+    "zero": st.just({}),
+    "negative-linear": st.just({}),
+    "softening-cubic": st.just({}),
+}
+
+
+def test_every_registry_law_has_a_potential():
+    assert set(LAW_PARAMS) == set(LAW_BUILDERS)
+    assert all(pb.make_law(name).potential is not None for name in LAW_BUILDERS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(LAW_PARAMS)), s=st.floats(-3.0, 3.0))
+def test_registry_potential_matches_adaptive_quadrature(data, name, s):
+    law = pb.make_law(name, **data.draw(LAW_PARAMS[name]))
+    reference = spring_potential(dataclasses.replace(law, potential=None), s)
+    assert abs(float(law.potential(s)) - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def test_linearize_linear_laws():

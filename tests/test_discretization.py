@@ -181,3 +181,41 @@ def test_export_matrix_roundtrip(tmp_path, sys4):
     pb.export_matrix(path, sys4.mass_beam)
     back = np.asarray(scipy.io.mmread(str(path)))
     assert np.allclose(back, sys4.mass_beam, rtol=0, atol=1e-12)
+
+
+# -- loop-free assembly --------------------------------------------------------
+
+def assemble_per_element(beam, mesh):
+    """The original assembly: one element pair per element, added in a loop."""
+    n_full = 2 * (mesh.n_elements + 1)
+    mass = np.zeros((n_full, n_full))
+    stiff = np.zeros((n_full, n_full))
+    for e in range(mesh.n_elements):
+        me, ke = element_matrices(mesh.nodes[e + 1] - mesh.nodes[e], beam.rho, beam.lambda_rigidity)
+        mass[2 * e : 2 * e + 4, 2 * e : 2 * e + 4] += me
+        stiff[2 * e : 2 * e + 4, 2 * e : 2 * e + 4] += ke
+    mass, stiff = mass[2:, 2:], stiff[2:, 2:]
+    mass_tip = mass.copy()
+    mass_tip[-2, -2] += beam.tip_mass
+    mass_tip[-1, -1] += beam.tip_inertia
+    return mass, stiff, mass_tip
+
+
+def assert_assembly_equals_loop(beam, mesh):
+    sys_n = pb.assemble(beam, mesh)
+    mass, stiff, mass_tip = assemble_per_element(beam, mesh)
+    assert np.array_equal(sys_n.mass_beam, mass)
+    assert np.array_equal(sys_n.stiffness_beam, stiff)
+    assert np.array_equal(sys_n.mass_tip, mass_tip)
+
+
+@pytest.mark.parametrize("n_elements", [1, 3, 16, 256])
+def test_assembly_equals_per_element_loop(n_elements):
+    beam = pb.BeamParams(rho=2.7, lambda_rigidity=0.3, length=1.7, tip_inertia=0.2, tip_mass=0.05)
+    assert_assembly_equals_loop(beam, pb.build_mesh(beam, n_elements))
+
+
+def test_assembly_of_non_uniform_mesh_equals_per_element_loop(beam):
+    mesh = pb.Mesh(n_elements=5, nodes=[0.0, 0.125, 0.25, 0.375, 0.6875, 1.0])
+    assert len(np.unique(np.diff(mesh.nodes))) == 2
+    assert_assembly_equals_loop(beam, mesh)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import passivebeam as pb
+from passivebeam import errors
+from passivebeam.discretization import displacement_gram
 from passivebeam.dynamics import (
     ClosedLoopOperator,
     RemainderMap,
     add_tangents,
+    linear_generator_matrix,
     pack,
     pack_tangent,
     spring_potential,
@@ -15,7 +19,7 @@ from passivebeam.dynamics import (
 )
 from passivebeam.errors import DimensionMismatch
 
-from conftest import default_config, linear_config, smooth_state, white_state
+from conftest import default_config, linear_config, make_system, smooth_state, white_state
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,30 @@ def test_spring_potential_of_non_elementwise_law_is_evaluated_per_point():
     assert spring_potential(law, 0.5) == pytest.approx(0.5**2 / 2 + 0.5**4 / 4, rel=1e-12)
 
 
+def test_spring_potential_uses_the_closed_form():
+    law = pb.make_law("tanh", gain=3.0)
+    for s in (-2.0, 0.1, 40.0):
+        assert spring_potential(law, s) == float(law.potential(s))
+
+
+def test_slowly_converging_fallback_quadrature_is_bounded():
+    # s + a sin(w s): Simpson needs 32768 intervals for a 1e-12 update at s = 2
+    a, w = 1e-3, 1e3
+    evaluated = []
+
+    def value(s):
+        evaluated.append(np.size(s))
+        return s + a * np.sin(w * s)
+
+    law = pb.ScalarLaw(eval=value, deriv=lambda s: 1.0 + a * w * np.cos(w * s),
+                       deriv2=lambda s: -a * w * w * np.sin(w * s))
+    evaluated.clear()
+    with pytest.raises(errors.QuadratureFailure, match=r"s=2\.0.*last update") as info:
+        spring_potential(law, 2.0)
+    assert "16384 Simpson intervals" in str(info.value)
+    assert sum(evaluated) <= sum(16 * 2**k + 1 for k in range(11))
+
+
 def test_energy_dimension_mismatch(sys8, sys4, nonlinear):
     state = pb.zero_state(sys4, nonlinear)
     with pytest.raises(DimensionMismatch):
@@ -193,7 +221,7 @@ def test_generator_reduces_to_bare_beam_with_zeroed_feedback(beam, sys8):
     state = white_state(sys8, config, rng)
     state = pb.StateVector(u_dofs=state.u_dofs, v_dofs=state.v_dofs, z1=np.zeros(1), z2=np.zeros(1))
     tangent = pb.apply_generator(state, sys8, config)
-    expected = -sys8.mass_tip_inv @ (sys8.stiffness_beam @ state.u_dofs)
+    expected = -np.linalg.solve(sys8.mass_tip, sys8.stiffness_beam @ state.u_dofs)
     assert np.allclose(tangent.v_dot, expected, rtol=1e-13, atol=1e-13)
     assert np.array_equal(tangent.u_dot, state.v_dofs)
 
@@ -350,3 +378,47 @@ def test_nonlinear_remainder_scales_quadratically(sys8, nonlinear):
     # cubic-led remainders shrink at least quadratically per decade
     assert norms[1e-2] <= 1e-2 * norms[1e-1]
     assert norms[1e-3] <= 1e-2 * norms[1e-2]
+
+
+# -- tip-mass solves against a dense oracle -------------------------------------
+
+def dense_tip_mass_solve(sys_n, rhs):
+    # dense Cholesky: a dense LU (np.linalg.solve) of mass_tip is itself off by
+    # about cond * eps (1e-13 at n=64, 3e-13 at n=256)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(sys_n.mass_tip), rhs)
+
+
+def assert_close_relative(got, expected, rtol=1e-13):
+    assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n_elements", [8, 64, 256])
+def test_placement_matches_dense_tip_mass_solve(beam, n_elements):
+    sys_n = make_system(beam, n_elements)
+    config = default_config(beam)
+    remainder = RemainderMap(sys_n, config, *lins_of(config))
+    n = sys_n.n_dof
+    expected = dense_tip_mass_solve(sys_n, sys_n.tip_unit_columns())
+    assert_close_relative(remainder.placement[n : 2 * n, :2], expected)
+
+
+@pytest.mark.parametrize("n_elements", [8, 64, 256])
+@pytest.mark.parametrize("make_config", [default_config, linear_config])
+def test_linear_generator_matrix_matches_dense_tip_mass_solve(beam, n_elements, make_config):
+    sys_n = make_system(beam, n_elements)
+    config = make_config(beam)
+    lin1, lin2 = lins_of(config)
+    sd1, sd2 = config.sd_rotational, config.sd_translational
+    n, n1 = sys_n.n_dof, lin1.A.shape[0]
+    isl, iv = sys_n.tip_slope_index, sys_n.tip_value_index
+    minv_q = dense_tip_mass_solve(sys_n, displacement_gram(sys_n, sd1.spring_slope, sd2.spring_slope))
+    col_s, col_v = dense_tip_mass_solve(sys_n, sys_n.tip_unit_columns()).T
+    g = linear_generator_matrix(sys_n, config, lin1, lin2)
+    velocity_rows = g[n : 2 * n]
+    assert_close_relative(velocity_rows[:, :n], -minv_q)
+    expected_v = np.zeros((n, n))
+    expected_v[:, isl] = -sd1.damper_slope * col_s
+    expected_v[:, iv] = -sd2.damper_slope * col_v
+    assert_close_relative(velocity_rows[:, n : 2 * n], expected_v)
+    assert_close_relative(velocity_rows[:, 2 * n : 2 * n + n1], -np.outer(col_s, lin1.C))
+    assert_close_relative(velocity_rows[:, 2 * n + n1 :], -np.outer(col_v, lin2.C))

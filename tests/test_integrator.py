@@ -106,6 +106,30 @@ def test_newton_divergence_reported(sys6, beam):
         pb.step_midpoint(state, 1e-3, sys6, config, newton_max_iter=1)
 
 
+def test_cap_hit_while_falling_advises_smaller_step(sys6, beam):
+    config = default_config(beam)
+    state = white_state(sys6, config, np.random.default_rng(1), scale=5.0)
+    with pytest.raises(NewtonDivergence, match="still falling.*halve dt"):
+        pb.step_midpoint(state, 1e-3, sys6, config, newton_max_iter=3)
+
+
+def test_roundoff_stagnation_is_reported_as_such(beam):
+    # at n=64 the residual settles near 2e-17 from the fourth iteration on
+    sys64 = make_system(beam, 64)
+    config = default_config(beam)
+    stepper = MidpointStepper(sys64, config, 1e-3)
+    calls = []
+    rhs = stepper.rhs
+    stepper.rhs = lambda *args: calls.append(1) or rhs(*args)
+    with pytest.raises(NewtonDivergence, match="stagnated at .* roundoff floor") as info:
+        stepper.step_flat(pack(pb.first_mode_initial_state(sys64, config)), 1e-30, 25)
+    assert len(calls) <= 6
+    message = str(info.value)
+    assert "halve dt" not in message
+    assert 0.0 < info.value.residual < 1e-14
+    assert f"stagnated at {info.value.residual:.3e} above tolerance" in message
+
+
 def test_simulate_keeps_newton_residual(sys6, beam):
     config = default_config(beam)
     rng = np.random.default_rng(1)
