@@ -8,7 +8,6 @@ integrator, and operator/trajectory diagnostics.
 from .analysis import (
     DecayReport,
     SpectrumReport,
-    assemble_linear_matrix,
     beam_frequencies,
     clamped_free_wavenumbers,
     decay_metrics,
@@ -25,7 +24,6 @@ from .beam_model import (
     ScalarLaw,
     SpringDamperLaw,
     linearize_block,
-    linearize_spring_damper,
     make_block,
     make_law,
 )
@@ -42,15 +40,8 @@ from .dynamics import (
     ENERGY_INCREASE_ETA,
     EnergyBreakdown,
     StateVector,
-    Tangent,
-    apply_generator,
-    apply_linear_part,
-    apply_nonlinear_part,
     eval_H,
     eval_Hdot,
-    pair_with_state,
-    state_qnorm2,
-    tangent_qnorm,
     zero_state,
 )
 from .integrator import (
@@ -59,7 +50,6 @@ from .integrator import (
     first_mode_initial_state,
     simulate,
     smooth_initial_state,
-    step_midpoint,
     tangent_residual,
 )
 
@@ -80,14 +70,9 @@ __all__ = [
     "SpectrumReport",
     "SpringDamperLaw",
     "StateVector",
-    "Tangent",
     "Trajectory",
-    "apply_generator",
-    "apply_linear_part",
-    "apply_nonlinear_part",
     "assemble",
     "assemble_gram",
-    "assemble_linear_matrix",
     "beam_frequencies",
     "build_mesh",
     "certify_block",
@@ -100,18 +85,13 @@ __all__ = [
     "first_mode_initial_state",
     "interpolate",
     "linearize_block",
-    "linearize_spring_damper",
     "make_block",
     "make_law",
-    "pair_with_state",
     "projected_system",
     "simulate",
     "smooth_initial_state",
     "skew_check",
     "spectrum",
-    "state_qnorm2",
-    "step_midpoint",
-    "tangent_qnorm",
     "tangent_residual",
     "zero_state",
 ]

@@ -14,8 +14,6 @@ import numpy as np
 import scipy.linalg
 
 from .discretization import DiscreteSystem, displacement_gram, solve_mass_tip
-# the dense matrix G with G y = apply_linear_part(y), under its public name
-from .dynamics import linear_generator_matrix as assemble_linear_matrix  # noqa: F401
 from .errors import EigenSolverFailure, EmptyTrajectory
 
 UNSTABLE_TOL = 1e-8

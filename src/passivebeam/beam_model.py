@@ -279,11 +279,6 @@ class ClosedLoopConfig:
     block_translational: PassiveBlock
 
 
-def linearize_spring_damper(law: SpringDamperLaw) -> tuple[float, float]:
-    """Return the origin slopes (D, K) of the damper and spring laws."""
-    return law.damper_slope, law.spring_slope
-
-
 def linearize_block(block: PassiveBlock) -> BlockLinearization:
     """Extract (A, B, C, P) of a block at the origin.
 

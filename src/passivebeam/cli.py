@@ -318,7 +318,7 @@ def _mode_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     sys_d = cfg.system()
     lin1 = linearize_block(loop.block_rotational)
     lin2 = linearize_block(loop.block_translational)
-    g = analysis.assemble_linear_matrix(sys_d, loop, lin1, lin2)
+    g = dynamics.linear_generator_matrix(sys_d, loop, lin1, lin2)
     q = discretization.assemble_gram(sys_d, loop, lin1, lin2)
     report = analysis.spectrum(g, q)
     writer.write_csv("spectrum.csv", ("re", "im"), report.csv_rows())

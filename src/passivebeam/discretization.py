@@ -203,20 +203,21 @@ def assemble_gram(
     The displacement block carries the curvature Gram plus the spring slopes
     K1, K2 on the tip DOFs; the velocity block carries the rho-mass plus the
     payload terms, so the tip momenta contribute J v'(L)^2 + M v(L)^2; the
-    block states are weighted with the storage Hessians P1, P2.
+    block states are weighted with the storage Hessians P1, P2. Definiteness
+    is checked per block: a banded Cholesky of the two beam blocks, while
+    ``BlockLinearization`` already rejects a P that is not positive definite.
     """
     k1 = config.sd_rotational.spring_slope
     k2 = config.sd_translational.spring_slope
     q_u = displacement_gram(sys, k1, k2)
-    blocks = [q_u, sys.mass_tip, lin1.P, lin2.P]
-    gram = scipy.linalg.block_diag(*blocks)
-    try:
-        scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
-        ) from exc
-    return gram
+    for block in (q_u, sys.mass_tip):
+        try:
+            scipy.linalg.cholesky_banded(_upper_band(block))
+        except scipy.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
+            ) from exc
+    return scipy.linalg.block_diag(q_u, sys.mass_tip, lin1.P, lin2.P)
 
 
 def interpolate(sys: DiscreteSystem, values, slopes) -> np.ndarray:

@@ -1,8 +1,10 @@
 """The discrete closed-loop generator, its linear/nonlinear split, and the
 Lyapunov functional with its closed-form rate.
 
-``ClosedLoopOperator`` implements the generator, the split and the energy
-inner product once, on packed states; the state-level functions are views.
+``ClosedLoopOperator`` is the one implementation of the generator, the split
+and the energy inner product; it acts on packed vectors (u, v, z1, z2).
+``StateVector`` with ``pack``/``unpack`` is the boundary type of initial
+data and recorded states, and ``eval_H``/``eval_Hdot`` read it.
 
 The state keeps (u, v, z1, z2); the tip momenta are derived quantities,
 xi = J v'(L) and psi = M v(L), so every state satisfies the domain coupling
@@ -31,8 +33,8 @@ ENERGY_INCREASE_ETA = 1e-8
 class StateVector:
     """Discrete state (u, v, z1, z2) with clamped DOFs removed.
 
-    The tip momenta are accessors, never stored: xi = J * v'(L) and
-    psi = M * v(L) read the tip DOFs of the velocity field.
+    The tip momenta are never stored: xi = J * v'(L) and psi = M * v(L) are
+    read off the tip DOFs of the velocity field (``tip_traces``).
     """
 
     u_dofs: np.ndarray
@@ -45,27 +47,6 @@ class StateVector:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def xi(self, sys: DiscreteSystem) -> float:
-        return sys.beam.tip_inertia * self.v_dofs[sys.tip_slope_index]
-
-    def psi(self, sys: DiscreteSystem) -> float:
-        return sys.beam.tip_mass * self.v_dofs[sys.tip_value_index]
-
-
-@dataclass(frozen=True)
-class Tangent:
-    """Time-derivative of a state.
-
-    ``v_load`` keeps the pre-solve load of the velocity equation
-    (mass_tip @ v_dot); energy-rate pairings use it to avoid the mass solve.
-    """
-
-    u_dot: np.ndarray
-    v_dot: np.ndarray
-    z1_dot: np.ndarray
-    z2_dot: np.ndarray
-    v_load: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -140,10 +121,6 @@ def zero_state(sys: DiscreteSystem, config: ClosedLoopConfig) -> StateVector:
 
 def pack(state: StateVector) -> np.ndarray:
     return np.concatenate([state.u_dofs, state.v_dofs, state.z1, state.z2])
-
-
-def pack_tangent(tangent: Tangent) -> np.ndarray:
-    return np.concatenate([tangent.u_dot, tangent.v_dot, tangent.z1_dot, tangent.z2_dot])
 
 
 def unpack(vec: np.ndarray, sys: DiscreteSystem, config: ClosedLoopConfig) -> StateVector:
@@ -262,8 +239,9 @@ class ClosedLoopOperator:
     banded Cholesky factor, so every operation costs O(n). The full generator
     and its linear part fill one skeleton (stiff load, tip loads, tip-mass
     solve, block rows); the remainder is ``RemainderMap.value`` placed by
-    ``RemainderMap.placement``. Each generator method returns the tangent and
-    the load of its velocity equation (mass_tip @ v_dot).
+    ``RemainderMap.placement``. Each generator method returns the packed
+    tangent and the load of its velocity equation (mass_tip @ v_dot), so
+    ``inner(out, y, load)`` pairs a tangent with y without the mass product.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig,
@@ -281,11 +259,6 @@ class ClosedLoopOperator:
         self._mass_chol, info = scipy.linalg.lapack.dpbtrf(self.mass_band)
         if info != 0:
             raise LinearSolveFailure("tip mass matrix could not be factored")
-
-    def split(self, flat: np.ndarray):
-        """Views (u, v, z1, z2) of a packed vector."""
-        n, n1 = self.n, self.n1
-        return flat[:n], flat[n : 2 * n], flat[2 * n : 2 * n + n1], flat[2 * n + n1 :]
 
     def _fill(self, flat, torque, force, z1_dot, z2_dot, stiff_load=None):
         """The one generator skeleton: stiff and tip loads, tip-mass solve, block rows."""
@@ -346,106 +319,6 @@ class ClosedLoopOperator:
     def qnorm(self, flat: np.ndarray) -> float:
         """Energy norm of a packed vector."""
         return float(np.sqrt(max(self.inner(flat, flat), 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# State-level views of the operator
-# ---------------------------------------------------------------------------
-
-def _tangent(op: ClosedLoopOperator, out_and_load) -> Tangent:
-    out, load = out_and_load
-    return Tangent(*op.split(out), v_load=load)
-
-
-def apply_generator(state: StateVector, sys: DiscreteSystem, config: ClosedLoopConfig) -> Tangent:
-    """Full nonlinear generator applied to a state."""
-    _check_dims(state, sys, config)
-    op = ClosedLoopOperator(sys, config)
-    return _tangent(op, op.generator(pack(state)))
-
-
-def apply_linear_part(
-    state: StateVector,
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> Tangent:
-    """Linearized generator: laws and blocks replaced by their origin slopes."""
-    _check_dims(state, sys, config)
-    op = ClosedLoopOperator(sys, config, lin1, lin2)
-    return _tangent(op, op.linear(pack(state)))
-
-
-def apply_nonlinear_part(
-    state: StateVector,
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> Tangent:
-    """Remainder part of the generator.
-
-    Only the remainder loads at the two tip DOFs and the remainder block
-    drifts are nonzero; the displacement row vanishes identically.
-    """
-    _check_dims(state, sys, config)
-    op = ClosedLoopOperator(sys, config, lin1, lin2)
-    return _tangent(op, op.nonlinear(pack(state)))
-
-
-def add_tangents(a: Tangent, b: Tangent) -> Tangent:
-    load = None
-    if a.v_load is not None and b.v_load is not None:
-        load = a.v_load + b.v_load
-    return Tangent(
-        u_dot=a.u_dot + b.u_dot,
-        v_dot=a.v_dot + b.v_dot,
-        z1_dot=a.z1_dot + b.z1_dot,
-        z2_dot=a.z2_dot + b.z2_dot,
-        v_load=load,
-    )
-
-
-def state_qnorm2(
-    state: StateVector,
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> float:
-    """Squared energy norm of a state (the Gram quadratic form)."""
-    flat = pack(state)
-    return ClosedLoopOperator(sys, config, lin1, lin2).inner(flat, flat)
-
-
-def tangent_qnorm(
-    tangent: Tangent,
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> float:
-    """Energy norm of a tangent vector."""
-    return ClosedLoopOperator(sys, config, lin1, lin2).qnorm(pack_tangent(tangent))
-
-
-def pair_with_state(
-    tangent: Tangent,
-    state: StateVector,
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> float:
-    """Energy inner product of a tangent with a state.
-
-    The velocity term is evaluated in load form, v_load . v, which equals
-    (mass v_dot) . v without re-applying the mass matrix; this keeps the
-    dissipation identity sharp to roundoff.
-    """
-    op = ClosedLoopOperator(sys, config, lin1, lin2)
-    return op.inner(pack_tangent(tangent), pack(state), tangent.v_load)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +483,7 @@ def linear_generator_matrix(
     lin1: BlockLinearization,
     lin2: BlockLinearization,
 ) -> np.ndarray:
-    """Dense matrix realizing apply_linear_part on packed states."""
+    """Dense matrix G with G @ y = ClosedLoopOperator.linear(y)[0]."""
     n = sys.n_dof
     n1, n2 = lin1.A.shape[0], lin2.A.shape[0]
     total = 2 * n + n1 + n2

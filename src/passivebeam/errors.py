@@ -22,7 +22,12 @@ class DimensionMismatch(PassiveBeamError):
 
 
 class LinearSolveFailure(PassiveBeamError):
-    """A prefactored linear solve could not be completed."""
+    """A prefactored linear solve could not be completed; ``time`` is the end
+    of the failing step when ``simulate`` raises it."""
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
 
 
 class QuadratureFailure(PassiveBeamError):
@@ -30,11 +35,14 @@ class QuadratureFailure(PassiveBeamError):
 
 
 class NewtonDivergence(PassiveBeamError):
-    """Newton iteration hit its iteration cap without converging."""
+    """Newton iteration stopped short of its tolerance (iteration cap,
+    roundoff stagnation or a non-finite state); ``time`` is the end of the
+    failing step when ``simulate`` raises it."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, time=None):
         super().__init__(message)
         self.residual = residual
+        self.time = time
 
 
 class StepRejected(PassiveBeamError):

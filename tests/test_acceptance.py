@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import passivebeam as pb
-from passivebeam.dynamics import add_tangents, pack, pack_tangent, tip_traces
+from passivebeam.dynamics import ClosedLoopOperator, pack, tip_traces
 
 from conftest import (
     DEFAULT_BEAM,
@@ -138,13 +138,15 @@ def test_criterion_04_linear_dissipativity_identity(accept_beam, main_config):
     sym2 = 0.5 * (lin2.P @ lin2.A + (lin2.P @ lin2.A).T)
     d1 = main_config.sd_rotational.damper_slope
     d2 = main_config.sd_translational.damper_slope
+    op = ClosedLoopOperator(sys_d, main_config, lin1, lin2)
     rng = np.random.default_rng(0)
     worst_rel = 0.0
     all_nonpositive = True
     for _ in range(100):
         state = smooth_state(sys_d, main_config, rng)
-        tangent = pb.apply_linear_part(state, sys_d, main_config, lin1, lin2)
-        lhs = pb.pair_with_state(tangent, state, sys_d, main_config, lin1, lin2)
+        flat = pack(state)
+        out, load = op.linear(flat)
+        lhs = op.inner(out, flat, load)
         _, _, v_l, vp_l = tip_traces(state, sys_d)
         rhs = (
             float(state.z1 @ (sym1 @ state.z1))
@@ -258,17 +260,13 @@ def test_criterion_11_generator_split(accept_beam, main_config):
     sys_d = make_system(accept_beam, 4)
     lin1 = pb.linearize_block(main_config.block_rotational)
     lin2 = pb.linearize_block(main_config.block_translational)
+    op = ClosedLoopOperator(sys_d, main_config, lin1, lin2)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
-        state = white_state(sys_d, main_config, rng)
-        full = pack_tangent(pb.apply_generator(state, sys_d, main_config))
-        split = pack_tangent(
-            add_tangents(
-                pb.apply_linear_part(state, sys_d, main_config, lin1, lin2),
-                pb.apply_nonlinear_part(state, sys_d, main_config, lin1, lin2),
-            )
-        )
+        flat = pack(white_state(sys_d, main_config, rng))
+        full = op.generator(flat)[0]
+        split = op.linear(flat)[0] + op.nonlinear(flat)[0]
         worst = max(worst, np.linalg.norm(full - split) / np.linalg.norm(full))
 
     # quadratic-remainder loop: the remainder norm must scale as eps^2
@@ -298,17 +296,11 @@ def test_criterion_11_generator_split(accept_beam, main_config):
     )
     qlin1 = pb.linearize_block(quad_config.block_rotational)
     qlin2 = pb.linearize_block(quad_config.block_translational)
-    base = white_state(sys_d, quad_config, rng)
+    qop = ClosedLoopOperator(sys_d, quad_config, qlin1, qlin2)
+    base = pack(white_state(sys_d, quad_config, rng))
     scaled_norm = {}
     for eps in (1e-1, 1e-2, 1e-3):
-        state = pb.StateVector(
-            u_dofs=eps * base.u_dofs,
-            v_dofs=eps * base.v_dofs,
-            z1=eps * base.z1,
-            z2=eps * base.z2,
-        )
-        tangent = pb.apply_nonlinear_part(state, sys_d, quad_config, qlin1, qlin2)
-        scaled_norm[eps] = pb.tangent_qnorm(tangent, sys_d, quad_config, qlin1, qlin2) / eps**2
+        scaled_norm[eps] = qop.qnorm(qop.nonlinear(eps * base)[0]) / eps**2
     decade_a = scaled_norm[1e-2] / scaled_norm[1e-1]
     decade_b = scaled_norm[1e-3] / scaled_norm[1e-2]
     scaling_ok = 0.8 <= decade_a <= 1.25 and 0.8 <= decade_b <= 1.25

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import passivebeam as pb
 from passivebeam.discretization import displacement_gram
-from passivebeam.dynamics import pack_tangent, unpack
+from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, pack
 from passivebeam.errors import EmptyTrajectory
 
 from conftest import (
@@ -34,29 +34,28 @@ def lins_of(config):
 
 def test_linear_matrix_matches_operator_on_basis(sys8, linear):
     lin1, lin2 = lins_of(linear)
-    g = pb.assemble_linear_matrix(sys8, linear, lin1, lin2)
+    g = linear_generator_matrix(sys8, linear, lin1, lin2)
+    op = ClosedLoopOperator(sys8, linear, lin1, lin2)
     scale = np.abs(g).max()
     for k in range(g.shape[0]):
         e = np.zeros(g.shape[0])
         e[k] = 1.0
-        tangent = pack_tangent(
-            pb.apply_linear_part(unpack(e, sys8, linear), sys8, linear, lin1, lin2)
-        )
+        tangent = op.linear(e)[0]
         assert np.abs(g[:, k] - tangent).max() <= 1e-12 * scale
 
 
 def test_linear_matrix_dissipative_in_energy_pairing(sys8, linear):
-    lin1, lin2 = lins_of(linear)
+    op = ClosedLoopOperator(sys8, linear, *lins_of(linear))
     rng = np.random.default_rng(0)
     for _ in range(100):
-        state = smooth_state(sys8, linear, rng)
-        tangent = pb.apply_linear_part(state, sys8, linear, lin1, lin2)
-        assert pb.pair_with_state(tangent, state, sys8, linear, lin1, lin2) <= 0.0
+        flat = pack(smooth_state(sys8, linear, rng))
+        out, load = op.linear(flat)
+        assert op.inner(out, flat, load) <= 0.0
 
 
 def test_linear_matrix_invertible(sys8, linear):
     lin1, lin2 = lins_of(linear)
-    g = pb.assemble_linear_matrix(sys8, linear, lin1, lin2)
+    g = linear_generator_matrix(sys8, linear, lin1, lin2)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(g.shape[0])
     x = np.linalg.solve(g, b)
@@ -75,7 +74,7 @@ def test_projected_spectrum_purely_imaginary(beam):
 
 def test_damped_spectrum_strictly_stable(sys8, linear):
     lin1, lin2 = lins_of(linear)
-    g = pb.assemble_linear_matrix(sys8, linear, lin1, lin2)
+    g = linear_generator_matrix(sys8, linear, lin1, lin2)
     q = pb.assemble_gram(sys8, linear, lin1, lin2)
     report = pb.spectrum(g, q)
     assert report.max_real_part < 0.0
@@ -90,7 +89,7 @@ def test_spectrum_real_parts_approach_axis_under_refinement(beam):
         sys_d = make_system(beam, n)
         config = linear_config(beam)
         lin1, lin2 = lins_of(config)
-        g = pb.assemble_linear_matrix(sys_d, config, lin1, lin2)
+        g = linear_generator_matrix(sys_d, config, lin1, lin2)
         q = pb.assemble_gram(sys_d, config, lin1, lin2)
         vals.append(pb.spectrum(g, q).max_real_part)
     assert vals[0] < vals[1] < vals[2] < 0.0

@@ -10,12 +10,11 @@ from passivebeam.discretization import displacement_gram
 from passivebeam.dynamics import (
     ClosedLoopOperator,
     RemainderMap,
-    add_tangents,
     linear_generator_matrix,
     pack,
-    pack_tangent,
     spring_potential,
     tip_traces,
+    unpack,
 )
 from passivebeam.errors import DimensionMismatch
 
@@ -170,32 +169,15 @@ def test_hdot_nonpositive_for_certified_config(sys8, nonlinear):
 
 
 def test_directional_derivative_matches_hdot(sys8, nonlinear):
+    op = ClosedLoopOperator(sys8, nonlinear)
     rng = np.random.default_rng(3)
     for _ in range(10):
         state = smooth_state(sys8, nonlinear, rng)
-        tangent = pb.apply_generator(state, sys8, nonlinear)
         eps = 1e-6
-        flat, dflat = pack(state), pack_tangent(tangent)
-        up = pb.eval_H(
-            pb.StateVector(
-                u_dofs=flat[: sys8.n_dof] + eps * dflat[: sys8.n_dof],
-                v_dofs=flat[sys8.n_dof : 2 * sys8.n_dof] + eps * dflat[sys8.n_dof : 2 * sys8.n_dof],
-                z1=state.z1 + eps * tangent.z1_dot,
-                z2=state.z2 + eps * tangent.z2_dot,
-            ),
-            sys8,
-            nonlinear,
-        ).total
-        down = pb.eval_H(
-            pb.StateVector(
-                u_dofs=flat[: sys8.n_dof] - eps * dflat[: sys8.n_dof],
-                v_dofs=flat[sys8.n_dof : 2 * sys8.n_dof] - eps * dflat[sys8.n_dof : 2 * sys8.n_dof],
-                z1=state.z1 - eps * tangent.z1_dot,
-                z2=state.z2 - eps * tangent.z2_dot,
-            ),
-            sys8,
-            nonlinear,
-        ).total
+        flat = pack(state)
+        dflat = op.generator(flat)[0]
+        up = pb.eval_H(unpack(flat + eps * dflat, sys8, nonlinear), sys8, nonlinear).total
+        down = pb.eval_H(unpack(flat - eps * dflat, sys8, nonlinear), sys8, nonlinear).total
         fd = (up - down) / (2 * eps)
         hdot = pb.eval_Hdot(state, sys8, nonlinear)
         assert fd == pytest.approx(hdot, rel=1e-6, abs=1e-9)
@@ -204,8 +186,8 @@ def test_directional_derivative_matches_hdot(sys8, nonlinear):
 # -- generator and split -------------------------------------------------------
 
 def test_generator_zero_state(sys8, nonlinear):
-    tangent = pb.apply_generator(pb.zero_state(sys8, nonlinear), sys8, nonlinear)
-    assert np.abs(pack_tangent(tangent)).max() == 0.0
+    out, _ = ClosedLoopOperator(sys8, nonlinear).generator(pack(pb.zero_state(sys8, nonlinear)))
+    assert np.abs(out).max() == 0.0
 
 
 def test_generator_reduces_to_bare_beam_with_zeroed_feedback(beam, sys8):
@@ -220,75 +202,65 @@ def test_generator_reduces_to_bare_beam_with_zeroed_feedback(beam, sys8):
     rng = np.random.default_rng(4)
     state = white_state(sys8, config, rng)
     state = pb.StateVector(u_dofs=state.u_dofs, v_dofs=state.v_dofs, z1=np.zeros(1), z2=np.zeros(1))
-    tangent = pb.apply_generator(state, sys8, config)
+    out, _ = ClosedLoopOperator(sys8, config).generator(pack(state))
+    n = sys8.n_dof
     expected = -np.linalg.solve(sys8.mass_tip, sys8.stiffness_beam @ state.u_dofs)
-    assert np.allclose(tangent.v_dot, expected, rtol=1e-13, atol=1e-13)
-    assert np.array_equal(tangent.u_dot, state.v_dofs)
+    assert np.allclose(out[n : 2 * n], expected, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(out[:n], state.v_dofs)
 
 
 def test_linear_config_generator_equals_linear_part(sys8, linear):
-    lin1, lin2 = lins_of(linear)
+    op = ClosedLoopOperator(sys8, linear, *lins_of(linear))
     rng = np.random.default_rng(5)
     for _ in range(10):
-        state = white_state(sys8, linear, rng)
-        full = pack_tangent(pb.apply_generator(state, sys8, linear))
-        lin = pack_tangent(pb.apply_linear_part(state, sys8, linear, lin1, lin2))
+        flat = pack(white_state(sys8, linear, rng))
+        full = op.generator(flat)[0]
+        lin = op.linear(flat)[0]
         assert np.allclose(full, lin, rtol=1e-12, atol=1e-12)
 
 
 def test_nonlinear_part_vanishes_for_linear_config(sys8, linear):
-    lin1, lin2 = lins_of(linear)
+    op = ClosedLoopOperator(sys8, linear, *lins_of(linear))
     rng = np.random.default_rng(6)
-    state = white_state(sys8, linear, rng)
-    tangent = pb.apply_nonlinear_part(state, sys8, linear, lin1, lin2)
-    assert np.abs(pack_tangent(tangent)).max() <= 1e-14
+    out, _ = op.nonlinear(pack(white_state(sys8, linear, rng)))
+    assert np.abs(out).max() <= 1e-14
 
 
 def test_split_exactness(sys4, beam):
     config = default_config(beam)
-    lin1, lin2 = lins_of(config)
+    op = ClosedLoopOperator(sys4, config, *lins_of(config))
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
-        state = white_state(sys4, config, rng)
-        full = pack_tangent(pb.apply_generator(state, sys4, config))
-        parts = pack_tangent(
-            add_tangents(
-                pb.apply_linear_part(state, sys4, config, lin1, lin2),
-                pb.apply_nonlinear_part(state, sys4, config, lin1, lin2),
-            )
-        )
+        flat = pack(white_state(sys4, config, rng))
+        full = op.generator(flat)[0]
+        parts = op.linear(flat)[0] + op.nonlinear(flat)[0]
         worst = max(worst, np.linalg.norm(full - parts) / np.linalg.norm(full))
     assert worst <= 1e-14
 
 
 def test_split_exactness_medium_mesh(sys8, nonlinear):
-    lin1, lin2 = lins_of(nonlinear)
+    op = ClosedLoopOperator(sys8, nonlinear, *lins_of(nonlinear))
     rng = np.random.default_rng(8)
     for _ in range(25):
-        state = white_state(sys8, nonlinear, rng)
-        full = pack_tangent(pb.apply_generator(state, sys8, nonlinear))
-        parts = pack_tangent(
-            add_tangents(
-                pb.apply_linear_part(state, sys8, nonlinear, lin1, lin2),
-                pb.apply_nonlinear_part(state, sys8, nonlinear, lin1, lin2),
-            )
-        )
+        flat = pack(white_state(sys8, nonlinear, rng))
+        full = op.generator(flat)[0]
+        parts = op.linear(flat)[0] + op.nonlinear(flat)[0]
         assert np.linalg.norm(full - parts) <= 1e-12 * np.linalg.norm(full)
 
 
 def test_nonlinear_part_interior_load_is_zero(sys8, nonlinear):
-    lin1, lin2 = lins_of(nonlinear)
+    op = ClosedLoopOperator(sys8, nonlinear, *lins_of(nonlinear))
     rng = np.random.default_rng(9)
-    state = white_state(sys8, nonlinear, rng)
-    tangent = pb.apply_nonlinear_part(state, sys8, nonlinear, lin1, lin2)
-    assert np.abs(tangent.u_dot).max() == 0.0
-    interior = np.delete(tangent.v_load, [sys8.tip_value_index, sys8.tip_slope_index])
+    out, load = op.nonlinear(pack(white_state(sys8, nonlinear, rng)))
+    assert np.abs(out[: sys8.n_dof]).max() == 0.0
+    interior = np.delete(load, [sys8.tip_value_index, sys8.tip_slope_index])
     assert np.abs(interior).max() == 0.0
 
 
 def test_dissipation_pairing_identity_and_sign(sys8, linear):
     lin1, lin2 = lins_of(linear)
+    op = ClosedLoopOperator(sys8, linear, lin1, lin2)
     sym1 = 0.5 * (lin1.P @ lin1.A + (lin1.P @ lin1.A).T)
     sym2 = 0.5 * (lin2.P @ lin2.A + (lin2.P @ lin2.A).T)
     d1 = linear.sd_rotational.damper_slope
@@ -296,8 +268,9 @@ def test_dissipation_pairing_identity_and_sign(sys8, linear):
     rng = np.random.default_rng(10)
     for _ in range(100):
         state = smooth_state(sys8, linear, rng)
-        tangent = pb.apply_linear_part(state, sys8, linear, lin1, lin2)
-        lhs = pb.pair_with_state(tangent, state, sys8, linear, lin1, lin2)
+        flat = pack(state)
+        out, load = op.linear(flat)
+        lhs = op.inner(out, flat, load)
         _, _, v_l, vp_l = tip_traces(state, sys8)
         rhs = (
             float(state.z1 @ (sym1 @ state.z1))
@@ -316,7 +289,7 @@ def test_remainder_map_consistent_with_nonlinear_part(sys8, nonlinear):
     state = white_state(sys8, nonlinear, rng)
     flat = pack(state)
     placed = remainder.placement @ remainder.value(remainder.q_of(flat))
-    direct = pack_tangent(pb.apply_nonlinear_part(state, sys8, nonlinear, lin1, lin2))
+    direct = ClosedLoopOperator(sys8, nonlinear, lin1, lin2).nonlinear(flat)[0]
     assert np.allclose(placed, direct, rtol=1e-13, atol=1e-14)
 
 
@@ -341,12 +314,13 @@ def test_remainder_jacobians_agree(sys8, nonlinear):
 
 def test_linear_config_generator_matches_assembled_matrix(sys8, linear):
     lin1, lin2 = lins_of(linear)
-    g = pb.assemble_linear_matrix(sys8, linear, lin1, lin2)
+    g = linear_generator_matrix(sys8, linear, lin1, lin2)
+    op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(14)
     for _ in range(10):
         state = white_state(sys8, linear, rng)
         by_matrix = g @ pack(state)
-        by_operator = pack_tangent(pb.apply_generator(state, sys8, linear))
+        by_operator = op.generator(pack(state))[0]
         assert np.allclose(by_matrix, by_operator, rtol=1e-11, atol=1e-11 * np.abs(by_matrix).max())
 
 
@@ -365,16 +339,12 @@ def test_banded_energy_norm_matches_dense_gram(sys8, beam, make_config):
 
 
 def test_nonlinear_remainder_scales_quadratically(sys8, nonlinear):
-    lin1, lin2 = lins_of(nonlinear)
+    op = ClosedLoopOperator(sys8, nonlinear, *lins_of(nonlinear))
     rng = np.random.default_rng(13)
-    base = white_state(sys8, nonlinear, rng)
+    base = pack(white_state(sys8, nonlinear, rng))
     norms = {}
     for eps in (1e-1, 1e-2, 1e-3):
-        scaled = pb.StateVector(
-            u_dofs=eps * base.u_dofs, v_dofs=eps * base.v_dofs, z1=eps * base.z1, z2=eps * base.z2
-        )
-        tangent = pb.apply_nonlinear_part(scaled, sys8, nonlinear, lin1, lin2)
-        norms[eps] = pb.tangent_qnorm(tangent, sys8, nonlinear, lin1, lin2)
+        norms[eps] = op.qnorm(op.nonlinear(eps * base)[0])
     # cubic-led remainders shrink at least quadratically per decade
     assert norms[1e-2] <= 1e-2 * norms[1e-1]
     assert norms[1e-3] <= 1e-2 * norms[1e-2]

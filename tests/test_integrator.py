@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import passivebeam as pb
-from passivebeam.dynamics import apply_generator, linear_generator_matrix, pack, pack_tangent
+from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, pack, tip_traces
 from passivebeam.errors import (
     DimensionMismatch,
     EmptyTrajectory,
     InsufficientResolution,
+    LinearSolveFailure,
     NewtonDivergence,
     StepRejected,
 )
@@ -24,10 +25,8 @@ def sys6(beam):
     return make_system(beam, 6)
 
 
-def qnorm(state, sys, config):
-    lin1 = pb.linearize_block(config.block_rotational)
-    lin2 = pb.linearize_block(config.block_translational)
-    return float(np.sqrt(pb.state_qnorm2(state, sys, config, lin1, lin2)))
+def qnorm(flat, sys, config):
+    return float(np.sqrt(ClosedLoopOperator(sys, config).inner(flat, flat)))
 
 
 def test_settings_validation():
@@ -52,18 +51,18 @@ def test_settings_reject_t_end_off_the_step_grid():
 def test_zero_state_is_fixed_point(sys6, beam):
     config = default_config(beam)
     zero = pb.zero_state(sys6, config)
-    stepped = pb.step_midpoint(zero, 1e-2, sys6, config)
-    assert np.abs(pack(stepped)).max() == 0.0
+    stepped = MidpointStepper(sys6, config, 1e-2).step_flat(pack(zero), 1e-10, 25)
+    assert np.abs(stepped).max() == 0.0
 
 
 def test_undamped_step_preserves_energy_norm(sys6, beam):
     config = undamped_config(beam)
     stepper = MidpointStepper(sys6, config, 1e-3)
-    y0 = pb.first_mode_initial_state(sys6, config)
+    y0 = pack(pb.first_mode_initial_state(sys6, config))
     state = y0
     n0 = qnorm(y0, sys6, config)
     for _ in range(100):
-        state = stepper.step_with(state, newton_tol=1e-12, newton_max_iter=25)
+        state = stepper.step_flat(state, newton_tol=1e-12, newton_max_iter=25)
         assert qnorm(state, sys6, config) == pytest.approx(n0, rel=1e-11)
 
 
@@ -72,8 +71,8 @@ def test_damped_linear_step_contracts(sys6, beam):
     stepper = MidpointStepper(sys6, config, 1e-3)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        state = white_state(sys6, config, rng)
-        stepped = stepper.step_with(state, newton_tol=1e-12, newton_max_iter=25)
+        state = pack(white_state(sys6, config, rng))
+        stepped = stepper.step_flat(state, newton_tol=1e-12, newton_max_iter=25)
         before = qnorm(state, sys6, config)
         after = qnorm(stepped, sys6, config)
         assert after <= before * (1.0 + 1e-12)
@@ -81,20 +80,11 @@ def test_damped_linear_step_contracts(sys6, beam):
 
 def test_time_reversal_of_undamped_flow(sys6, beam):
     config = undamped_config(beam)
-    y0 = pb.first_mode_initial_state(sys6, config)
+    y0 = pack(pb.first_mode_initial_state(sys6, config))
     tol = 1e-12
-    forward = pb.step_midpoint(y0, 1e-3, sys6, config, newton_tol=tol)
-    back = pb.step_midpoint(forward, -1e-3, sys6, config, newton_tol=tol)
-    drift = qnorm(
-        pb.StateVector(
-            u_dofs=back.u_dofs - y0.u_dofs,
-            v_dofs=back.v_dofs - y0.v_dofs,
-            z1=back.z1 - y0.z1,
-            z2=back.z2 - y0.z2,
-        ),
-        sys6,
-        config,
-    )
+    forward = MidpointStepper(sys6, config, 1e-3).step_flat(y0, tol, 25)
+    back = MidpointStepper(sys6, config, -1e-3).step_flat(forward, tol, 25)
+    drift = qnorm(back - y0, sys6, config)
     assert drift <= 10.0 * tol * (1.0 + qnorm(y0, sys6, config))
 
 
@@ -103,14 +93,14 @@ def test_newton_divergence_reported(sys6, beam):
     rng = np.random.default_rng(1)
     state = white_state(sys6, config, rng, scale=5.0)
     with pytest.raises(NewtonDivergence):
-        pb.step_midpoint(state, 1e-3, sys6, config, newton_max_iter=1)
+        MidpointStepper(sys6, config, 1e-3).step_flat(pack(state), 1e-10, 1)
 
 
 def test_cap_hit_while_falling_advises_smaller_step(sys6, beam):
     config = default_config(beam)
     state = white_state(sys6, config, np.random.default_rng(1), scale=5.0)
     with pytest.raises(NewtonDivergence, match="still falling.*halve dt"):
-        pb.step_midpoint(state, 1e-3, sys6, config, newton_max_iter=3)
+        MidpointStepper(sys6, config, 1e-3).step_flat(pack(state), 1e-10, 3)
 
 
 def test_roundoff_stagnation_is_reported_as_such(beam):
@@ -169,16 +159,6 @@ def test_schur_solve_inverts_midpoint_matrix(beam, n_elements, dt):
     assert stepper.qnorm(defect) <= 1e-12 * stepper.qnorm(r)
 
 
-def test_stepper_rhs_matches_apply_generator(beam):
-    sys_n = make_system(beam, 64)
-    config = default_config(beam)
-    stepper = MidpointStepper(sys_n, config, 1e-3)
-    state = white_state(sys_n, config, np.random.default_rng(4))
-    expected = pack_tangent(apply_generator(state, sys_n, config))
-    got = stepper.rhs(pack(state))
-    assert stepper.qnorm(got - expected) <= 1e-14 * stepper.qnorm(expected)
-
-
 def test_stepper_rejects_non_banded_system(sys6, beam):
     dense = dataclasses.replace(sys6, stiffness_beam=np.ones_like(sys6.stiffness_beam))
     with pytest.raises(DimensionMismatch):
@@ -195,11 +175,47 @@ def test_fine_mesh_steps_at_default_tolerance(beam, n_elements):
     assert not traj.h_flagged
 
 
-def test_step_rejected_with_budget(sys6, beam):
+def test_simulate_rejects_a_step_over_the_energy_budget(beam):
+    # stiff cubic springs without dampers: midpoint conserves only quadratic
+    # energy, so H rises by 2.01e-8 over the step to t = 0.356 (budget 1.11e-8)
+    sys16 = make_system(beam, 16)
+    sd = lambda: pb.SpringDamperLaw(
+        damper=pb.make_law("zero"), spring=pb.make_law("cubic", slope=1.0, cubic=5.0)
+    )
+    config = pb.ClosedLoopConfig(
+        beam=beam,
+        sd_rotational=sd(),
+        sd_translational=sd(),
+        block_rotational=pb.make_block("linear", gain=0.0),
+        block_translational=pb.make_block("linear", gain=0.0),
+    )
+    y0 = pb.first_mode_initial_state(sys16, config, tip_fraction=0.5)
+    settings = pb.IntegratorSettings(dt=4e-3, t_end=0.4, record_every=1)
+    budget = pb.ENERGY_INCREASE_ETA * pb.eval_H(y0, sys16, config).total
+    with pytest.raises(StepRejected, match="at t=0.356") as info:
+        pb.simulate(y0, settings, sys16, config, raise_on_energy_increase=True)
+    assert info.value.time == pytest.approx(0.356, rel=1e-12)
+    assert budget < info.value.increase < 2.0 * budget
+    traj = pb.simulate(y0, settings, sys16, config)
+    assert traj.h_flagged
+    assert traj.h_increase_max > budget
+
+
+def test_simulate_failures_carry_the_failing_time(sys6, beam, monkeypatch):
     config = default_config(beam)
-    y0 = pb.first_mode_initial_state(sys6, config)
-    with pytest.raises(StepRejected):
-        pb.step_midpoint(y0, 1e-3, sys6, config, h_budget=-1.0)
+    state = white_state(sys6, config, np.random.default_rng(1), scale=5.0)
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=2e-3, newton_max_iter=1)
+    with pytest.raises(NewtonDivergence) as info:
+        pb.simulate(state, settings, sys6, config)
+    assert info.value.time == 1e-3
+
+    def failing_step(self, y, newton_tol, newton_max_iter):
+        raise LinearSolveFailure("midpoint velocity solve failed")
+
+    monkeypatch.setattr(MidpointStepper, "step_flat", failing_step)
+    with pytest.raises(LinearSolveFailure, match="step to t=0.001 failed") as info:
+        pb.simulate(state, settings, sys6, config)
+    assert info.value.time == 1e-3
 
 
 def test_simulate_zero_initial_state(sys6, beam):
@@ -228,7 +244,7 @@ def test_simulate_records_state_energy_norms(sys6, beam):
     config = default_config(beam)
     settings = pb.IntegratorSettings(dt=1e-3, t_end=0.05, record_every=10)
     traj = pb.simulate(pb.first_mode_initial_state(sys6, config), settings, sys6, config)
-    expected = [qnorm(state, sys6, config) for state in traj.states]
+    expected = [qnorm(pack(state), sys6, config) for state in traj.states]
     assert np.allclose(traj.state_norms, expected, rtol=1e-12, atol=0.0)
 
 
@@ -247,7 +263,10 @@ def test_simulate_energy_monotone_and_rates_negative(sys6, beam):
                 [
                     state.z1,
                     state.z2,
-                    [state.xi(sys6), state.psi(sys6)],
+                    [
+                        beam.tip_inertia * state.v_dofs[sys6.tip_slope_index],
+                        beam.tip_mass * state.v_dofs[sys6.tip_value_index],
+                    ],
                 ]
             )
         )
@@ -295,8 +314,13 @@ def test_initial_states_scaled_to_tip_deflection(sys6, beam):
 
 
 def test_tip_momentum_accessors(sys6, beam):
+    # the tip momenta xi = J v'(L), psi = M v(L) are read off the tip DOFs
     config = default_config(beam)
     rng = np.random.default_rng(2)
     state = white_state(sys6, config, rng)
-    assert state.xi(sys6) == beam.tip_inertia * state.v_dofs[sys6.tip_slope_index]
-    assert state.psi(sys6) == beam.tip_mass * state.v_dofs[sys6.tip_value_index]
+    _, _, v_l, vp_l = tip_traces(state, sys6)
+    assert vp_l == state.v_dofs[sys6.tip_slope_index]
+    assert v_l == state.v_dofs[sys6.tip_value_index]
+    xi, psi = beam.tip_inertia * vp_l, beam.tip_mass * v_l
+    tip = xi**2 / (2.0 * beam.tip_inertia) + psi**2 / (2.0 * beam.tip_mass)
+    assert pb.eval_H(state, sys6, config).tip_kinetic == tip
