@@ -169,21 +169,20 @@ def decay_metrics(traj) -> DecayReport:
     )
 
 
-def beam_frequencies(sys: DiscreteSystem, count: int = 5, include_tip_mass: bool = False) -> np.ndarray:
+def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
     """Angular frequencies of the bare beam from the generalized eigenproblem
     of the (rigidity-weighted) stiffness against the (rho-weighted) mass.
 
     For the clamped beam the pencil is inverted (mass against stiffness), so
     the lowest frequencies come from the best-conditioned end of the spectrum.
     """
-    mass = sys.mass_tip if include_tip_mass else sys.mass_beam
     try:
         if sys.clamped:
-            mu = scipy.linalg.eigh(mass, sys.stiffness_beam, eigvals_only=True)
+            mu = scipy.linalg.eigh(sys.mass_beam, sys.stiffness_beam, eigvals_only=True)
             omega2 = 1.0 / np.clip(mu[::-1], 1e-300, None)
         else:
             omega2 = np.clip(
-                scipy.linalg.eigh(sys.stiffness_beam, mass, eigvals_only=True), 0.0, None
+                scipy.linalg.eigh(sys.stiffness_beam, sys.mass_beam, eigvals_only=True), 0.0, None
             )
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverFailure(f"generalized eigensolve failed: {exc}") from exc

@@ -59,10 +59,9 @@ _POTENTIAL_CHECK_INTERVALS = 256
 
 @dataclass(frozen=True)
 class ScalarLaw:
-    """A scalar map with its first two derivatives and, optionally, its
-    antiderivative.
+    """A scalar map with its derivative and, optionally, its antiderivative.
 
-    ``eval``, ``deriv``, ``deriv2`` and ``potential`` must be pure and accept
+    ``eval``, ``deriv`` and ``potential`` must be pure and accept
     numpy arrays elementwise. ``deriv`` is validated against a centered
     difference of ``eval`` on a small sample grid at construction.
     ``potential``, the integral of ``eval`` from 0 to s, must vanish at 0
@@ -72,7 +71,6 @@ class ScalarLaw:
 
     eval: Callable
     deriv: Callable
-    deriv2: Callable
     potential: Callable | None = None
 
     def __post_init__(self):
@@ -195,7 +193,6 @@ class PassiveBlock:
     drift_jac: Callable
     input_jac: Callable
     output_grad: Callable
-    output_hess: Callable
 
     def __post_init__(self):
         if self.dim < 1:
@@ -241,7 +238,6 @@ class PassiveBlock:
         check_jac(self.input_gain, self.input_jac, "input_jac", self.dim)
         check_jac(lambda z: np.atleast_1d(self.output(z)), lambda z: np.atleast_2d(self.output_grad(z)), "output_grad", 1)
         check_jac(lambda z: np.atleast_1d(self.storage(z)), lambda z: np.atleast_2d(self.storage_grad(z)), "storage_grad", 1)
-        check_jac(self.output_grad, self.output_hess, "output_hess", self.dim)
 
 
 @dataclass(frozen=True)
@@ -320,7 +316,6 @@ def _make_linear_law(slope: float = 1.0) -> ScalarLaw:
     return ScalarLaw(
         eval=lambda s: slope * s,
         deriv=lambda s: slope * np.ones_like(np.asarray(s, dtype=float)),
-        deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         potential=lambda s: 0.5 * slope * np.square(s),
     )
 
@@ -333,7 +328,6 @@ def _make_cubic_law(slope: float = 1.0, cubic: float = 1.0) -> ScalarLaw:
     return ScalarLaw(
         eval=lambda s: slope * s + cubic * s**3,
         deriv=lambda s: slope + 3.0 * cubic * s**2,
-        deriv2=lambda s: 6.0 * cubic * s,
         potential=potential,
     )
 
@@ -342,10 +336,6 @@ _LOG2 = float(np.log(2.0))
 
 
 def _make_tanh_law(gain: float = 2.0) -> ScalarLaw:
-    def d2(s):
-        t = np.tanh(gain * s)
-        return -2.0 * gain**2 * t * (1.0 - t**2)
-
     def potential(s):
         # log cosh(x) / gain, x = gain s: log1p(2 sinh^2(x/2)) keeps full
         # relative accuracy for |x| <= 1, |x| + log1p(e^{-2|x|}) - log 2 cannot
@@ -358,7 +348,6 @@ def _make_tanh_law(gain: float = 2.0) -> ScalarLaw:
     return ScalarLaw(
         eval=lambda s: np.tanh(gain * s),
         deriv=lambda s: gain * (1.0 - np.tanh(gain * s) ** 2),
-        deriv2=d2,
         potential=potential,
     )
 
@@ -367,7 +356,6 @@ def _make_zero_law() -> ScalarLaw:
     return ScalarLaw(
         eval=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         deriv=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         potential=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
 
@@ -418,7 +406,6 @@ def _make_linear_block(dim: int = 1, rate: float = 1.0, gain: float = 1.0) -> Pa
         drift_jac=lambda z: -rate * np.eye(dim),
         input_jac=lambda z: np.zeros((dim, dim)),
         output_grad=lambda z: B.copy(),
-        output_hess=lambda z: np.zeros((dim, dim)),
     )
 
 
@@ -449,7 +436,6 @@ def _make_cubic_drift_block(strength: float = 1.0) -> PassiveBlock:
         drift_jac=drift_jac,
         input_jac=lambda z: np.zeros((2, 2)),
         output_grad=lambda z: B.copy(),
-        output_hess=lambda z: np.zeros((2, 2)),
     )
 
 
@@ -465,12 +451,6 @@ def _make_saturating_block() -> PassiveBlock:
     def sech2(z):
         return 1.0 - np.tanh(z) ** 2
 
-    def output_hess(z):
-        z = np.asarray(z, dtype=float)
-        H = np.zeros((2, 2))
-        H[1, 1] = -2.0 * sech2(z[1]) * np.tanh(z[1])
-        return H
-
     return PassiveBlock(
         dim=2,
         drift=lambda z: np.tanh(np.asarray(z, dtype=float)) @ A_T,
@@ -481,7 +461,6 @@ def _make_saturating_block() -> PassiveBlock:
         drift_jac=lambda z: A @ np.diag(sech2(np.asarray(z, dtype=float))),
         input_jac=lambda z: np.zeros((2, 2)),
         output_grad=lambda z: np.array([0.0, sech2(np.asarray(z, dtype=float)[1])]),
-        output_hess=output_hess,
     )
 
 
@@ -497,7 +476,6 @@ def _make_anti_stable_block() -> PassiveBlock:
         drift_jac=lambda z: np.eye(1),
         input_jac=lambda z: np.zeros((1, 1)),
         output_grad=lambda z: np.ones(1),
-        output_hess=lambda z: np.zeros((1, 1)),
     )
 
 

@@ -23,7 +23,6 @@ from .beam_model import (
     BeamParams,
     ClosedLoopConfig,
     SpringDamperLaw,
-    linearize_block,
     make_block,
     make_law,
 )
@@ -316,10 +315,8 @@ def _mode_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     if not _certify(cfg, writer, loop):
         return 2
     sys_d = cfg.system()
-    lin1 = linearize_block(loop.block_rotational)
-    lin2 = linearize_block(loop.block_translational)
-    g = dynamics.linear_generator_matrix(sys_d, loop, lin1, lin2)
-    q = discretization.assemble_gram(sys_d, loop, lin1, lin2)
+    g = dynamics.linear_generator_matrix(sys_d, loop)
+    q = discretization.assemble_gram(sys_d, loop)
     report = analysis.spectrum(g, q)
     writer.write_csv("spectrum.csv", ("re", "im"), report.csv_rows())
     writer.summary(cfg.mode, cfg.seed, 0, report.as_dict())

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 
-from .beam_model import BeamParams, BlockLinearization, ClosedLoopConfig
+from .beam_model import BeamParams, ClosedLoopConfig, linearize_block
 from .errors import DimensionMismatch, InvalidElementCount, NotPositiveDefinite
 
 
@@ -192,12 +192,7 @@ def displacement_gram(sys: DiscreteSystem, k1: float, k2: float) -> np.ndarray:
     return q
 
 
-def assemble_gram(
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> np.ndarray:
+def assemble_gram(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
     """Block-diagonal energy Gram matrix over (u, v, z1, z2).
 
     The displacement block carries the curvature Gram plus the spring slopes
@@ -217,7 +212,8 @@ def assemble_gram(
             raise NotPositiveDefinite(
                 "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
             ) from exc
-    return scipy.linalg.block_diag(q_u, sys.mass_tip, lin1.P, lin2.P)
+    storage = (linearize_block(block).P for block in (config.block_rotational, config.block_translational))
+    return scipy.linalg.block_diag(q_u, sys.mass_tip, *storage)
 
 
 def interpolate(sys: DiscreteSystem, values, slopes) -> np.ndarray:

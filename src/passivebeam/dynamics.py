@@ -21,7 +21,16 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .beam_model import BlockLinearization, ClosedLoopConfig, ScalarLaw, _batch, _simpson, linearize_block
+from .beam_model import (
+    BlockLinearization,
+    ClosedLoopConfig,
+    PassiveBlock,
+    ScalarLaw,
+    SpringDamperLaw,
+    _batch,
+    _simpson,
+    linearize_block,
+)
 from .discretization import _BANDWIDTH, DiscreteSystem, _upper_band, displacement_gram, solve_mass_tip
 from .errors import DimensionMismatch, LinearSolveFailure, QuadratureFailure
 
@@ -229,29 +238,76 @@ def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     return scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, x)
 
 
+@dataclass(frozen=True, slots=True)
+class _Channel:
+    """One feedback channel: a spring-damper law and a passive block acting
+    on one tip DOF, with the block's linearization.
+
+    Channel 0 (rotational) acts on the tip slope, channel 1 (translational)
+    on the tip deflection. In the remainder coordinates q[index] is the
+    channel's displacement trace, q[2 + index] its velocity trace and
+    F[index] its remainder tip load.
+    """
+
+    index: int
+    sd: SpringDamperLaw
+    block: PassiveBlock
+    lin: BlockLinearization
+    tip: int  # tip DOF of the beam
+    z: slice  # block state in the packed state
+    zq: slice  # block state in q
+    zf: slice  # block drift in F
+
+    def load_and_rate(self, u_l, v_l, z):
+        """Tip load and block rate of the full laws."""
+        blk, sd = self.block, self.sd
+        load = float(blk.output(z)) + float(sd.damper.eval(v_l)) + float(sd.spring.eval(u_l))
+        return load, np.asarray(blk.drift(z)) + np.asarray(blk.input_gain(z)) * v_l
+
+    def linear_load_and_rate(self, u_l, v_l, z):
+        """Tip load and block rate of the laws' and block's origin slopes."""
+        lin, sd = self.lin, self.sd
+        load = float(lin.C @ z) + sd.damper_slope * v_l + sd.spring_slope * u_l
+        return load, lin.A @ z + lin.B * v_l
+
+
+def _channels(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[_Channel, ...]:
+    """The rotational and translational channels of (sys, config), each with
+    its block linearized at the origin."""
+    n = sys.n_dof
+    channels, offset = [], 0
+    for index, (sd, block, tip) in enumerate((
+        (config.sd_rotational, config.block_rotational, sys.tip_slope_index),
+        (config.sd_translational, config.block_translational, sys.tip_value_index),
+    )):
+        end = offset + block.dim
+        channels.append(_Channel(
+            index, sd, block, linearize_block(block), tip,
+            z=slice(2 * n + offset, 2 * n + end), zq=slice(4 + offset, 4 + end), zf=slice(2 + offset, 2 + end),
+        ))
+        offset = end
+    return tuple(channels)
+
+
 class ClosedLoopOperator:
     """The closed-loop generator, its linear/nonlinear split and the energy
     inner product, on packed states (u, v, z1, z2).
 
-    Built once per (system, config, lin1, lin2), the linearizations defaulting
-    to those of the config's blocks; it does not depend on a time step. The
-    beam matrices are held in symmetric-band storage and the tip mass as its
-    banded Cholesky factor, so every operation costs O(n). The full generator
-    and its linear part fill one skeleton (stiff load, tip loads, tip-mass
-    solve, block rows); the remainder is ``RemainderMap.value`` placed by
+    Built once per (system, config), with the linearizations of the config's
+    blocks; it does not depend on a time step. The beam matrices are held in
+    symmetric-band storage and the tip mass as its banded Cholesky factor, so
+    every operation costs O(n). The full generator and its linear part fill
+    one skeleton (stiff load, per-channel tip loads and block rows, tip-mass
+    solve); the remainder is ``RemainderMap.value`` placed by
     ``RemainderMap.placement``. Each generator method returns the packed
     tangent and the load of its velocity equation (mass_tip @ v_dot), so
     ``inner(out, y, load)`` pairs a tangent with y without the mass product.
     """
 
-    def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig,
-                 lin1: BlockLinearization | None = None, lin2: BlockLinearization | None = None):
-        self.config = config
-        self.lin1 = lin1 if lin1 is not None else linearize_block(config.block_rotational)
-        self.lin2 = lin2 if lin2 is not None else linearize_block(config.block_translational)
-        self.remainder = RemainderMap(sys, config, self.lin1, self.lin2)
-        self.n, self.n1 = sys.n_dof, config.block_rotational.dim
-        self.iv, self.isl = sys.tip_value_index, sys.tip_slope_index
+    def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
+        self.remainder = RemainderMap(sys, config)
+        self.channels = self.remainder.channels
+        self.n = sys.n_dof
         self.stiff_band = _upper_band(sys.stiffness_beam)
         self.mass_band = _upper_band(sys.mass_tip)
         self.gram_band = _upper_band(displacement_gram(
@@ -260,46 +316,36 @@ class ClosedLoopOperator:
         if info != 0:
             raise LinearSolveFailure("tip mass matrix could not be factored")
 
-    def _fill(self, flat, torque, force, z1_dot, z2_dot, stiff_load=None):
-        """The one generator skeleton: stiff and tip loads, tip-mass solve, block rows."""
-        n, n1 = self.n, self.n1
+    def _fill(self, flat, stiff_load, terms):
+        """The one generator skeleton: the stiff load, each channel's tip load
+        and block rows from ``terms(channel, u_l, v_l, z)``, the tip-mass solve."""
+        n = self.n
+        q = self.remainder.q_of(flat)
         load = _band_mv(self.stiff_band, flat[:n], -1.0) if stiff_load is None else -stiff_load
-        load[self.isl] -= torque
-        load[self.iv] -= force
         out = np.empty_like(flat)
         out[:n] = flat[n : 2 * n]
+        for ch in self.channels:
+            tip_load, out[ch.z] = terms(ch, q[ch.index], q[2 + ch.index], q[ch.zq])
+            load[ch.tip] -= tip_load
         out[n : 2 * n] = scipy.linalg.lapack.dpbtrs(self._mass_chol, load)[0]
-        out[2 * n : 2 * n + n1] = z1_dot
-        out[2 * n + n1 :] = z2_dot
         return out, load
 
     def generator(self, flat: np.ndarray, stiff_load: np.ndarray | None = None):
         """Full nonlinear generator. ``stiff_load``, when given, stands in for
         stiffness_beam @ u."""
-        up_l, u_l, vp_l, v_l, z1, z2 = self.remainder.split_q(self.remainder.q_of(flat))
-        blk1, blk2 = self.config.block_rotational, self.config.block_translational
-        sd1, sd2 = self.config.sd_rotational, self.config.sd_translational
-        torque = float(blk1.output(z1)) + float(sd1.damper.eval(vp_l)) + float(sd1.spring.eval(up_l))
-        force = float(blk2.output(z2)) + float(sd2.damper.eval(v_l)) + float(sd2.spring.eval(u_l))
-        z1_dot = np.asarray(blk1.drift(z1)) + np.asarray(blk1.input_gain(z1)) * vp_l
-        z2_dot = np.asarray(blk2.drift(z2)) + np.asarray(blk2.input_gain(z2)) * v_l
-        return self._fill(flat, torque, force, z1_dot, z2_dot, stiff_load)
+        return self._fill(flat, stiff_load, _Channel.load_and_rate)
 
     def linear(self, flat: np.ndarray):
         """Linearized generator: laws and blocks replaced by their origin slopes."""
-        up_l, u_l, vp_l, v_l, z1, z2 = self.remainder.split_q(self.remainder.q_of(flat))
-        lin1, lin2 = self.lin1, self.lin2
-        sd1, sd2 = self.config.sd_rotational, self.config.sd_translational
-        torque = float(lin1.C @ z1) + sd1.damper_slope * vp_l + sd1.spring_slope * up_l
-        force = float(lin2.C @ z2) + sd2.damper_slope * v_l + sd2.spring_slope * u_l
-        return self._fill(flat, torque, force, lin1.A @ z1 + lin1.B * vp_l, lin2.A @ z2 + lin2.B * v_l)
+        return self._fill(flat, None, _Channel.linear_load_and_rate)
 
     def nonlinear(self, flat: np.ndarray):
         """Remainder part of the generator; its load is zero off the tip DOFs."""
         rem = self.remainder
         f = rem.value(rem.q_of(flat))
         load = np.zeros(self.n)
-        load[self.isl], load[self.iv] = f[0], f[1]
+        for ch in self.channels:
+            load[ch.tip] = f[ch.index]
         return rem.placement @ f, load
 
     def inner(self, a: np.ndarray, b: np.ndarray, a_load: np.ndarray | None = None) -> float:
@@ -307,14 +353,15 @@ class ClosedLoopOperator:
         tip mass, storage Hessians P1, P2. With ``a_load`` (mass_tip @ a_v)
         the velocity term is a_load . b_v, without re-applying the mass."""
         n = self.n
-        m = 2 * n + self.n1  # z2 starts here
         val = float(a[:n] @ _band_mv(self.gram_band, b[:n]))
         if a_load is None:
             val += float(a[n : 2 * n] @ _band_mv(self.mass_band, b[n : 2 * n]))
         else:
             val += float(a_load @ b[n : 2 * n])
-        val += float(a[2 * n : m] @ (self.lin1.P @ b[2 * n : m])) + float(a[m:] @ (self.lin2.P @ b[m:]))
-        return val
+        storage = 0.0
+        for ch in self.channels:
+            storage += float(a[ch.z] @ (ch.lin.P @ b[ch.z]))
+        return val + storage
 
     def qnorm(self, flat: np.ndarray) -> float:
         """Energy norm of a packed vector."""
@@ -336,175 +383,83 @@ class RemainderMap:
     block rows directly.
     """
 
-    def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig,
-                 lin1: BlockLinearization, lin2: BlockLinearization):
-        self.config = config
-        self.lin1 = lin1
-        self.lin2 = lin2
+    def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
+        self.channels = _channels(sys, config)
         n = sys.n_dof
-        n1 = config.block_rotational.dim
-        n2 = config.block_translational.dim
-        self.n1, self.n2 = n1, n2
-        self.m = 4 + n1 + n2
-        self.p = 2 + n1 + n2
-        total = 2 * n + n1 + n2
+        total = self.channels[-1].z.stop
+        self.m = total - 2 * n + 4
+        self.p = total - 2 * n + 2
         # flat indices of q inside the packed state
-        self.q_indices = np.concatenate(
-            [
-                [sys.tip_slope_index, sys.tip_value_index,
-                 n + sys.tip_slope_index, n + sys.tip_value_index],
-                np.arange(2 * n, 2 * n + n1),
-                np.arange(2 * n + n1, total),
-            ]
-        ).astype(int)
+        tips = [ch.tip for ch in self.channels]
+        self.q_indices = np.concatenate([tips, np.add(tips, n), np.arange(2 * n, total)]).astype(int)
         placement = np.zeros((total, self.p))
         placement[n : 2 * n, :2] = solve_mass_tip(sys, sys.tip_unit_columns())
-        placement[2 * n : 2 * n + n1, 2 : 2 + n1] = np.eye(n1)
-        placement[2 * n + n1 :, 2 + n1 :] = np.eye(n2)
+        placement[2 * n :, 2:] = np.eye(self.p - 2)
         self.placement = placement
-
-    def split_q(self, q: np.ndarray):
-        up_l, u_l, vp_l, v_l = q[0], q[1], q[2], q[3]
-        z1 = q[4 : 4 + self.n1]
-        z2 = q[4 + self.n1 :]
-        return up_l, u_l, vp_l, v_l, z1, z2
 
     def value(self, q: np.ndarray) -> np.ndarray:
         """F(q): remainder tip loads followed by remainder block drifts."""
-        up_l, u_l, vp_l, v_l, z1, z2 = self.split_q(q)
-        c = self.config
-        blk1, blk2 = c.block_rotational, c.block_translational
-        sd1, sd2 = c.sd_rotational, c.sd_translational
-        g_s = -(
-            (float(blk1.output(z1)) - float(self.lin1.C @ z1))
-            + (float(sd1.damper.eval(vp_l)) - sd1.damper_slope * vp_l)
-            + (float(sd1.spring.eval(up_l)) - sd1.spring_slope * up_l)
-        )
-        g_v = -(
-            (float(blk2.output(z2)) - float(self.lin2.C @ z2))
-            + (float(sd2.damper.eval(v_l)) - sd2.damper_slope * v_l)
-            + (float(sd2.spring.eval(u_l)) - sd2.spring_slope * u_l)
-        )
-        h1 = (np.asarray(blk1.drift(z1)) - self.lin1.A @ z1) + (
-            np.asarray(blk1.input_gain(z1)) - self.lin1.B
-        ) * vp_l
-        h2 = (np.asarray(blk2.drift(z2)) - self.lin2.A @ z2) + (
-            np.asarray(blk2.input_gain(z2)) - self.lin2.B
-        ) * v_l
-        return np.concatenate([[g_s], [g_v], h1, h2])
+        f = np.empty(self.p)
+        for ch in self.channels:
+            u_l, v_l, z = q[ch.index], q[2 + ch.index], q[ch.zq]
+            blk, sd, lin = ch.block, ch.sd, ch.lin
+            f[ch.index] = -(
+                (float(blk.output(z)) - float(lin.C @ z))
+                + (float(sd.damper.eval(v_l)) - sd.damper_slope * v_l)
+                + (float(sd.spring.eval(u_l)) - sd.spring_slope * u_l)
+            )
+            f[ch.zf] = (np.asarray(blk.drift(z)) - lin.A @ z) + (np.asarray(blk.input_gain(z)) - lin.B) * v_l
+        return f
 
     def jacobian_fd(self, q: np.ndarray, scale: float) -> np.ndarray:
-        """Forward-difference Jacobian of F with step 1e-7 * (1 + scale).
-
-        Exploits the separable structure: each output piece depends on one
-        trace or one block state, so only the coupled pieces are re-evaluated
-        (the omitted differences vanish identically).
-        """
+        """Forward-difference Jacobian of F, column by column, with step
+        1e-7 * (1 + scale)."""
         h = 1e-7 * (1.0 + scale)
-        up_l, u_l, vp_l, v_l, z1, z2 = self.split_q(q)
-        c = self.config
-        blk1, blk2 = c.block_rotational, c.block_translational
-        sd1, sd2 = c.sd_rotational, c.sd_translational
-        n1, n2 = self.n1, self.n2
-        jac = np.zeros((self.p, self.m))
-
-        def law_fd(law: ScalarLaw, slope: float, s: float) -> float:
-            return (float(law.eval(s + h)) - float(law.eval(s))) / h - slope
-
-        # trace columns: spring/damper remainders and the input-gain remainder
-        jac[0, 0] = -law_fd(sd1.spring, sd1.spring_slope, up_l)
-        jac[0, 2] = -law_fd(sd1.damper, sd1.damper_slope, vp_l)
-        jac[1, 1] = -law_fd(sd2.spring, sd2.spring_slope, u_l)
-        jac[1, 3] = -law_fd(sd2.damper, sd2.damper_slope, v_l)
-        jac[2 : 2 + n1, 2] = np.asarray(blk1.input_gain(z1)) - self.lin1.B
-        jac[2 + n1 :, 3] = np.asarray(blk2.input_gain(z2)) - self.lin2.B
-
-        # rotational block columns
-        out0 = float(blk1.output(z1))
-        drift0 = np.asarray(blk1.drift(z1))
-        gain0 = np.asarray(blk1.input_gain(z1))
-        for j in range(n1):
-            zj = z1.copy()
-            zj[j] += h
-            jac[0, 4 + j] = -((float(blk1.output(zj)) - out0) / h - self.lin1.C[j])
-            jac[2 : 2 + n1, 4 + j] = (
-                (np.asarray(blk1.drift(zj)) - drift0) / h - self.lin1.A[:, j]
-                + vp_l * (np.asarray(blk1.input_gain(zj)) - gain0) / h
-            )
-        # translational block columns
-        out0 = float(blk2.output(z2))
-        drift0 = np.asarray(blk2.drift(z2))
-        gain0 = np.asarray(blk2.input_gain(z2))
-        for j in range(n2):
-            zj = z2.copy()
-            zj[j] += h
-            jac[1, 4 + n1 + j] = -((float(blk2.output(zj)) - out0) / h - self.lin2.C[j])
-            jac[2 + n1 :, 4 + n1 + j] = (
-                (np.asarray(blk2.drift(zj)) - drift0) / h - self.lin2.A[:, j]
-                + v_l * (np.asarray(blk2.input_gain(zj)) - gain0) / h
-            )
+        base = self.value(q)
+        jac = np.empty((self.p, self.m))
+        for j in range(self.m):
+            qj = q.copy()
+            qj[j] += h
+            jac[:, j] = (self.value(qj) - base) / h
         return jac
 
     def jacobian_analytic(self, q: np.ndarray) -> np.ndarray:
         """Exact Jacobian of F from the supplied law and block derivatives."""
-        up_l, u_l, vp_l, v_l, z1, z2 = self.split_q(q)
-        c = self.config
-        blk1, blk2 = c.block_rotational, c.block_translational
-        sd1, sd2 = c.sd_rotational, c.sd_translational
-        n1, n2 = self.n1, self.n2
         jac = np.zeros((self.p, self.m))
-        # g_s row
-        jac[0, 0] = -(float(sd1.spring.deriv(up_l)) - sd1.spring_slope)
-        jac[0, 2] = -(float(sd1.damper.deriv(vp_l)) - sd1.damper_slope)
-        jac[0, 4 : 4 + n1] = -(np.asarray(blk1.output_grad(z1)) - self.lin1.C)
-        # g_v row
-        jac[1, 1] = -(float(sd2.spring.deriv(u_l)) - sd2.spring_slope)
-        jac[1, 3] = -(float(sd2.damper.deriv(v_l)) - sd2.damper_slope)
-        jac[1, 4 + n1 :] = -(np.asarray(blk2.output_grad(z2)) - self.lin2.C)
-        # h1 rows
-        jac[2 : 2 + n1, 2] = np.asarray(blk1.input_gain(z1)) - self.lin1.B
-        jac[2 : 2 + n1, 4 : 4 + n1] = (
-            np.asarray(blk1.drift_jac(z1)) - self.lin1.A
-        ) + vp_l * np.asarray(blk1.input_jac(z1))
-        # h2 rows
-        jac[2 + n1 :, 3] = np.asarray(blk2.input_gain(z2)) - self.lin2.B
-        jac[2 + n1 :, 4 + n1 :] = (
-            np.asarray(blk2.drift_jac(z2)) - self.lin2.A
-        ) + v_l * np.asarray(blk2.input_jac(z2))
+        for ch in self.channels:
+            i, zq, zf = ch.index, ch.zq, ch.zf
+            u_l, v_l, z = q[i], q[2 + i], q[zq]
+            blk, sd, lin = ch.block, ch.sd, ch.lin
+            # tip load row
+            jac[i, i] = -(float(sd.spring.deriv(u_l)) - sd.spring_slope)
+            jac[i, 2 + i] = -(float(sd.damper.deriv(v_l)) - sd.damper_slope)
+            jac[i, zq] = -(np.asarray(blk.output_grad(z)) - lin.C)
+            # block rows
+            jac[zf, 2 + i] = np.asarray(blk.input_gain(z)) - lin.B
+            jac[zf, zq] = (np.asarray(blk.drift_jac(z)) - lin.A) + v_l * np.asarray(blk.input_jac(z))
         return jac
 
     def q_of(self, flat_state: np.ndarray) -> np.ndarray:
         return flat_state[self.q_indices]
 
 
-def linear_generator_matrix(
-    sys: DiscreteSystem,
-    config: ClosedLoopConfig,
-    lin1: BlockLinearization,
-    lin2: BlockLinearization,
-) -> np.ndarray:
+def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
     """Dense matrix G with G @ y = ClosedLoopOperator.linear(y)[0]."""
     n = sys.n_dof
-    n1, n2 = lin1.A.shape[0], lin2.A.shape[0]
-    total = 2 * n + n1 + n2
-    iv, isl = sys.tip_value_index, sys.tip_slope_index
-    d1 = config.sd_rotational.damper_slope
-    d2 = config.sd_translational.damper_slope
+    channels = _channels(sys, config)
+    total = channels[-1].z.stop
     k1 = config.sd_rotational.spring_slope
     k2 = config.sd_translational.spring_slope
     # mass_tip^-1 applied to the displacement Gram and the two tip columns
     sol = solve_mass_tip(sys, np.hstack([displacement_gram(sys, k1, k2), sys.tip_unit_columns()]))
-    col_s, col_v = sol[:, n], sol[:, n + 1]
 
     g = np.zeros((total, total))
     g[:n, n : 2 * n] = np.eye(n)
     g[n : 2 * n, :n] = -sol[:, :n]
-    g[n : 2 * n, n + isl] -= d1 * col_s
-    g[n : 2 * n, n + iv] -= d2 * col_v
-    g[n : 2 * n, 2 * n : 2 * n + n1] = -np.outer(col_s, lin1.C)
-    g[n : 2 * n, 2 * n + n1 :] = -np.outer(col_v, lin2.C)
-    g[2 * n : 2 * n + n1, n + isl] = lin1.B
-    g[2 * n : 2 * n + n1, 2 * n : 2 * n + n1] = lin1.A
-    g[2 * n + n1 :, n + iv] = lin2.B
-    g[2 * n + n1 :, 2 * n + n1 :] = lin2.A
+    for ch in channels:
+        col = sol[:, n + ch.index]
+        g[n : 2 * n, n + ch.tip] -= ch.sd.damper_slope * col
+        g[n : 2 * n, ch.z] = -np.outer(col, ch.lin.C)
+        g[ch.z, n + ch.tip] = ch.lin.B
+        g[ch.z, ch.z] = ch.lin.A
     return g

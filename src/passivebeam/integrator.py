@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .beam_model import ClosedLoopConfig, linearize_block
+from .beam_model import ClosedLoopConfig
 from .discretization import _BANDWIDTH, DiscreteSystem, interpolate
 from .dynamics import (
     ENERGY_INCREASE_ETA,
@@ -148,28 +148,24 @@ class MidpointStepper:
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.dt = float(dt)
         self.operator = op = ClosedLoopOperator(sys, config)
-        self.lin1, self.lin2 = op.lin1, op.lin2
         self.remainder = op.remainder
-        n, n1 = op.n, op.n1
+        n = op.n
 
         # Schur complement on the velocity, h = dt/2:
         # S = M_tip + h^2 K_q + h d_i + h^2 c_i (I - h A_i)^-1 b_i (tip diagonal)
         h = 0.5 * self.dt
         s_band = op.mass_band + h * h * op.gram_band
         self._blocks = []
-        for lin, z_slice, tip, damper in (
-            (self.lin1, slice(2 * n, 2 * n + n1), op.isl, config.sd_rotational.damper_slope),
-            (self.lin2, slice(2 * n + n1, None), op.iv,
-             config.sd_translational.damper_slope),
-        ):
+        for ch in op.channels:
+            lin = ch.lin
             try:
                 resolvent = np.linalg.inv(np.eye(len(lin.B)) - h * lin.A)
             except np.linalg.LinAlgError as exc:
                 raise LinearSolveFailure("block resolvent (I - dt/2 A) is singular") from exc
             # x_z = resolvent r_z + gain x_v[tip]; the tip load row sees h c x_z
             gain = h * (resolvent @ lin.B)
-            s_band[_BANDWIDTH, tip] += h * damper + h * float(lin.C @ gain)
-            self._blocks.append((z_slice, tip, resolvent, gain, h * lin.C))
+            s_band[_BANDWIDTH, ch.tip] += h * ch.sd.damper_slope + h * float(lin.C @ gain)
+            self._blocks.append((ch.z, ch.tip, resolvent, gain, h * lin.C))
         kl = ku = _BANDWIDTH
         general = np.zeros((2 * kl + ku + 1, n))
         general[kl : kl + ku + 1] = s_band
@@ -398,9 +394,7 @@ def smooth_initial_state(
     mode interpolant, this excites no unresolved stiff discrete modes, which
     is the discrete counterpart of twice-differentiable-compatible data.
     """
-    lin1 = linearize_block(config.block_rotational)
-    lin2 = linearize_block(config.block_translational)
-    g = linear_generator_matrix(sys, config, lin1, lin2)
+    g = linear_generator_matrix(sys, config)
     try:
         eigvals, eigvecs = scipy.linalg.eig(g)
     except scipy.linalg.LinAlgError as exc:

@@ -84,6 +84,21 @@ def kappa_zero_config(beam):
     )
 
 
+def asymmetric_config(beam):
+    """Two channels that differ in every law, block and block dimension."""
+    return pb.ClosedLoopConfig(
+        beam=beam,
+        sd_rotational=pb.SpringDamperLaw(
+            damper=pb.make_law("linear", slope=0.7), spring=pb.make_law("cubic", slope=2.0, cubic=0.5)
+        ),
+        sd_translational=pb.SpringDamperLaw(
+            damper=pb.make_law("tanh", gain=3.0), spring=pb.make_law("linear", slope=1.3)
+        ),
+        block_rotational=pb.make_block("linear", dim=3, rate=1.5, gain=0.8),
+        block_translational=pb.make_block("cubic-drift", strength=2.0),
+    )
+
+
 def white_state(sys, config, rng, scale=1.0):
     """Rough random state: independent normal DOFs."""
     return pb.StateVector(

@@ -138,7 +138,7 @@ def test_criterion_04_linear_dissipativity_identity(accept_beam, main_config):
     sym2 = 0.5 * (lin2.P @ lin2.A + (lin2.P @ lin2.A).T)
     d1 = main_config.sd_rotational.damper_slope
     d2 = main_config.sd_translational.damper_slope
-    op = ClosedLoopOperator(sys_d, main_config, lin1, lin2)
+    op = ClosedLoopOperator(sys_d, main_config)
     rng = np.random.default_rng(0)
     worst_rel = 0.0
     all_nonpositive = True
@@ -258,9 +258,7 @@ def test_criterion_10_tangent_system(accept_beam, main_config):
 
 def test_criterion_11_generator_split(accept_beam, main_config):
     sys_d = make_system(accept_beam, 4)
-    lin1 = pb.linearize_block(main_config.block_rotational)
-    lin2 = pb.linearize_block(main_config.block_translational)
-    op = ClosedLoopOperator(sys_d, main_config, lin1, lin2)
+    op = ClosedLoopOperator(sys_d, main_config)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
@@ -273,7 +271,6 @@ def test_criterion_11_generator_split(accept_beam, main_config):
     quad_law = lambda: pb.ScalarLaw(
         eval=lambda s: s + 0.5 * s**2 + 0.1 * s**3,
         deriv=lambda s: 1.0 + s + 0.3 * s**2,
-        deriv2=lambda s: 1.0 + 0.6 * s,
     )
     quad_block = lambda: pb.PassiveBlock(
         dim=1,
@@ -285,7 +282,6 @@ def test_criterion_11_generator_split(accept_beam, main_config):
         drift_jac=lambda z: np.atleast_2d(-1.0 + z - 0.3 * z**2),
         input_jac=lambda z: np.zeros((1, 1)),
         output_grad=lambda z: np.ones(1),
-        output_hess=lambda z: np.zeros((1, 1)),
     )
     quad_config = pb.ClosedLoopConfig(
         beam=accept_beam,
@@ -294,9 +290,7 @@ def test_criterion_11_generator_split(accept_beam, main_config):
         block_rotational=quad_block(),
         block_translational=quad_block(),
     )
-    qlin1 = pb.linearize_block(quad_config.block_rotational)
-    qlin2 = pb.linearize_block(quad_config.block_translational)
-    qop = ClosedLoopOperator(sys_d, quad_config, qlin1, qlin2)
+    qop = ClosedLoopOperator(sys_d, quad_config)
     base = pack(white_state(sys_d, quad_config, rng))
     scaled_norm = {}
     for eps in (1e-1, 1e-2, 1e-3):

@@ -25,17 +25,9 @@ def linear(beam):
     return linear_config(beam)
 
 
-def lins_of(config):
-    return (
-        pb.linearize_block(config.block_rotational),
-        pb.linearize_block(config.block_translational),
-    )
-
-
 def test_linear_matrix_matches_operator_on_basis(sys8, linear):
-    lin1, lin2 = lins_of(linear)
-    g = linear_generator_matrix(sys8, linear, lin1, lin2)
-    op = ClosedLoopOperator(sys8, linear, lin1, lin2)
+    g = linear_generator_matrix(sys8, linear)
+    op = ClosedLoopOperator(sys8, linear)
     scale = np.abs(g).max()
     for k in range(g.shape[0]):
         e = np.zeros(g.shape[0])
@@ -45,7 +37,7 @@ def test_linear_matrix_matches_operator_on_basis(sys8, linear):
 
 
 def test_linear_matrix_dissipative_in_energy_pairing(sys8, linear):
-    op = ClosedLoopOperator(sys8, linear, *lins_of(linear))
+    op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(0)
     for _ in range(100):
         flat = pack(smooth_state(sys8, linear, rng))
@@ -54,8 +46,7 @@ def test_linear_matrix_dissipative_in_energy_pairing(sys8, linear):
 
 
 def test_linear_matrix_invertible(sys8, linear):
-    lin1, lin2 = lins_of(linear)
-    g = linear_generator_matrix(sys8, linear, lin1, lin2)
+    g = linear_generator_matrix(sys8, linear)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(g.shape[0])
     x = np.linalg.solve(g, b)
@@ -73,9 +64,8 @@ def test_projected_spectrum_purely_imaginary(beam):
 
 
 def test_damped_spectrum_strictly_stable(sys8, linear):
-    lin1, lin2 = lins_of(linear)
-    g = linear_generator_matrix(sys8, linear, lin1, lin2)
-    q = pb.assemble_gram(sys8, linear, lin1, lin2)
+    g = linear_generator_matrix(sys8, linear)
+    q = pb.assemble_gram(sys8, linear)
     report = pb.spectrum(g, q)
     assert report.max_real_part < 0.0
     assert report.n_unstable == 0
@@ -88,9 +78,8 @@ def test_spectrum_real_parts_approach_axis_under_refinement(beam):
     for n in (16, 32, 64):
         sys_d = make_system(beam, n)
         config = linear_config(beam)
-        lin1, lin2 = lins_of(config)
-        g = linear_generator_matrix(sys_d, config, lin1, lin2)
-        q = pb.assemble_gram(sys_d, config, lin1, lin2)
+        g = linear_generator_matrix(sys_d, config)
+        q = pb.assemble_gram(sys_d, config)
         vals.append(pb.spectrum(g, q).max_real_part)
     assert vals[0] < vals[1] < vals[2] < 0.0
 

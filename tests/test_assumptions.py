@@ -153,7 +153,7 @@ def _pointwise(f, max_ndim):
 
 
 def pointwise_law(law):
-    fields = {k: getattr(law, k) for k in ("eval", "deriv", "deriv2", "potential")}
+    fields = {k: getattr(law, k) for k in ("eval", "deriv", "potential")}
     return pb.ScalarLaw(**{k: _pointwise(f, 0) for k, f in fields.items() if f is not None})
 
 

@@ -24,12 +24,12 @@ def test_beam_params_reject_nonpositive():
 
 def test_scalar_law_rejects_wrong_derivative():
     with pytest.raises(ValueError):
-        pb.ScalarLaw(eval=lambda s: s**2, deriv=lambda s: 3.0 * s, deriv2=lambda s: 2.0)
+        pb.ScalarLaw(eval=lambda s: s**2, deriv=lambda s: 3.0 * s)
 
 
 def cubic_law(potential):
     return pb.ScalarLaw(eval=lambda s: s + s**3, deriv=lambda s: 1.0 + 3.0 * s**2,
-                        deriv2=lambda s: 6.0 * s, potential=potential)
+                        potential=potential)
 
 
 def test_scalar_law_accepts_its_antiderivative_as_potential():
@@ -97,7 +97,6 @@ def test_spring_damper_rejects_non_quadratic_remainder():
     rough = pb.ScalarLaw(
         eval=lambda s: s + np.abs(s) ** 1.5,
         deriv=lambda s: 1.0 + 1.5 * np.sign(s) * np.abs(s) ** 0.5,
-        deriv2=lambda s: 0.75 * np.abs(s) ** (-0.5) if s != 0 else 0.0,
     )
     with pytest.raises(ValueError):
         pb.SpringDamperLaw(damper=rough, spring=pb.make_law("linear"))
@@ -114,7 +113,6 @@ def test_linearize_block_scalar_cubic():
         drift_jac=lambda z: np.atleast_2d(-1.0 - 3.0 * z**2),
         input_jac=lambda z: np.zeros((1, 1)),
         output_grad=lambda z: np.ones(1),
-        output_hess=lambda z: np.zeros((1, 1)),
     )
     lin = pb.linearize_block(block)
     assert np.allclose(lin.A, [[-1.0]])
@@ -156,7 +154,6 @@ def test_singular_storage_hessian_detected():
         drift_jac=lambda z: -np.eye(1),
         input_jac=lambda z: np.zeros((1, 1)),
         output_grad=lambda z: np.ones(1),
-        output_hess=lambda z: np.zeros((1, 1)),
     )
     with pytest.raises(SingularHessian):
         pb.linearize_block(degenerate)
@@ -211,7 +208,6 @@ def test_block_rejects_nonzero_origin():
             drift_jac=lambda z: np.eye(1),
             input_jac=lambda z: np.zeros((1, 1)),
             output_grad=lambda z: np.ones(1),
-            output_hess=lambda z: np.zeros((1, 1)),
         )
 
 

@@ -118,9 +118,7 @@ def test_quadratic_interpolant_curvature_energy_exact(sys8, beam):
 
 def test_gram_zero_state_and_velocity_only_state(sys8, beam):
     config = linear_config(beam)
-    lin1 = pb.linearize_block(config.block_rotational)
-    lin2 = pb.linearize_block(config.block_translational)
-    gram = pb.assemble_gram(sys8, config, lin1, lin2)
+    gram = pb.assemble_gram(sys8, config)
     assert np.array_equal(gram, gram.T)
     zero = pb.zero_state(sys8, config)
     assert float(pack(zero) @ (gram @ pack(zero))) == 0.0
@@ -136,9 +134,7 @@ def test_gram_zero_state_and_velocity_only_state(sys8, beam):
 
 def test_gram_norm_doubles_energy_for_linear_loop(sys8, beam):
     config = linear_config(beam)
-    lin1 = pb.linearize_block(config.block_rotational)
-    lin2 = pb.linearize_block(config.block_translational)
-    gram = pb.assemble_gram(sys8, config, lin1, lin2)
+    gram = pb.assemble_gram(sys8, config)
     rng = np.random.default_rng(2)
     for _ in range(10):
         state = white_state(sys8, config, rng)
@@ -157,10 +153,8 @@ def test_gram_rejects_indefinite_spring(sys8, beam):
         block_rotational=pb.make_block("linear"),
         block_translational=pb.make_block("linear"),
     )
-    lin1 = pb.linearize_block(config.block_rotational)
-    lin2 = pb.linearize_block(config.block_translational)
     with pytest.raises(NotPositiveDefinite):
-        pb.assemble_gram(sys8, config, lin1, lin2)
+        pb.assemble_gram(sys8, config)
 
 
 def test_displacement_gram_adds_spring_slopes(sys4):

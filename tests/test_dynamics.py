@@ -18,7 +18,14 @@ from passivebeam.dynamics import (
 )
 from passivebeam.errors import DimensionMismatch
 
-from conftest import default_config, linear_config, make_system, smooth_state, white_state
+from conftest import (
+    asymmetric_config,
+    default_config,
+    linear_config,
+    make_system,
+    smooth_state,
+    white_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +114,6 @@ def test_spring_potential_of_non_elementwise_law_is_evaluated_per_point():
     # eval sums an array to one number, so only scalar calls give s + s^3
     law = pb.ScalarLaw(
         eval=lambda s: np.sum(s) + np.sum(s) ** 3, deriv=lambda s: 1.0 + 3.0 * np.sum(s) ** 2,
-        deriv2=lambda s: 6.0 * np.sum(s),
     )
     assert spring_potential(law, 0.5) == pytest.approx(0.5**2 / 2 + 0.5**4 / 4, rel=1e-12)
 
@@ -127,8 +133,7 @@ def test_slowly_converging_fallback_quadrature_is_bounded():
         evaluated.append(np.size(s))
         return s + a * np.sin(w * s)
 
-    law = pb.ScalarLaw(eval=value, deriv=lambda s: 1.0 + a * w * np.cos(w * s),
-                       deriv2=lambda s: -a * w * w * np.sin(w * s))
+    law = pb.ScalarLaw(eval=value, deriv=lambda s: 1.0 + a * w * np.cos(w * s))
     evaluated.clear()
     with pytest.raises(errors.QuadratureFailure, match=r"s=2\.0.*last update") as info:
         spring_potential(law, 2.0)
@@ -168,19 +173,20 @@ def test_hdot_nonpositive_for_certified_config(sys8, nonlinear):
         assert pb.eval_Hdot(white_state(sys8, nonlinear, rng), sys8, nonlinear) <= 0.0
 
 
-def test_directional_derivative_matches_hdot(sys8, nonlinear):
-    op = ClosedLoopOperator(sys8, nonlinear)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        state = smooth_state(sys8, nonlinear, rng)
-        eps = 1e-6
-        flat = pack(state)
-        dflat = op.generator(flat)[0]
-        up = pb.eval_H(unpack(flat + eps * dflat, sys8, nonlinear), sys8, nonlinear).total
-        down = pb.eval_H(unpack(flat - eps * dflat, sys8, nonlinear), sys8, nonlinear).total
-        fd = (up - down) / (2 * eps)
-        hdot = pb.eval_Hdot(state, sys8, nonlinear)
-        assert fd == pytest.approx(hdot, rel=1e-6, abs=1e-9)
+def test_directional_derivative_matches_hdot(sys8, beam, nonlinear):
+    for config in (nonlinear, asymmetric_config(beam)):
+        op = ClosedLoopOperator(sys8, config)
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            state = smooth_state(sys8, config, rng)
+            eps = 1e-6
+            flat = pack(state)
+            dflat = op.generator(flat)[0]
+            up = pb.eval_H(unpack(flat + eps * dflat, sys8, config), sys8, config).total
+            down = pb.eval_H(unpack(flat - eps * dflat, sys8, config), sys8, config).total
+            fd = (up - down) / (2 * eps)
+            hdot = pb.eval_Hdot(state, sys8, config)
+            assert fd == pytest.approx(hdot, rel=1e-6, abs=1e-9)
 
 
 # -- generator and split -------------------------------------------------------
@@ -209,8 +215,33 @@ def test_generator_reduces_to_bare_beam_with_zeroed_feedback(beam, sys8):
     assert np.array_equal(out[:n], state.v_dofs)
 
 
+def test_generator_matches_dense_oracle_per_channel(sys8, beam):
+    # each channel's law and block enter only through its own tip DOF and block rows
+    config = asymmetric_config(beam)
+    op = ClosedLoopOperator(sys8, config)
+    rot, tr = config.sd_rotational, config.sd_translational
+    b1, b2 = config.block_rotational, config.block_translational
+    isl, iv = sys8.tip_slope_index, sys8.tip_value_index
+    factor = scipy.linalg.cho_factor(sys8.mass_tip)
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        state = white_state(sys8, config, rng)
+        u, v, z1, z2 = state.u_dofs, state.v_dofs, state.z1, state.z2
+        load = -(sys8.stiffness_beam @ u)
+        load[isl] -= float(b1.output(z1)) + float(rot.damper.eval(v[isl])) + float(rot.spring.eval(u[isl]))
+        load[iv] -= float(b2.output(z2)) + float(tr.damper.eval(v[iv])) + float(tr.spring.eval(u[iv]))
+        expected = np.concatenate([
+            v,
+            scipy.linalg.cho_solve(factor, load),
+            b1.drift(z1) + b1.input_gain(z1) * v[isl],
+            b2.drift(z2) + b2.input_gain(z2) * v[iv],
+        ])
+        got = op.generator(pack(state))[0]
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_linear_config_generator_equals_linear_part(sys8, linear):
-    op = ClosedLoopOperator(sys8, linear, *lins_of(linear))
+    op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(5)
     for _ in range(10):
         flat = pack(white_state(sys8, linear, rng))
@@ -220,7 +251,7 @@ def test_linear_config_generator_equals_linear_part(sys8, linear):
 
 
 def test_nonlinear_part_vanishes_for_linear_config(sys8, linear):
-    op = ClosedLoopOperator(sys8, linear, *lins_of(linear))
+    op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(6)
     out, _ = op.nonlinear(pack(white_state(sys8, linear, rng)))
     assert np.abs(out).max() <= 1e-14
@@ -228,7 +259,7 @@ def test_nonlinear_part_vanishes_for_linear_config(sys8, linear):
 
 def test_split_exactness(sys4, beam):
     config = default_config(beam)
-    op = ClosedLoopOperator(sys4, config, *lins_of(config))
+    op = ClosedLoopOperator(sys4, config)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
@@ -239,18 +270,19 @@ def test_split_exactness(sys4, beam):
     assert worst <= 1e-14
 
 
-def test_split_exactness_medium_mesh(sys8, nonlinear):
-    op = ClosedLoopOperator(sys8, nonlinear, *lins_of(nonlinear))
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        flat = pack(white_state(sys8, nonlinear, rng))
-        full = op.generator(flat)[0]
-        parts = op.linear(flat)[0] + op.nonlinear(flat)[0]
-        assert np.linalg.norm(full - parts) <= 1e-12 * np.linalg.norm(full)
+def test_split_exactness_medium_mesh(sys8, beam, nonlinear):
+    for config in (nonlinear, asymmetric_config(beam)):
+        op = ClosedLoopOperator(sys8, config)
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            flat = pack(white_state(sys8, config, rng))
+            full = op.generator(flat)[0]
+            parts = op.linear(flat)[0] + op.nonlinear(flat)[0]
+            assert np.linalg.norm(full - parts) <= 1e-12 * np.linalg.norm(full)
 
 
 def test_nonlinear_part_interior_load_is_zero(sys8, nonlinear):
-    op = ClosedLoopOperator(sys8, nonlinear, *lins_of(nonlinear))
+    op = ClosedLoopOperator(sys8, nonlinear)
     rng = np.random.default_rng(9)
     out, load = op.nonlinear(pack(white_state(sys8, nonlinear, rng)))
     assert np.abs(out[: sys8.n_dof]).max() == 0.0
@@ -260,7 +292,7 @@ def test_nonlinear_part_interior_load_is_zero(sys8, nonlinear):
 
 def test_dissipation_pairing_identity_and_sign(sys8, linear):
     lin1, lin2 = lins_of(linear)
-    op = ClosedLoopOperator(sys8, linear, lin1, lin2)
+    op = ClosedLoopOperator(sys8, linear)
     sym1 = 0.5 * (lin1.P @ lin1.A + (lin1.P @ lin1.A).T)
     sym2 = 0.5 * (lin2.P @ lin2.A + (lin2.P @ lin2.A).T)
     d1 = linear.sd_rotational.damper_slope
@@ -283,38 +315,27 @@ def test_dissipation_pairing_identity_and_sign(sys8, linear):
 
 
 def test_remainder_map_consistent_with_nonlinear_part(sys8, nonlinear):
-    lin1, lin2 = lins_of(nonlinear)
-    remainder = RemainderMap(sys8, nonlinear, lin1, lin2)
+    remainder = RemainderMap(sys8, nonlinear)
     rng = np.random.default_rng(11)
     state = white_state(sys8, nonlinear, rng)
     flat = pack(state)
     placed = remainder.placement @ remainder.value(remainder.q_of(flat))
-    direct = ClosedLoopOperator(sys8, nonlinear, lin1, lin2).nonlinear(flat)[0]
+    direct = ClosedLoopOperator(sys8, nonlinear).nonlinear(flat)[0]
     assert np.allclose(placed, direct, rtol=1e-13, atol=1e-14)
 
 
-def test_remainder_jacobians_agree(sys8, nonlinear):
-    lin1, lin2 = lins_of(nonlinear)
-    remainder = RemainderMap(sys8, nonlinear, lin1, lin2)
-    rng = np.random.default_rng(12)
-    q = 0.5 * rng.standard_normal(remainder.m)
-    fd = remainder.jacobian_fd(q, scale=1.0)
-    analytic = remainder.jacobian_analytic(q)
-    assert np.abs(fd - analytic).max() <= 1e-5
-    # brute-force forward differences of the full map as the reference
-    h = 1e-7 * 2.0
-    base = remainder.value(q)
-    brute = np.empty_like(fd)
-    for j in range(remainder.m):
-        qj = q.copy()
-        qj[j] += h
-        brute[:, j] = (remainder.value(qj) - base) / h
-    assert np.abs(fd - brute).max() <= 1e-8
+def test_remainder_jacobians_agree(sys8, beam, nonlinear):
+    for config in (nonlinear, asymmetric_config(beam)):
+        remainder = RemainderMap(sys8, config)
+        rng = np.random.default_rng(12)
+        q = 0.5 * rng.standard_normal(remainder.m)
+        fd = remainder.jacobian_fd(q, scale=1.0)
+        analytic = remainder.jacobian_analytic(q)
+        assert np.abs(fd - analytic).max() <= 1e-5
 
 
 def test_linear_config_generator_matches_assembled_matrix(sys8, linear):
-    lin1, lin2 = lins_of(linear)
-    g = linear_generator_matrix(sys8, linear, lin1, lin2)
+    g = linear_generator_matrix(sys8, linear)
     op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -324,12 +345,11 @@ def test_linear_config_generator_matches_assembled_matrix(sys8, linear):
         assert np.allclose(by_matrix, by_operator, rtol=1e-11, atol=1e-11 * np.abs(by_matrix).max())
 
 
-@pytest.mark.parametrize("make_config", [default_config, linear_config])
+@pytest.mark.parametrize("make_config", [default_config, linear_config, asymmetric_config])
 def test_banded_energy_norm_matches_dense_gram(sys8, beam, make_config):
     config = make_config(beam)
-    lin1, lin2 = lins_of(config)
-    op = ClosedLoopOperator(sys8, config, lin1, lin2)
-    gram = pb.assemble_gram(sys8, config, lin1, lin2)
+    op = ClosedLoopOperator(sys8, config)
+    gram = pb.assemble_gram(sys8, config)
     rng = np.random.default_rng(15)
     for sample in (white_state, smooth_state):
         for _ in range(10):
@@ -339,7 +359,7 @@ def test_banded_energy_norm_matches_dense_gram(sys8, beam, make_config):
 
 
 def test_nonlinear_remainder_scales_quadratically(sys8, nonlinear):
-    op = ClosedLoopOperator(sys8, nonlinear, *lins_of(nonlinear))
+    op = ClosedLoopOperator(sys8, nonlinear)
     rng = np.random.default_rng(13)
     base = pack(white_state(sys8, nonlinear, rng))
     norms = {}
@@ -366,7 +386,7 @@ def assert_close_relative(got, expected, rtol=1e-13):
 def test_placement_matches_dense_tip_mass_solve(beam, n_elements):
     sys_n = make_system(beam, n_elements)
     config = default_config(beam)
-    remainder = RemainderMap(sys_n, config, *lins_of(config))
+    remainder = RemainderMap(sys_n, config)
     n = sys_n.n_dof
     expected = dense_tip_mass_solve(sys_n, sys_n.tip_unit_columns())
     assert_close_relative(remainder.placement[n : 2 * n, :2], expected)
@@ -383,7 +403,7 @@ def test_linear_generator_matrix_matches_dense_tip_mass_solve(beam, n_elements, 
     isl, iv = sys_n.tip_slope_index, sys_n.tip_value_index
     minv_q = dense_tip_mass_solve(sys_n, displacement_gram(sys_n, sd1.spring_slope, sd2.spring_slope))
     col_s, col_v = dense_tip_mass_solve(sys_n, sys_n.tip_unit_columns()).T
-    g = linear_generator_matrix(sys_n, config, lin1, lin2)
+    g = linear_generator_matrix(sys_n, config)
     velocity_rows = g[n : 2 * n]
     assert_close_relative(velocity_rows[:, :n], -minv_q)
     expected_v = np.zeros((n, n))

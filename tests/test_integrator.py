@@ -151,7 +151,7 @@ def test_schur_solve_inverts_midpoint_matrix(beam, n_elements, dt):
     sys_n = make_system(beam, n_elements)
     config = default_config(beam)
     stepper = MidpointStepper(sys_n, config, dt)
-    g = linear_generator_matrix(sys_n, config, stepper.lin1, stepper.lin2)
+    g = linear_generator_matrix(sys_n, config)
     rng = np.random.default_rng(3)
     r = pack(white_state(sys_n, config, rng))
     x = stepper.solve(r)
