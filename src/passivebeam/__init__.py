@@ -31,7 +31,6 @@ from .discretization import (
     DiscreteSystem,
     Mesh,
     assemble,
-    assemble_gram,
     build_mesh,
     export_matrix,
     interpolate,
@@ -40,6 +39,7 @@ from .dynamics import (
     ENERGY_INCREASE_ETA,
     EnergyBreakdown,
     StateVector,
+    assemble_gram,
     eval_H,
     eval_Hdot,
     zero_state,

@@ -199,8 +199,12 @@ class RunConfig:
 # Artifact writing
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def _csv_lines(rows) -> list[str]:
+    """Rows of numbers as comma-separated lines, each value printed once
+    with 17 significant digits."""
+    rows = np.asarray(rows, dtype=float)
+    template = ",".join(["%.17g"] * rows.shape[1])
+    return [template % tuple(row) for row in rows.tolist()]
 
 
 class ArtifactWriter:
@@ -213,12 +217,10 @@ class ArtifactWriter:
         digest = hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
         self.files[name] = digest
 
-    def write_csv(self, name: str, header, rows):
-        path = self.out_dir / name
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    def write_csv(self, name: str, header, lines):
+        """A header and the lines of ``_csv_lines``."""
+        with open(self.out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join([",".join(header), *lines]) + "\n")
         self._register(name)
 
     def write_json(self, name: str, payload: dict, register: bool = True):
@@ -286,9 +288,13 @@ def _mode_simulate(cfg: RunConfig, writer: ArtifactWriter) -> int:
         y0 = integrator.first_mode_initial_state(sys_d, loop, tip_fraction=cfg.initial["tip_fraction"])
     traj = integrator.simulate(y0, cfg.integrator, sys_d, loop)
 
-    energy_rows = [e.csv_row(t) for t, e in zip(traj.times, traj.energies)]
-    writer.write_csv("energy.csv", dynamics.EnergyBreakdown.CSV_COLUMNS, energy_rows)
-    writer.write_csv("trajectory.csv", integrator.Trajectory.CSV_COLUMNS, traj.csv_rows())
+    # energy.csv holds the leading columns of trajectory.csv: format them once
+    table = traj.csv_table()
+    width = len(dynamics.EnergyBreakdown.CSV_COLUMNS)
+    energy_lines = _csv_lines(table[:, :width])
+    writer.write_csv("energy.csv", dynamics.EnergyBreakdown.CSV_COLUMNS, energy_lines)
+    writer.write_csv("trajectory.csv", integrator.Trajectory.CSV_COLUMNS,
+                     [f"{head},{tail}" for head, tail in zip(energy_lines, _csv_lines(table[:, width:]))])
 
     totals = traj.totals()
     writer.write_svg(
@@ -315,10 +321,8 @@ def _mode_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     if not _certify(cfg, writer, loop):
         return 2
     sys_d = cfg.system()
-    g = dynamics.linear_generator_matrix(sys_d, loop)
-    q = discretization.assemble_gram(sys_d, loop)
-    report = analysis.spectrum(g, q)
-    writer.write_csv("spectrum.csv", ("re", "im"), report.csv_rows())
+    report = analysis.spectrum(*dynamics.linear_system(sys_d, loop))
+    writer.write_csv("spectrum.csv", ("re", "im"), _csv_lines(report.csv_rows()))
     writer.summary(cfg.mode, cfg.seed, 0, report.as_dict())
     return 0
 
@@ -352,7 +356,7 @@ def _mode_convergence(cfg: RunConfig, writer: ArtifactWriter) -> int:
         rows.append((n, omega, omega_ref, err, order))
         prev = (n, err)
     writer.write_csv(
-        "convergence.csv", ("n_elements", "omega", "omega_ref", "rel_error", "observed_order"), rows
+        "convergence.csv", ("n_elements", "omega", "omega_ref", "rel_error", "observed_order"), _csv_lines(rows)
     )
     metrics = {"omega_ref": float(omega_ref), "final_rel_error": float(rows[-1][3])}
     writer.summary(cfg.mode, cfg.seed, 0, metrics)

@@ -13,8 +13,8 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 
-from .beam_model import BeamParams, ClosedLoopConfig, linearize_block
-from .errors import DimensionMismatch, InvalidElementCount, NotPositiveDefinite
+from .beam_model import BeamParams
+from .errors import DimensionMismatch, InvalidElementCount
 
 
 @dataclass(frozen=True)
@@ -190,30 +190,6 @@ def displacement_gram(sys: DiscreteSystem, k1: float, k2: float) -> np.ndarray:
     q[sys.tip_slope_index, sys.tip_slope_index] += k1
     q[sys.tip_value_index, sys.tip_value_index] += k2
     return q
-
-
-def assemble_gram(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
-    """Block-diagonal energy Gram matrix over (u, v, z1, z2).
-
-    The displacement block carries the curvature Gram plus the spring slopes
-    K1, K2 on the tip DOFs; the velocity block carries the rho-mass plus the
-    payload terms, so the tip momenta contribute J v'(L)^2 + M v(L)^2; the
-    block states are weighted with the storage Hessians P1, P2. Definiteness
-    is checked per block: a banded Cholesky of the two beam blocks, while
-    ``BlockLinearization`` already rejects a P that is not positive definite.
-    """
-    k1 = config.sd_rotational.spring_slope
-    k2 = config.sd_translational.spring_slope
-    q_u = displacement_gram(sys, k1, k2)
-    for block in (q_u, sys.mass_tip):
-        try:
-            scipy.linalg.cholesky_banded(_upper_band(block))
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
-                "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
-            ) from exc
-    storage = (linearize_block(block).P for block in (config.block_rotational, config.block_translational))
-    return scipy.linalg.block_diag(q_u, sys.mass_tip, *storage)
 
 
 def interpolate(sys: DiscreteSystem, values, slopes) -> np.ndarray:

@@ -2,9 +2,10 @@
 Lyapunov functional with its closed-form rate.
 
 ``ClosedLoopOperator`` is the one implementation of the generator, the split
-and the energy inner product; it acts on packed vectors (u, v, z1, z2).
-``StateVector`` with ``pack``/``unpack`` is the boundary type of initial
-data and recorded states, and ``eval_H``/``eval_Hdot`` read it.
+and the energy inner product; it acts on packed vectors (u, v, z1, z2) and
+on blocks of them, one packed state per row. ``eval_H``/``eval_Hdot`` take
+the same packed states. ``StateVector`` with ``pack``/``unpack`` is the
+boundary type of initial data.
 
 The state keeps (u, v, z1, z2); the tip momenta are derived quantities,
 xi = J v'(L) and psi = M v(L), so every state satisfies the domain coupling
@@ -32,7 +33,7 @@ from .beam_model import (
     linearize_block,
 )
 from .discretization import _BANDWIDTH, DiscreteSystem, _upper_band, displacement_gram, solve_mass_tip
-from .errors import DimensionMismatch, LinearSolveFailure, QuadratureFailure
+from .errors import DimensionMismatch, LinearSolveFailure, NotPositiveDefinite, QuadratureFailure
 
 #: per-step energy increase budget, as a fraction of H(y0)
 ENERGY_INCREASE_ETA = 1e-8
@@ -60,16 +61,18 @@ class StateVector:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Additive pieces of the Lyapunov functional H."""
+    """Additive pieces of the Lyapunov functional H: floats for one state,
+    columns for a block of states. The fields are in the order of the
+    ``CSV_COLUMNS`` after ``t``."""
 
-    beam_strain: float
-    beam_kinetic: float
-    tip_kinetic: float
-    spring_potential_rot: float
-    spring_potential_tr: float
-    storage_z1: float
-    storage_z2: float
-    total: float
+    total: float | np.ndarray
+    beam_strain: float | np.ndarray
+    beam_kinetic: float | np.ndarray
+    tip_kinetic: float | np.ndarray
+    spring_potential_rot: float | np.ndarray
+    spring_potential_tr: float | np.ndarray
+    storage_z1: float | np.ndarray
+    storage_z2: float | np.ndarray
 
     CSV_COLUMNS = (
         "t",
@@ -83,29 +86,21 @@ class EnergyBreakdown:
         "storage_z2",
     )
 
-    def csv_row(self, t: float) -> tuple[float, ...]:
-        return (
-            t,
-            self.total,
-            self.beam_strain,
-            self.beam_kinetic,
-            self.tip_kinetic,
-            self.spring_potential_rot,
-            self.spring_potential_tr,
-            self.storage_z1,
-            self.storage_z2,
-        )
 
-
-def _check_dims(state: StateVector, sys: DiscreteSystem, config: ClosedLoopConfig):
-    if len(state.u_dofs) != sys.n_dof or len(state.v_dofs) != sys.n_dof:
+def _rows(flat, sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
+    """One packed state or a block of them as rows, (R, N)."""
+    rows = np.atleast_2d(np.asarray(flat, dtype=float))
+    width = 2 * sys.n_dof + config.block_rotational.dim + config.block_translational.dim
+    if rows.ndim != 2 or rows.shape[1] != width:
         raise DimensionMismatch(
-            f"state has {len(state.u_dofs)}/{len(state.v_dofs)} beam DOFs, system has {sys.n_dof}"
+            f"packed states have shape {np.shape(flat)}; the system and blocks need {width} entries per state"
         )
-    if len(state.z1) != config.block_rotational.dim:
-        raise DimensionMismatch("z1 dimension does not match the rotational block")
-    if len(state.z2) != config.block_translational.dim:
-        raise DimensionMismatch("z2 dimension does not match the translational block")
+    return rows
+
+
+def _as_given(flat, column: np.ndarray):
+    """A per-row result, as a float when ``flat`` was a single state."""
+    return float(column[0]) if np.ndim(flat) == 1 else column
 
 
 def tip_traces(state: StateVector, sys: DiscreteSystem) -> tuple[float, float, float, float]:
@@ -156,16 +151,25 @@ def _simpson_law(f, s: float, intervals: int) -> float:
     return _simpson(_batch(f, np.linspace(0.0, s, intervals + 1), probe=False), s / intervals)
 
 
-def spring_potential(law: ScalarLaw, s: float, tol: float = 1e-12) -> float:
-    """Integral of the spring law from 0 to s.
+def spring_potential(law: ScalarLaw, s, tol: float = 1e-12):
+    """Integral of the spring law from 0 to s, for a number or elementwise
+    for an array of s.
 
-    The law's closed-form ``potential`` when it has one. Otherwise composite
-    Simpson from 16 intervals, doubled with Richardson extrapolation until the
-    absolute update drops below ``tol``, at most 10 times (16 * 2**10
-    intervals); raises QuadratureFailure if the update is still above ``tol``.
+    The law's closed-form ``potential`` when it has one, in one call over all
+    points. Otherwise, per point, composite Simpson from 16 intervals, doubled
+    with Richardson extrapolation until the absolute update drops below
+    ``tol``, at most 10 times (16 * 2**10 intervals); raises
+    QuadratureFailure if the update is still above ``tol``.
     """
+    points = np.asarray(s, dtype=float)
     if law.potential is not None:
-        return float(law.potential(s))
+        values = _batch(law.potential, points.ravel(), probe=False)
+    else:
+        values = np.array([_quadrature(law, x, tol) for x in points.ravel().tolist()])
+    return values.reshape(points.shape) if points.ndim else float(values[0])
+
+
+def _quadrature(law: ScalarLaw, s: float, tol: float) -> float:
     if s == 0.0:
         return 0.0
     intervals = 16
@@ -187,46 +191,39 @@ def spring_potential(law: ScalarLaw, s: float, tol: float = 1e-12) -> float:
 # Lyapunov functional and its rate
 # ---------------------------------------------------------------------------
 
-def eval_H(state: StateVector, sys: DiscreteSystem, config: ClosedLoopConfig) -> EnergyBreakdown:
-    """Total closed-loop energy, split into its additive parts."""
-    _check_dims(state, sys, config)
-    u, v = state.u_dofs, state.v_dofs
-    u_l, up_l, v_l, vp_l = tip_traces(state, sys)
+def eval_H(flat, sys: DiscreteSystem, config: ClosedLoopConfig) -> EnergyBreakdown:
+    """Total closed-loop energy of packed states, split into its additive
+    parts. ``flat`` is one packed state (N,) or a block of them (R, N); a
+    single state is evaluated as a block of one row."""
+    rows = _rows(flat, sys, config)
+    n = sys.n_dof
     beam = sys.beam
-
-    strain = 0.5 * float(u @ (sys.stiffness_beam @ u))
-    kinetic = 0.5 * float(v @ (sys.mass_beam @ v))
-    xi = beam.tip_inertia * vp_l
-    psi = beam.tip_mass * v_l
+    u, v = rows[:, :n], rows[:, n : 2 * n]
+    strain = 0.5 * _band_dot(_upper_band(sys.stiffness_beam), u, u)
+    kinetic = 0.5 * _band_dot(_upper_band(sys.mass_beam), v, v)
+    xi = beam.tip_inertia * v[:, sys.tip_slope_index]
+    psi = beam.tip_mass * v[:, sys.tip_value_index]
     tip = xi**2 / (2.0 * beam.tip_inertia) + psi**2 / (2.0 * beam.tip_mass)
-    v_rot = spring_potential(config.sd_rotational.spring, up_l)
-    v_tr = spring_potential(config.sd_translational.spring, u_l)
-    s1 = float(config.block_rotational.storage(state.z1))
-    s2 = float(config.block_translational.storage(state.z2))
-    total = strain + kinetic + tip + v_rot + v_tr + s1 + s2
-    return EnergyBreakdown(
-        beam_strain=strain,
-        beam_kinetic=kinetic,
-        tip_kinetic=tip,
-        spring_potential_rot=v_rot,
-        spring_potential_tr=v_tr,
-        storage_z1=s1,
-        storage_z2=s2,
-        total=total,
-    )
+    channels = _channels(sys, config, linearize=False)
+    springs = [spring_potential(ch.sd.spring, rows[:, ch.tip]) for ch in channels]
+    storages = [_batch(ch.block.storage, rows[:, ch.z]) for ch in channels]
+    total = strain + kinetic + tip
+    for part in springs + storages:
+        total = total + part
+    parts = (total, strain, kinetic, tip, *springs, *storages)
+    return EnergyBreakdown(*(_as_given(flat, part) for part in parts))
 
 
-def eval_Hdot(state: StateVector, sys: DiscreteSystem, config: ClosedLoopConfig) -> float:
-    """Closed-form energy rate: block dissipation minus damper power at the tip."""
-    _check_dims(state, sys, config)
-    _, _, v_l, vp_l = tip_traces(state, sys)
-    b1, b2 = config.block_rotational, config.block_translational
-    d1, d2 = config.sd_rotational.damper, config.sd_translational.damper
-    rate = float(np.asarray(b1.drift(state.z1)) @ np.asarray(b1.storage_grad(state.z1)))
-    rate += float(np.asarray(b2.drift(state.z2)) @ np.asarray(b2.storage_grad(state.z2)))
-    rate -= float(d1.eval(vp_l)) * vp_l
-    rate -= float(d2.eval(v_l)) * v_l
-    return rate
+def eval_Hdot(flat, sys: DiscreteSystem, config: ClosedLoopConfig):
+    """Closed-form energy rate of packed states (one or a block, as for
+    ``eval_H``): block dissipation minus damper power at the tip."""
+    rows = _rows(flat, sys, config)
+    rate = np.zeros(len(rows))
+    for ch in _channels(sys, config, linearize=False):
+        z, shape, v_l = rows[:, ch.z], (ch.block.dim,), rows[:, sys.n_dof + ch.tip]
+        rate += np.vecdot(_batch(ch.block.drift, z, shape), _batch(ch.block.storage_grad, z, shape))
+        rate -= _batch(ch.sd.damper.eval, v_l, probe=False) * v_l
+    return _as_given(flat, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +231,29 @@ def eval_Hdot(state: StateVector, sys: DiscreteSystem, config: ClosedLoopConfig)
 # ---------------------------------------------------------------------------
 
 def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """alpha * A @ x for A in upper symmetric-band storage."""
-    return scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, x)
+    """alpha * A @ x for A in upper symmetric-band storage, for a vector x or
+    each row of a block x. A block takes one BLAS band product per row, so a
+    row gets the same bits as the vector alone (the generator's stiff load
+    needs them: ``tangent_residual`` differences generators of nearby
+    states)."""
+    if x.ndim == 1:
+        return scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, x)
+    return np.array([scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, row) for row in x]).reshape(x.shape)
+
+
+def _band_dot(band: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """a . (A @ b) for A in upper symmetric-band storage, for vectors or for
+    each pair of rows: one BLAS band product for vectors; for blocks A @ b
+    built a diagonal at a time over all rows (a row gets the same bits alone
+    as in a block)."""
+    if a.ndim == 1:
+        return np.vecdot(a, _band_mv(band, b))
+    ab = band[_BANDWIDTH] * b
+    for k in range(1, _BANDWIDTH + 1):
+        diagonal = band[_BANDWIDTH - k, k:]
+        ab[:, :-k] += diagonal * b[:, k:]
+        ab[:, k:] += diagonal * b[:, :-k]
+    return np.vecdot(a, ab)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,23 +264,40 @@ class _Channel:
     Channel 0 (rotational) acts on the tip slope, channel 1 (translational)
     on the tip deflection. In the remainder coordinates q[index] is the
     channel's displacement trace, q[2 + index] its velocity trace and
-    F[index] its remainder tip load.
+    F[index] its remainder tip load. The energy functions build channels
+    without ``lin``.
     """
 
     index: int
     sd: SpringDamperLaw
     block: PassiveBlock
-    lin: BlockLinearization
+    lin: BlockLinearization | None
     tip: int  # tip DOF of the beam
     z: slice  # block state in the packed state
     zq: slice  # block state in q
     zf: slice  # block drift in F
 
     def load_and_rate(self, u_l, v_l, z):
-        """Tip load and block rate of the full laws."""
-        blk, sd = self.block, self.sd
-        load = float(blk.output(z)) + float(sd.damper.eval(v_l)) + float(sd.spring.eval(u_l))
-        return load, np.asarray(blk.drift(z)) + np.asarray(blk.input_gain(z)) * v_l
+        """Tip load and block rate of the full laws, at one state's traces or
+        at rows of them."""
+        if z.ndim == 1:  # one state: the step path calls the laws directly
+            blk, sd = self.block, self.sd
+            load = float(blk.output(z)) + float(sd.damper.eval(v_l)) + float(sd.spring.eval(u_l))
+            return load, np.asarray(blk.drift(z)) + np.asarray(blk.input_gain(z)) * v_l
+        output, damper, spring, drift, gain = self.laws_at_rows(u_l, v_l, z)
+        return output + damper + spring, drift + gain * v_l[:, None]
+
+    def laws_at_rows(self, u_l, v_l, z):
+        """Block output, damper, spring, block drift and input gain at rows of
+        traces, one callback call over all rows (``beam_model._batch``)."""
+        blk, sd, shape = self.block, self.sd, (self.block.dim,)
+        return (
+            _batch(blk.output, z),
+            _batch(sd.damper.eval, v_l, probe=False),
+            _batch(sd.spring.eval, u_l, probe=False),
+            _batch(blk.drift, z, shape),
+            _batch(blk.input_gain, z, shape),
+        )
 
     def linear_load_and_rate(self, u_l, v_l, z):
         """Tip load and block rate of the laws' and block's origin slopes."""
@@ -271,9 +306,9 @@ class _Channel:
         return load, lin.A @ z + lin.B * v_l
 
 
-def _channels(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[_Channel, ...]:
+def _channels(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = True) -> tuple[_Channel, ...]:
     """The rotational and translational channels of (sys, config), each with
-    its block linearized at the origin."""
+    its block linearized at the origin unless ``linearize`` is false."""
     n = sys.n_dof
     channels, offset = [], 0
     for index, (sd, block, tip) in enumerate((
@@ -282,7 +317,7 @@ def _channels(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[_Channel, 
     )):
         end = offset + block.dim
         channels.append(_Channel(
-            index, sd, block, linearize_block(block), tip,
+            index, sd, block, linearize_block(block) if linearize else None, tip,
             z=slice(2 * n + offset, 2 * n + end), zq=slice(4 + offset, 4 + end), zf=slice(2 + offset, 2 + end),
         ))
         offset = end
@@ -291,7 +326,8 @@ def _channels(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[_Channel, 
 
 class ClosedLoopOperator:
     """The closed-loop generator, its linear/nonlinear split and the energy
-    inner product, on packed states (u, v, z1, z2).
+    inner product, on packed states (u, v, z1, z2): one vector (N,) or a
+    block of them (R, N), one state per row.
 
     Built once per (system, config), with the linearizations of the config's
     blocks; it does not depend on a time step. The beam matrices are held in
@@ -302,12 +338,23 @@ class ClosedLoopOperator:
     ``RemainderMap.placement``. Each generator method returns the packed
     tangent and the load of its velocity equation (mass_tip @ v_dot), so
     ``inner(out, y, load)`` pairs a tangent with y without the mass product.
+    On a block the laws and blocks are called once over all rows, the
+    tip-mass solve takes the rows as right-hand sides and the band products
+    of ``inner`` run a diagonal at a time; a row gets the same bits in a
+    block of one row as in a larger block.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
         self.remainder = RemainderMap(sys, config)
         self.channels = self.remainder.channels
-        self.n = sys.n_dof
+        self.n = n = sys.n_dof
+        # displacement, velocity and block states of one state or of each row
+        self._u, self._v, self._z = np.s_[..., :n], np.s_[..., n : 2 * n], np.s_[..., 2 * n :]
+        # storage Hessians P1, P2 on the diagonal (scipy's block_diag costs 50 us)
+        self.storage_gram = np.zeros((self.channels[-1].z.stop - 2 * n,) * 2)
+        for ch in self.channels:
+            block = slice(ch.z.start - 2 * n, ch.z.stop - 2 * n)
+            self.storage_gram[block, block] = ch.lin.P
         self.stiff_band = _upper_band(sys.stiffness_beam)
         self.mass_band = _upper_band(sys.mass_tip)
         self.gram_band = _upper_band(displacement_gram(
@@ -319,15 +366,16 @@ class ClosedLoopOperator:
     def _fill(self, flat, stiff_load, terms):
         """The one generator skeleton: the stiff load, each channel's tip load
         and block rows from ``terms(channel, u_l, v_l, z)``, the tip-mass solve."""
-        n = self.n
-        q = self.remainder.q_of(flat)
-        load = _band_mv(self.stiff_band, flat[:n], -1.0) if stiff_load is None else -stiff_load
+        load = _band_mv(self.stiff_band, flat[self._u], -1.0) if stiff_load is None else -stiff_load
         out = np.empty_like(flat)
-        out[:n] = flat[n : 2 * n]
+        out[self._u] = flat[self._v]
+        # transposed, one state's entry is a number (not a 0-d array) and a
+        # block's entry or tip load a column
+        entries, tip_loads = flat.T, load.T
         for ch in self.channels:
-            tip_load, out[ch.z] = terms(ch, q[ch.index], q[2 + ch.index], q[ch.zq])
-            load[ch.tip] -= tip_load
-        out[n : 2 * n] = scipy.linalg.lapack.dpbtrs(self._mass_chol, load)[0]
+            tip_load, out[..., ch.z] = terms(ch, entries[ch.tip], entries[self.n + ch.tip], flat[..., ch.z])
+            tip_loads[ch.tip] -= tip_load
+        out[self._v] = scipy.linalg.lapack.dpbtrs(self._mass_chol, tip_loads)[0].T
         return out, load
 
     def generator(self, flat: np.ndarray, stiff_load: np.ndarray | None = None):
@@ -336,36 +384,36 @@ class ClosedLoopOperator:
         return self._fill(flat, stiff_load, _Channel.load_and_rate)
 
     def linear(self, flat: np.ndarray):
-        """Linearized generator: laws and blocks replaced by their origin slopes."""
+        """Linearized generator: laws and blocks replaced by their origin
+        slopes. One packed vector only."""
         return self._fill(flat, None, _Channel.linear_load_and_rate)
 
     def nonlinear(self, flat: np.ndarray):
         """Remainder part of the generator; its load is zero off the tip DOFs."""
         rem = self.remainder
         f = rem.value(rem.q_of(flat))
-        load = np.zeros(self.n)
+        load = np.zeros(flat.shape[:-1] + (self.n,))
         for ch in self.channels:
-            load[ch.tip] = f[ch.index]
-        return rem.placement @ f, load
+            load[..., ch.tip] = f[..., ch.index]
+        return np.vecdot(f[..., None, :], rem.placement), load
 
     def inner(self, a: np.ndarray, b: np.ndarray, a_load: np.ndarray | None = None) -> float:
-        """Energy inner product of packed vectors: banded displacement Gram,
-        tip mass, storage Hessians P1, P2. With ``a_load`` (mass_tip @ a_v)
-        the velocity term is a_load . b_v, without re-applying the mass."""
-        n = self.n
-        val = float(a[:n] @ _band_mv(self.gram_band, b[:n]))
+        """Energy inner product of packed vectors, or of each pair of rows:
+        banded displacement Gram, tip mass, the block-diagonal storage
+        Hessians P1, P2. With ``a_load`` (mass_tip @ a_v) the velocity term
+        is a_load . b_v, without re-applying the mass."""
+        u, v, z = self._u, self._v, self._z
+        val = _band_dot(self.gram_band, a[u], b[u])
         if a_load is None:
-            val += float(a[n : 2 * n] @ _band_mv(self.mass_band, b[n : 2 * n]))
+            val += _band_dot(self.mass_band, a[v], b[v])
         else:
-            val += float(a_load @ b[n : 2 * n])
-        storage = 0.0
-        for ch in self.channels:
-            storage += float(a[ch.z] @ (ch.lin.P @ b[ch.z]))
-        return val + storage
+            val += np.vecdot(a_load, b[v])
+        return val + np.vecdot(a[z] @ self.storage_gram, b[z])
 
-    def qnorm(self, flat: np.ndarray) -> float:
-        """Energy norm of a packed vector."""
-        return float(np.sqrt(max(self.inner(flat, flat), 0.0)))
+    def qnorm(self, flat: np.ndarray):
+        """Energy norm of a packed vector (a float), or of each row."""
+        sq = self.inner(flat, flat)
+        return float(np.sqrt(max(sq, 0.0))) if flat.ndim == 1 else np.sqrt(np.maximum(sq, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +446,21 @@ class RemainderMap:
         self.placement = placement
 
     def value(self, q: np.ndarray) -> np.ndarray:
-        """F(q): remainder tip loads followed by remainder block drifts."""
-        f = np.empty(self.p)
+        """F(q): remainder tip loads followed by remainder block drifts, at
+        one q or at each row of a block of them."""
+        rows = np.atleast_2d(q)
+        f = np.empty((len(rows), self.p))
         for ch in self.channels:
-            u_l, v_l, z = q[ch.index], q[2 + ch.index], q[ch.zq]
-            blk, sd, lin = ch.block, ch.sd, ch.lin
-            f[ch.index] = -(
-                (float(blk.output(z)) - float(lin.C @ z))
-                + (float(sd.damper.eval(v_l)) - sd.damper_slope * v_l)
-                + (float(sd.spring.eval(u_l)) - sd.spring_slope * u_l)
+            u_l, v_l, z = rows[:, ch.index], rows[:, 2 + ch.index], rows[:, ch.zq]
+            output, damper, spring, drift, gain = ch.laws_at_rows(u_l, v_l, z)
+            sd, lin = ch.sd, ch.lin
+            f[:, ch.index] = -(
+                (output - np.vecdot(z, lin.C))
+                + (damper - sd.damper_slope * v_l)
+                + (spring - sd.spring_slope * u_l)
             )
-            f[ch.zf] = (np.asarray(blk.drift(z)) - lin.A @ z) + (np.asarray(blk.input_gain(z)) - lin.B) * v_l
-        return f
+            f[:, ch.zf] = (drift - np.vecdot(z[:, None, :], lin.A)) + (gain - lin.B) * v_l[:, None]
+        return f.reshape(np.shape(q)[:-1] + (self.p,))
 
     def jacobian_fd(self, q: np.ndarray, scale: float) -> np.ndarray:
         """Forward-difference Jacobian of F, column by column, with step
@@ -440,16 +491,30 @@ class RemainderMap:
         return jac
 
     def q_of(self, flat_state: np.ndarray) -> np.ndarray:
-        return flat_state[self.q_indices]
+        return flat_state.take(self.q_indices, axis=-1)
 
 
 def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
     """Dense matrix G with G @ y = ClosedLoopOperator.linear(y)[0]."""
-    n = sys.n_dof
+    return _generator_matrix(sys, _channels(sys, config))
+
+
+def assemble_gram(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
+    """Dense energy Gram matrix Q over (u, v, z1, z2); see ``_gram_matrix``."""
+    return _gram_matrix(sys, _channels(sys, config))
+
+
+def linear_system(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``linear_generator_matrix`` and ``assemble_gram`` from one linearization
+    of each block."""
     channels = _channels(sys, config)
+    return _generator_matrix(sys, channels), _gram_matrix(sys, channels)
+
+
+def _generator_matrix(sys: DiscreteSystem, channels: tuple[_Channel, ...]) -> np.ndarray:
+    n = sys.n_dof
     total = channels[-1].z.stop
-    k1 = config.sd_rotational.spring_slope
-    k2 = config.sd_translational.spring_slope
+    k1, k2 = (ch.sd.spring_slope for ch in channels)
     # mass_tip^-1 applied to the displacement Gram and the two tip columns
     sol = solve_mass_tip(sys, np.hstack([displacement_gram(sys, k1, k2), sys.tip_unit_columns()]))
 
@@ -463,3 +528,24 @@ def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np
         g[ch.z, n + ch.tip] = ch.lin.B
         g[ch.z, ch.z] = ch.lin.A
     return g
+
+
+def _gram_matrix(sys: DiscreteSystem, channels: tuple[_Channel, ...]) -> np.ndarray:
+    """Block-diagonal energy Gram matrix over (u, v, z1, z2).
+
+    The displacement block carries the curvature Gram plus the spring slopes
+    K1, K2 on the tip DOFs; the velocity block carries the rho-mass plus the
+    payload terms, so the tip momenta contribute J v'(L)^2 + M v(L)^2; the
+    block states are weighted with the storage Hessians P1, P2. Definiteness
+    is checked per block: a banded Cholesky of the two beam blocks, while
+    ``BlockLinearization`` already rejects a P that is not positive definite.
+    """
+    q_u = displacement_gram(sys, *(ch.sd.spring_slope for ch in channels))
+    for block in (q_u, sys.mass_tip):
+        try:
+            scipy.linalg.cholesky_banded(_upper_band(block))
+        except scipy.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
+            ) from exc
+    return scipy.linalg.block_diag(q_u, sys.mass_tip, *(ch.lin.P for ch in channels))

@@ -12,7 +12,7 @@ the time loop and a step costs O(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +25,9 @@ from .dynamics import (
     ClosedLoopOperator,
     EnergyBreakdown,
     StateVector,
+    _as_given,
     _band_mv,
+    _rows,
     eval_H,
     eval_Hdot,
     linear_generator_matrix,
@@ -45,6 +47,10 @@ _BETA1_L = 1.8751040687119612
 #: a Newton residual that stops falling below this fraction of 1 + |y|_Q is
 #: taken to be at its roundoff floor (sqrt of the float64 epsilon)
 _ROUNDOFF_RTOL = float(np.sqrt(np.finfo(float).eps))
+
+#: recorded states whose diagnostics ``simulate`` evaluates together; it
+#: bounds the temporaries of one evaluation
+RECORD_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -79,48 +85,65 @@ class IntegratorSettings:
 
 @dataclass
 class Trajectory:
-    """Recorded run: states with energy, rate, and operator-norm diagnostics.
+    """Recorded run as arrays over the records: times, packed states (one
+    row each), the energy breakdown (one column per ``EnergyBreakdown``
+    field, total first), the closed-form rate and three energy norms.
 
     ``h_increase_max`` is the largest energy increase between consecutive
     recorded samples; ``h_flagged`` marks runs that exceeded the per-step
     budget ENERGY_INCREASE_ETA * H(y0). ``state_norms`` holds the energy norm
-    of each recorded state (``simulate`` fills it).
+    of each recorded state and ``state_dims`` the sizes (beam DOFs, z1, z2)
+    that split a packed row into a ``StateVector``; ``simulate`` fills both.
     """
 
     times: np.ndarray
-    states: list[StateVector]
-    energies: list[EnergyBreakdown]
+    packed: np.ndarray
+    energy: np.ndarray
     hdots: np.ndarray
     nonlinearity_norms: np.ndarray
     tangent_norms: np.ndarray
     h_increase_max: float = 0.0
-    h_flagged: bool = field(default=False)
+    h_flagged: bool = False
     state_norms: np.ndarray | None = None
+    state_dims: tuple[int, int, int] | None = None
+
+    CSV_COLUMNS = EnergyBreakdown.CSV_COLUMNS + ("hdot", "nonlin_norm", "tangent_norm")
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        records = [self.times, self.states, self.energies, self.hdots,
+        self.packed = np.asarray(self.packed, dtype=float)
+        self.energy = np.asarray(self.energy, dtype=float)
+        records = [self.times, self.packed, self.energy, self.hdots,
                    self.nonlinearity_norms, self.tangent_norms]
         if self.state_norms is not None:
             records.append(self.state_norms)
         if len({len(r) for r in records}) != 1:
             raise ValueError("trajectory records must have equal lengths")
+        if self.energy.ndim != 2 or self.energy.shape[1] != len(EnergyBreakdown.CSV_COLUMNS) - 1:
+            raise ValueError("trajectory energy must have one column per EnergyBreakdown field")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
 
+    @property
+    def states(self) -> list[StateVector]:
+        """The recorded states, built from the packed rows on each access."""
+        if self.state_dims is None:
+            raise ValueError("trajectory has no state_dims to unpack its states")
+        n, n1, _ = self.state_dims
+        return [StateVector(*np.split(row, [n, 2 * n, 2 * n + n1])) for row in self.packed]
+
+    @property
+    def energies(self) -> list[EnergyBreakdown]:
+        """The energy breakdown of each record, built on each access."""
+        return [EnergyBreakdown(*row) for row in self.energy.tolist()]
+
     def totals(self) -> np.ndarray:
-        return np.array([e.total for e in self.energies])
+        return self.energy[:, 0].copy()
 
-    CSV_COLUMNS = EnergyBreakdown.CSV_COLUMNS + ("hdot", "nonlin_norm", "tangent_norm")
-
-    def csv_rows(self):
-        """Rows in the documented column order (energy columns first)."""
-        return [
-            energy.csv_row(t) + (hdot, nl, tg)
-            for t, energy, hdot, nl, tg in zip(
-                self.times, self.energies, self.hdots, self.nonlinearity_norms, self.tangent_norms
-            )
-        ]
+    def csv_table(self) -> np.ndarray:
+        """The records in ``CSV_COLUMNS`` order, one row each."""
+        return np.column_stack([self.times, self.energy, self.hdots,
+                                self.nonlinearity_norms, self.tangent_norms])
 
 
 class MidpointStepper:
@@ -268,13 +291,15 @@ class MidpointStepper:
             residual=residual_norm,
         )
 
-    def nonlinear_norm(self, flat: np.ndarray) -> float:
-        """Energy norm of the nonlinear remainder at a packed state."""
-        return self.operator.qnorm(self.operator.nonlinear(flat)[0])
+    def nonlinear_norm(self, flat: np.ndarray):
+        """Energy norm of the nonlinear remainder at each row of packed states
+        (a float for one state, a block of one row)."""
+        return _as_given(flat, self.operator.qnorm(self.operator.nonlinear(np.atleast_2d(flat))[0]))
 
-    def generator_norm(self, flat: np.ndarray) -> float:
-        """Energy norm of the generator applied to a packed state."""
-        return self.operator.qnorm(self.operator.generator(flat)[0])
+    def generator_norm(self, flat: np.ndarray):
+        """Energy norm of the generator applied to each row of packed states
+        (a float for one state, a block of one row)."""
+        return _as_given(flat, self.operator.qnorm(self.operator.generator(np.atleast_2d(flat))[0]))
 
 
 def simulate(
@@ -287,73 +312,91 @@ def simulate(
     """Advance to t_end, recording every ``record_every`` steps plus the end.
 
     Records energy breakdowns, the closed-form energy rate, and the energy
-    norms of the nonlinear remainder and of the full tangent. Runs whose
-    recorded energy increases by more than ENERGY_INCREASE_ETA * H(y0)
-    between samples are flagged (or rejected when asked to raise).
+    norms of the nonlinear remainder, of the full tangent and of the state.
+    The recorded states are stored and their diagnostics evaluated
+    RECORD_CHUNK at a time. Runs whose recorded energy increases by more
+    than ENERGY_INCREASE_ETA * H(y0) between samples are flagged, or
+    rejected at the first such record when asked to raise; a step that fails
+    after such a record raises that rejection instead of its own error.
     """
     stepper = MidpointStepper(sys, config, settings.dt)
-    n_steps = settings.n_steps
-
-    times = []
-    states: list[StateVector] = []
-    energies: list[EnergyBreakdown] = []
-    hdots = []
-    nl_norms = []
-    tan_norms = []
-    state_norms = []
-
-    def record(t: float, state: StateVector, flat: np.ndarray):
-        times.append(t)
-        states.append(state)
-        energies.append(eval_H(state, sys, config))
-        hdots.append(eval_Hdot(state, sys, config))
-        nl_norms.append(stepper.nonlinear_norm(flat))
-        tan_norms.append(stepper.generator_norm(flat))
-        state_norms.append(stepper.operator.qnorm(flat))
-
+    n_steps, every = settings.n_steps, settings.record_every
+    record_steps = np.arange(0, n_steps + 1, every)
+    if record_steps[-1] != n_steps:
+        record_steps = np.append(record_steps, n_steps)
+    times = record_steps * settings.dt
     flat = pack(y0)
-    record(0.0, y0, flat)
-    h0 = energies[0].total
-    budget = ENERGY_INCREASE_ETA * h0
-    h_prev = h0
-    h_increase_max = 0.0
-    flagged = False
+    packed = np.empty((len(times), _rows(flat, sys, config).shape[1]))
+    energy = np.empty((len(times), len(EnergyBreakdown.CSV_COLUMNS) - 1))
+    hdots, nl_norms, tan_norms, state_norms = np.empty((4, len(times)))
+    count = evaluated = 0  # records stored, records evaluated
+    h_increase_max, flagged = 0.0, False
 
+    def evaluate():
+        """Diagnostics and energy check of the stored records not yet evaluated."""
+        nonlocal evaluated, h_increase_max, flagged
+        if evaluated == count:
+            return
+        lo, rows = evaluated, packed[evaluated:count]
+        energy[lo:count] = np.column_stack(astuple(eval_H(rows, sys, config)))
+        hdots[lo:count] = eval_Hdot(rows, sys, config)
+        nl_norms[lo:count] = stepper.nonlinear_norm(rows)
+        tan_norms[lo:count] = stepper.generator_norm(rows)
+        state_norms[lo:count] = stepper.operator.qnorm(rows)
+        evaluated = count
+        # the increase into each record from the one before it
+        first = max(lo, 1)
+        increases = energy[first:count, 0] - energy[first - 1 : count - 1, 0]
+        if not len(increases):
+            return
+        h_increase_max = max(h_increase_max, np.fmax.reduce(increases))
+        budget = ENERGY_INCREASE_ETA * energy[0, 0]
+        over = np.flatnonzero(increases > budget)
+        if len(over):
+            flagged = True
+            if raise_on_energy_increase:
+                t, increase = float(times[first + over[0]]), float(increases[over[0]])
+                raise StepRejected(
+                    f"energy increased by {increase:.3e} at t={t:.6g} (budget {budget:.3e})",
+                    time=t,
+                    increase=increase,
+                )
+
+    def store(y):
+        nonlocal count
+        packed[count] = y
+        count += 1
+        if count - evaluated == RECORD_CHUNK:
+            evaluate()
+
+    store(flat)
     for k in range(1, n_steps + 1):
         t = k * settings.dt
         try:
             flat = stepper.step_flat(flat, settings.newton_tol, settings.newton_max_iter)
         except NewtonDivergence as exc:
+            evaluate()
             raise NewtonDivergence(
                 f"step to t={t:.6g} failed: {exc}", residual=exc.residual, time=t
             ) from exc
         except LinearSolveFailure as exc:
+            evaluate()
             raise LinearSolveFailure(f"step to t={t:.6g} failed: {exc}", time=t) from exc
-        if k % settings.record_every == 0 or k == n_steps:
-            record(t, unpack(flat, sys, config), flat)
-            h_now = energies[-1].total
-            h_increase_max = max(h_increase_max, h_now - h_prev)
-            if h_now - h_prev > budget:
-                flagged = True
-                if raise_on_energy_increase:
-                    raise StepRejected(
-                        f"energy increased by {h_now - h_prev:.3e} at t={t:.6g} "
-                        f"(budget {budget:.3e})",
-                        time=t,
-                        increase=h_now - h_prev,
-                    )
-            h_prev = h_now
+        if k == record_steps[count]:
+            store(flat)
+    evaluate()
 
     return Trajectory(
-        times=np.array(times),
-        states=states,
-        energies=energies,
-        hdots=np.array(hdots),
-        nonlinearity_norms=np.array(nl_norms),
-        tangent_norms=np.array(tan_norms),
-        h_increase_max=h_increase_max,
+        times=times,
+        packed=packed,
+        energy=energy,
+        hdots=hdots,
+        nonlinearity_norms=nl_norms,
+        tangent_norms=tan_norms,
+        h_increase_max=float(h_increase_max),
         h_flagged=flagged,
-        state_norms=np.array(state_norms),
+        state_norms=state_norms,
+        state_dims=(sys.n_dof, config.block_rotational.dim, config.block_translational.dim),
     )
 
 
@@ -370,12 +413,12 @@ def tangent_residual(traj: Trajectory, sys: DiscreteSystem, config: ClosedLoopCo
         raise InsufficientResolution("need at least 3 recorded states (record_every = 1)")
     op = ClosedLoopOperator(sys, config)
     remainder = op.remainder
-    ws = [op.generator(pack(state))[0] for state in traj.states]
-    max_w = max(op.qnorm(w) for w in ws)
+    ws = op.generator(traj.packed)[0]
+    max_w = float(op.qnorm(ws).max())
     max_residual = 0.0
     for i in range(1, len(ws) - 1):
         wdot = (ws[i + 1] - ws[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
-        jac = remainder.jacobian_analytic(remainder.q_of(pack(traj.states[i])))
+        jac = remainder.jacobian_analytic(remainder.q_of(traj.packed[i]))
         nonlinear = remainder.placement @ (jac @ remainder.q_of(ws[i]))
         max_residual = max(max_residual, op.qnorm(wdot - op.linear(ws[i])[0] - nonlinear))
 

@@ -144,8 +144,8 @@ def test_decay_metrics_stable_under_subsampling(beam):
     traj = pb.simulate(pb.first_mode_initial_state(sys_d, config), settings, sys_d, config)
     thinned = pb.Trajectory(
         times=traj.times[::2],
-        states=traj.states[::2],
-        energies=traj.energies[::2],
+        packed=traj.packed[::2],
+        energy=traj.energy[::2],
         hdots=traj.hdots[::2],
         nonlinearity_norms=traj.nonlinearity_norms[::2],
         tangent_norms=traj.tangent_norms[::2],
@@ -160,8 +160,8 @@ def test_decay_metrics_stable_under_subsampling(beam):
 def test_decay_metrics_empty_trajectory(beam):
     traj = pb.Trajectory(
         times=np.array([]),
-        states=[],
-        energies=[],
+        packed=np.empty((0, 0)),
+        energy=np.empty((0, 8)),
         hdots=np.array([]),
         nonlinearity_norms=np.array([]),
         tangent_norms=np.array([]),

@@ -139,7 +139,7 @@ def test_gram_norm_doubles_energy_for_linear_loop(sys8, beam):
     for _ in range(10):
         state = white_state(sys8, config, rng)
         qn2 = float(pack(state) @ (gram @ pack(state)))
-        assert qn2 == pytest.approx(2.0 * pb.eval_H(state, sys8, config).total, rel=1e-12)
+        assert qn2 == pytest.approx(2.0 * pb.eval_H(pack(state), sys8, config).total, rel=1e-12)
 
 
 def test_gram_rejects_indefinite_spring(sys8, beam):

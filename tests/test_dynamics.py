@@ -1,22 +1,26 @@
 """Generator application, the linear/nonlinear split, energy, and its rate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import passivebeam as pb
-from passivebeam import errors
+from passivebeam import dynamics, errors
 from passivebeam.discretization import displacement_gram
 from passivebeam.dynamics import (
     ClosedLoopOperator,
+    EnergyBreakdown,
     RemainderMap,
     linear_generator_matrix,
+    linear_system,
     pack,
     spring_potential,
     tip_traces,
-    unpack,
 )
 from passivebeam.errors import DimensionMismatch
+from passivebeam.integrator import MidpointStepper
 
 from conftest import (
     asymmetric_config,
@@ -48,7 +52,7 @@ def lins_of(config):
 # -- energy ------------------------------------------------------------------
 
 def test_energy_zero_state(sys8, nonlinear):
-    e = pb.eval_H(pb.zero_state(sys8, nonlinear), sys8, nonlinear)
+    e = pb.eval_H(pack(pb.zero_state(sys8, nonlinear)), sys8, nonlinear)
     assert e.total == 0.0
     assert all(
         getattr(e, f) == 0.0
@@ -68,7 +72,7 @@ def test_energy_linear_spring_potentials(sys8, linear):
     rng = np.random.default_rng(0)
     state = white_state(sys8, linear, rng)
     u_l, up_l, _, _ = tip_traces(state, sys8)
-    e = pb.eval_H(state, sys8, linear)
+    e = pb.eval_H(pack(state), sys8, linear)
     assert e.spring_potential_rot == pytest.approx(0.5 * up_l**2, rel=1e-12)
     assert e.spring_potential_tr == pytest.approx(0.5 * u_l**2, rel=1e-12)
 
@@ -77,7 +81,7 @@ def test_energy_parabolic_displacement_example(beam, sys8, linear):
     # u = x^2 on the unit beam with unit springs: strain 2, tip potentials 2 and 1/2
     u = pb.interpolate(sys8, lambda x: x**2, lambda x: 2.0 * x)
     state = pb.StateVector(u_dofs=u, v_dofs=np.zeros(sys8.n_dof), z1=np.zeros(1), z2=np.zeros(1))
-    e = pb.eval_H(state, sys8, linear)
+    e = pb.eval_H(pack(state), sys8, linear)
     assert e.beam_strain == pytest.approx(2.0, rel=1e-12)
     assert e.spring_potential_rot == pytest.approx(2.0, rel=1e-12)
     assert e.spring_potential_tr == pytest.approx(0.5, rel=1e-12)
@@ -87,7 +91,7 @@ def test_energy_parabolic_displacement_example(beam, sys8, linear):
 def test_energy_total_is_sum_and_nonnegative(sys8, nonlinear):
     rng = np.random.default_rng(1)
     for _ in range(20):
-        e = pb.eval_H(white_state(sys8, nonlinear, rng), sys8, nonlinear)
+        e = pb.eval_H(pack(white_state(sys8, nonlinear, rng)), sys8, nonlinear)
         parts = (
             e.beam_strain
             + e.beam_kinetic
@@ -124,6 +128,16 @@ def test_spring_potential_uses_the_closed_form():
         assert spring_potential(law, s) == float(law.potential(s))
 
 
+def test_spring_potential_of_an_array_is_elementwise():
+    s = np.array([[-1.3, 0.0, 0.4], [2.0, -0.2, 0.7]])
+    closed = pb.make_law("cubic", slope=2.0, cubic=0.5)
+    fallback = dataclasses.replace(closed, potential=None)
+    for law in (closed, fallback):
+        values = spring_potential(law, s)
+        assert values.shape == s.shape
+        assert np.array_equal(values, [[spring_potential(law, x) for x in row] for row in s.tolist()])
+
+
 def test_slowly_converging_fallback_quadrature_is_bounded():
     # s + a sin(w s): Simpson needs 32768 intervals for a 1e-12 update at s = 2
     a, w = 1e-3, 1e3
@@ -144,19 +158,19 @@ def test_slowly_converging_fallback_quadrature_is_bounded():
 def test_energy_dimension_mismatch(sys8, sys4, nonlinear):
     state = pb.zero_state(sys4, nonlinear)
     with pytest.raises(DimensionMismatch):
-        pb.eval_H(state, sys8, nonlinear)
+        pb.eval_H(pack(state), sys8, nonlinear)
 
 
 # -- energy rate ---------------------------------------------------------------
 
 def test_hdot_zero_state(sys8, nonlinear):
-    assert pb.eval_Hdot(pb.zero_state(sys8, nonlinear), sys8, nonlinear) == 0.0
+    assert pb.eval_Hdot(pack(pb.zero_state(sys8, nonlinear)), sys8, nonlinear) == 0.0
 
 
 def test_hdot_vanishes_without_tip_velocity_or_block_state(sys8, nonlinear):
     u = pb.interpolate(sys8, lambda x: x**3, lambda x: 3 * x**2)
     state = pb.StateVector(u_dofs=u, v_dofs=np.zeros(sys8.n_dof), z1=np.zeros(2), z2=np.zeros(2))
-    assert pb.eval_Hdot(state, sys8, nonlinear) == 0.0
+    assert pb.eval_Hdot(pack(state), sys8, nonlinear) == 0.0
 
 
 def test_hdot_linear_config_hand_value(sys8, linear):
@@ -164,13 +178,13 @@ def test_hdot_linear_config_hand_value(sys8, linear):
     v[sys8.tip_value_index] = 1.0
     v[sys8.tip_slope_index] = 2.0
     state = pb.StateVector(u_dofs=np.zeros(sys8.n_dof), v_dofs=v, z1=np.zeros(1), z2=np.zeros(1))
-    assert pb.eval_Hdot(state, sys8, linear) == pytest.approx(-5.0, rel=1e-14)
+    assert pb.eval_Hdot(pack(state), sys8, linear) == pytest.approx(-5.0, rel=1e-14)
 
 
 def test_hdot_nonpositive_for_certified_config(sys8, nonlinear):
     rng = np.random.default_rng(2)
     for _ in range(50):
-        assert pb.eval_Hdot(white_state(sys8, nonlinear, rng), sys8, nonlinear) <= 0.0
+        assert pb.eval_Hdot(pack(white_state(sys8, nonlinear, rng)), sys8, nonlinear) <= 0.0
 
 
 def test_directional_derivative_matches_hdot(sys8, beam, nonlinear):
@@ -182,10 +196,10 @@ def test_directional_derivative_matches_hdot(sys8, beam, nonlinear):
             eps = 1e-6
             flat = pack(state)
             dflat = op.generator(flat)[0]
-            up = pb.eval_H(unpack(flat + eps * dflat, sys8, config), sys8, config).total
-            down = pb.eval_H(unpack(flat - eps * dflat, sys8, config), sys8, config).total
+            up = pb.eval_H(flat + eps * dflat, sys8, config).total
+            down = pb.eval_H(flat - eps * dflat, sys8, config).total
             fd = (up - down) / (2 * eps)
-            hdot = pb.eval_Hdot(state, sys8, config)
+            hdot = pb.eval_Hdot(flat, sys8, config)
             assert fd == pytest.approx(hdot, rel=1e-6, abs=1e-9)
 
 
@@ -412,3 +426,100 @@ def test_linear_generator_matrix_matches_dense_tip_mass_solve(beam, n_elements, 
     assert_close_relative(velocity_rows[:, n : 2 * n], expected_v)
     assert_close_relative(velocity_rows[:, 2 * n : 2 * n + n1], -np.outer(col_s, lin1.C))
     assert_close_relative(velocity_rows[:, 2 * n + n1 :], -np.outer(col_v, lin2.C))
+
+
+# -- record diagnostics on blocks of packed states --------------------------------
+
+RECORD_COLUMNS = EnergyBreakdown.CSV_COLUMNS[1:] + ("hdot", "nonlin_norm", "tangent_norm", "state_norm")
+
+
+def record_columns(rows, sys_n, config, stepper):
+    """What simulate records for packed states (one or a block), by column."""
+    energy = pb.eval_H(rows, sys_n, config)
+    return dict(zip(RECORD_COLUMNS, (
+        *dataclasses.astuple(energy),
+        pb.eval_Hdot(rows, sys_n, config),
+        stepper.nonlinear_norm(rows),
+        stepper.generator_norm(rows),
+        stepper.operator.qnorm(np.atleast_2d(rows)),
+    )))
+
+
+def dense_record_columns(state, sys_n, config):
+    """The same columns from dense matrices, a dense Cholesky of mass_tip and
+    the laws and blocks called directly, one state at a time."""
+    u, v, z1, z2 = state.u_dofs, state.v_dofs, state.z1, state.z2
+    beam, isl, iv = sys_n.beam, sys_n.tip_slope_index, sys_n.tip_value_index
+    rot, tr = config.sd_rotational, config.sd_translational
+    b1, b2 = config.block_rotational, config.block_translational
+    lin1, lin2 = lins_of(config)
+    factor = scipy.linalg.cho_factor(sys_n.mass_tip)
+    gram = scipy.linalg.block_diag(
+        displacement_gram(sys_n, rot.spring_slope, tr.spring_slope), sys_n.mass_tip, lin1.P, lin2.P)
+
+    def norm(x):
+        return float(np.sqrt(x @ gram @ x))
+
+    def tangent(loads, rates):
+        load = np.zeros(sys_n.n_dof)
+        load[isl], load[iv] = loads
+        return np.concatenate([np.zeros(sys_n.n_dof), scipy.linalg.cho_solve(factor, load), *rates])
+
+    parts = [
+        0.5 * u @ sys_n.stiffness_beam @ u,
+        0.5 * v @ sys_n.mass_beam @ v,
+        0.5 * beam.tip_inertia * v[isl] ** 2 + 0.5 * beam.tip_mass * v[iv] ** 2,
+        float(rot.spring.potential(u[isl])),
+        float(tr.spring.potential(u[iv])),
+        float(b1.storage(z1)),
+        float(b2.storage(z2)),
+    ]
+    full = tangent(
+        [-(float(b1.output(z1)) + float(rot.damper.eval(v[isl])) + float(rot.spring.eval(u[isl]))),
+         -(float(b2.output(z2)) + float(tr.damper.eval(v[iv])) + float(tr.spring.eval(u[iv])))],
+        [b1.drift(z1) + b1.input_gain(z1) * v[isl], b2.drift(z2) + b2.input_gain(z2) * v[iv]],
+    )
+    full[: sys_n.n_dof] = v
+    full[sys_n.n_dof : 2 * sys_n.n_dof] -= scipy.linalg.cho_solve(factor, sys_n.stiffness_beam @ u)
+    remainder = tangent(
+        [-((float(b1.output(z1)) - lin1.C @ z1) + (float(rot.damper.eval(v[isl])) - rot.damper_slope * v[isl])
+           + (float(rot.spring.eval(u[isl])) - rot.spring_slope * u[isl])),
+         -((float(b2.output(z2)) - lin2.C @ z2) + (float(tr.damper.eval(v[iv])) - tr.damper_slope * v[iv])
+           + (float(tr.spring.eval(u[iv])) - tr.spring_slope * u[iv]))],
+        [(b1.drift(z1) - lin1.A @ z1) + (b1.input_gain(z1) - lin1.B) * v[isl],
+         (b2.drift(z2) - lin2.A @ z2) + (b2.input_gain(z2) - lin2.B) * v[iv]],
+    )
+    hdot = (b1.drift(z1) @ b1.storage_grad(z1) + b2.drift(z2) @ b2.storage_grad(z2)
+            - float(rot.damper.eval(v[isl])) * v[isl] - float(tr.damper.eval(v[iv])) * v[iv])
+    return dict(zip(RECORD_COLUMNS, (
+        sum(parts), *parts, hdot, norm(remainder), norm(full), norm(pack(state)))))
+
+
+@pytest.mark.parametrize("make_config", [default_config, asymmetric_config])
+def test_record_columns_of_a_block_match_single_rows_and_a_dense_oracle(sys8, beam, make_config):
+    config = make_config(beam)
+    stepper = MidpointStepper(sys8, config, 1e-3)
+    rng = np.random.default_rng(17)
+    states = [white_state(sys8, config, rng) for _ in range(20)]
+    rows = np.array([pack(state) for state in states])
+    block = record_columns(rows, sys8, config, stepper)
+    singles = [record_columns(row, sys8, config, stepper) for row in rows]
+    oracle = [dense_record_columns(state, sys8, config) for state in states]
+    for name in RECORD_COLUMNS:
+        column = block[name]
+        assert column.shape == (len(rows),), name
+        # a single state is a block of one row: the same bits
+        assert np.array_equal(column, [np.asarray(single[name]).item() for single in singles]), name
+        expected = np.array([o[name] for o in oracle])
+        assert np.abs(column - expected).max() <= 1e-12 * np.abs(expected).max(), name
+
+
+def test_linear_system_linearizes_each_block_once(sys8, beam, monkeypatch):
+    config = asymmetric_config(beam)
+    calls = []
+    original = dynamics.linearize_block
+    monkeypatch.setattr(dynamics, "linearize_block", lambda block: calls.append(block) or original(block))
+    g, q = linear_system(sys8, config)
+    assert calls == [config.block_rotational, config.block_translational]
+    assert np.array_equal(g, linear_generator_matrix(sys8, config))
+    assert np.array_equal(q, pb.assemble_gram(sys8, config))

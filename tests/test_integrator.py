@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import passivebeam as pb
+from passivebeam import integrator
 from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, pack, tip_traces
 from passivebeam.errors import (
     DimensionMismatch,
@@ -175,7 +176,7 @@ def test_fine_mesh_steps_at_default_tolerance(beam, n_elements):
     assert not traj.h_flagged
 
 
-def test_simulate_rejects_a_step_over_the_energy_budget(beam):
+def stiff_spring_run(beam):
     # stiff cubic springs without dampers: midpoint conserves only quadratic
     # energy, so H rises by 2.01e-8 over the step to t = 0.356 (budget 1.11e-8)
     sys16 = make_system(beam, 16)
@@ -191,7 +192,12 @@ def test_simulate_rejects_a_step_over_the_energy_budget(beam):
     )
     y0 = pb.first_mode_initial_state(sys16, config, tip_fraction=0.5)
     settings = pb.IntegratorSettings(dt=4e-3, t_end=0.4, record_every=1)
-    budget = pb.ENERGY_INCREASE_ETA * pb.eval_H(y0, sys16, config).total
+    return sys16, config, y0, settings
+
+
+def test_simulate_rejects_a_step_over_the_energy_budget(beam):
+    sys16, config, y0, settings = stiff_spring_run(beam)
+    budget = pb.ENERGY_INCREASE_ETA * pb.eval_H(pack(y0), sys16, config).total
     with pytest.raises(StepRejected, match="at t=0.356") as info:
         pb.simulate(y0, settings, sys16, config, raise_on_energy_increase=True)
     assert info.value.time == pytest.approx(0.356, rel=1e-12)
@@ -199,6 +205,81 @@ def test_simulate_rejects_a_step_over_the_energy_budget(beam):
     traj = pb.simulate(y0, settings, sys16, config)
     assert traj.h_flagged
     assert traj.h_increase_max > budget
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 50])
+def test_records_do_not_depend_on_the_chunk_size(beam, monkeypatch, chunk):
+    sys16, config, y0, settings = stiff_spring_run(beam)
+    whole = pb.simulate(y0, settings, sys16, config)
+    monkeypatch.setattr(integrator, "RECORD_CHUNK", chunk)
+    chunked = pb.simulate(y0, settings, sys16, config)
+    for name in ("times", "packed", "energy", "hdots", "nonlinearity_norms", "tangent_norms", "state_norms"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+    assert (chunked.h_increase_max, chunked.h_flagged) == (whole.h_increase_max, whole.h_flagged)
+    with pytest.raises(StepRejected) as info:
+        pb.simulate(y0, settings, sys16, config, raise_on_energy_increase=True)
+    assert info.value.time == pytest.approx(0.356, rel=1e-12)
+
+
+def test_step_failure_after_a_pending_violation_raises_the_rejection(beam, monkeypatch):
+    # the violation at t = 0.356 (step 89) and the failing step 95 fall in one chunk
+    sys16, config, y0, settings = stiff_spring_run(beam)
+    step_flat, steps = MidpointStepper.step_flat, []
+
+    def failing_step(self, y, newton_tol, newton_max_iter):
+        steps.append(1)
+        if len(steps) == 95:
+            raise LinearSolveFailure("midpoint velocity solve failed")
+        return step_flat(self, y, newton_tol, newton_max_iter)
+
+    monkeypatch.setattr(MidpointStepper, "step_flat", failing_step)
+    with pytest.raises(StepRejected, match="at t=0.356") as info:
+        pb.simulate(y0, settings, sys16, config, raise_on_energy_increase=True)
+    assert info.value.time == pytest.approx(0.356, rel=1e-12)
+    assert len(steps) == 95
+    steps.clear()
+    with pytest.raises(LinearSolveFailure, match="step to t=0.38 failed"):
+        pb.simulate(y0, settings, sys16, config)
+
+
+def per_state_cubic_drift_block():
+    """The registry cubic-drift block written for one state at a time: on a
+    batch its callbacks raise or return the wrong shape."""
+    a = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+    b = np.array([0.0, 1.0])
+    return pb.PassiveBlock(
+        dim=2,
+        drift=lambda z: a @ z - float(z @ z) * z,
+        input_gain=lambda z: b.copy(),
+        output=lambda z: float(z[1]),
+        storage=lambda z: 0.5 * float(z @ z),
+        storage_grad=lambda z: np.array(z, dtype=float),
+        drift_jac=lambda z: a - (float(z @ z) * np.eye(2) + 2.0 * np.outer(z, z)),
+        input_jac=lambda z: np.zeros((2, 2)),
+        output_grad=lambda z: b.copy(),
+    )
+
+
+def test_per_state_block_records_match_the_batched_path(sys6, beam):
+    broadcasting = default_config(beam)
+    per_state = dataclasses.replace(
+        broadcasting, block_rotational=per_state_cubic_drift_block(), block_translational=per_state_cubic_drift_block()
+    )
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=0.3, record_every=3)
+    state = white_state(sys6, per_state, np.random.default_rng(5), scale=0.5)
+    traj = pb.simulate(state, settings, sys6, per_state)
+    # the same records, through broadcasting callbacks, on the recorded states
+    stepper = MidpointStepper(sys6, broadcasting, settings.dt)
+    energy = pb.eval_H(traj.packed, sys6, broadcasting)
+    expected = {
+        "energy": np.column_stack(dataclasses.astuple(energy)),
+        "hdots": pb.eval_Hdot(traj.packed, sys6, broadcasting),
+        "nonlinearity_norms": stepper.nonlinear_norm(traj.packed),
+        "tangent_norms": stepper.generator_norm(traj.packed),
+    }
+    for name, value in expected.items():
+        got = getattr(traj, name)
+        assert np.abs(got - value).max() <= 1e-13 * np.abs(value).max(), name
 
 
 def test_simulate_failures_carry_the_failing_time(sys6, beam, monkeypatch):
@@ -323,4 +404,4 @@ def test_tip_momentum_accessors(sys6, beam):
     assert v_l == state.v_dofs[sys6.tip_value_index]
     xi, psi = beam.tip_inertia * vp_l, beam.tip_mass * v_l
     tip = xi**2 / (2.0 * beam.tip_inertia) + psi**2 / (2.0 * beam.tip_mass)
-    assert pb.eval_H(state, sys6, config).tip_kinetic == tip
+    assert pb.eval_H(pack(state), sys6, config).tip_kinetic == tip
