@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretization import DiscreteSystem, displacement_gram, solve_mass_tip
+from .discretization import DiscreteSystem, dense
+from .dynamics import projected_system
 from .errors import EigenSolverFailure, EmptyTrajectory
 
 UNSTABLE_TOL = 1e-8
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -93,28 +92,6 @@ def spectrum(g: np.ndarray, q: np.ndarray) -> SpectrumReport:
     )
 
 
-def projected_system(
-    sys: DiscreteSystem,
-    spring_constants: tuple[float, float],
-    damper_constants: tuple[float, float] = (0.0, 0.0),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Generator and Gram of the projected loop: beam, tip inertia, linear tip
-    springs, optional linear tip dampers, no blocks."""
-    k1, k2 = spring_constants
-    d1, d2 = damper_constants
-    n = sys.n_dof
-    q_u = displacement_gram(sys, k1, k2)
-    # mass_tip^-1 applied to the displacement Gram and the two tip columns
-    sol = solve_mass_tip(sys, np.hstack([q_u, sys.tip_unit_columns()]))
-    g = np.zeros((2 * n, 2 * n))
-    g[:n, n:] = np.eye(n)
-    g[n:, :n] = -sol[:, :n]
-    g[n:, n + sys.tip_slope_index] -= d1 * sol[:, n]
-    g[n:, n + sys.tip_value_index] -= d2 * sol[:, n + 1]
-    q = scipy.linalg.block_diag(q_u, sys.mass_tip)
-    return g, q
-
-
 def skew_check(
     sys: DiscreteSystem,
     spring_constants: tuple[float, float],
@@ -148,10 +125,10 @@ def decay_metrics(traj) -> DecayReport:
     nl = np.asarray(traj.nonlinearity_norms, dtype=float)
     tang = np.asarray(traj.tangent_norms, dtype=float)
     if len(times) > 1:
-        total_integral = float(_trapezoid(nl, times))
+        total_integral = float(np.trapezoid(nl, times))
         span = times[-1] - times[0]
         tail_mask = times >= times[-1] - 0.25 * span
-        tail_integral = float(_trapezoid(nl[tail_mask], times[tail_mask]))
+        tail_integral = float(np.trapezoid(nl[tail_mask], times[tail_mask]))
         late_mask = times >= times[0] + 0.5 * span
         tangent_late = float(tang[late_mask].max())
     else:
@@ -173,17 +150,12 @@ def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
     """Angular frequencies of the bare beam from the generalized eigenproblem
     of the (rigidity-weighted) stiffness against the (rho-weighted) mass.
 
-    For the clamped beam the pencil is inverted (mass against stiffness), so
-    the lowest frequencies come from the best-conditioned end of the spectrum.
+    The pencil is inverted (mass against stiffness), so the lowest
+    frequencies come from the best-conditioned end of the spectrum.
     """
     try:
-        if sys.clamped:
-            mu = scipy.linalg.eigh(sys.mass_beam, sys.stiffness_beam, eigvals_only=True)
-            omega2 = 1.0 / np.clip(mu[::-1], 1e-300, None)
-        else:
-            omega2 = np.clip(
-                scipy.linalg.eigh(sys.stiffness_beam, sys.mass_beam, eigvals_only=True), 0.0, None
-            )
+        mu = scipy.linalg.eigh(dense(sys.mass_band), dense(sys.stiffness_band), eigvals_only=True)
+        omega2 = 1.0 / np.clip(mu[::-1], 1e-300, None)
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverFailure(f"generalized eigensolve failed: {exc}") from exc
     return np.sqrt(omega2[:count])

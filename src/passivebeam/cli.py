@@ -64,6 +64,11 @@ def _number(value, where: str, expect: str = "a number", ok=lambda v: True):
     return value
 
 
+def _count(value, where: str, least: int) -> int:
+    """``value`` as an int if it is a whole JSON number >= ``least``."""
+    return int(_number(value, where, f"an integer >= {least}", lambda v: float(v).is_integer() and v >= least))
+
+
 @contextlib.contextmanager
 def _section(parent: dict, key: str | None, allowed: set, required=(), where: str | None = None):
     """The config section ``parent[key]`` (``parent`` itself for key None),
@@ -100,19 +105,18 @@ class RunConfig:
                 )
             if mode not in MODES:
                 raise ConfigParseError(f"mode must be one of {MODES}")
-            self.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+            self.seed = _count(seed_override if seed_override is not None else raw.get("seed", 0), "seed", 0)
             self.output_dir = Path(out_override if out_override is not None else raw.get("output_dir", "out"))
         self.mode = mode
         self.raw = raw
 
         with _section(raw, "beam", _BEAM_KEYS, _BEAM_KEYS) as section:
-            self.beam = BeamParams(**{k: float(section[k]) for k in _BEAM_KEYS})
+            self.beam = BeamParams(**{k: float(_number(section[k], f"beam.{k}")) for k in _BEAM_KEYS})
 
         self.n_elements = None
         if "mesh" in raw:
             with _section(raw, "mesh", _MESH_KEYS, _MESH_KEYS) as section:
-                self.n_elements = int(_number(section["n_elements"], "mesh.n_elements", "an integer >= 1",
-                                              lambda v: float(v).is_integer() and v >= 1))
+                self.n_elements = _count(section["n_elements"], "mesh.n_elements", 1)
 
         self.channels = {}
         for channel in ("rotational", "translational"):
@@ -128,11 +132,11 @@ class RunConfig:
         if "integrator" in raw:
             with _section(raw, "integrator", _INTEGRATOR_KEYS, ["dt", "t_end"]) as section:
                 self.integrator = integrator.IntegratorSettings(
-                    dt=float(section["dt"]),
-                    t_end=float(section["t_end"]),
-                    newton_tol=float(section.get("newton_tol", 1e-10)),
-                    newton_max_iter=int(section.get("newton_max_iter", 25)),
-                    record_every=int(section.get("record_every", 1)),
+                    dt=float(_number(section["dt"], "integrator.dt")),
+                    t_end=float(_number(section["t_end"], "integrator.t_end")),
+                    newton_tol=float(_number(section.get("newton_tol", 1e-10), "integrator.newton_tol")),
+                    newton_max_iter=_count(section.get("newton_max_iter", 25), "integrator.newton_max_iter", 1),
+                    record_every=_count(section.get("record_every", 1), "integrator.record_every", 1),
                 )
 
         self.initial = {"kind": "first-mode", "tip_fraction": 0.1}
@@ -141,7 +145,7 @@ class RunConfig:
                 self.initial.update(section)
                 if self.initial["kind"] not in ("first-mode", "zero"):
                     raise ConfigParseError("initial.kind must be 'first-mode' or 'zero'")
-                self.initial["tip_fraction"] = float(self.initial["tip_fraction"])
+                self.initial["tip_fraction"] = float(_number(self.initial["tip_fraction"], "initial.tip_fraction"))
 
         certify = {"radius": 2.0, "samples": 300, "h_threshold": 0.0}
         if "certify" in raw:
@@ -149,15 +153,17 @@ class RunConfig:
                 certify.update(section)
         self.certify = {
             "radius": float(_number(certify["radius"], "certify.radius", "a number > 0", lambda v: v > 0)),
-            "samples": int(_number(certify["samples"], "certify.samples", "an integer >= 100",
-                                   lambda v: float(v).is_integer() and v >= 100)),
+            "samples": _count(certify["samples"], "certify.samples", 100),
             "h_threshold": float(_number(certify["h_threshold"], "certify.h_threshold")),
         }
 
         self.meshes = None
         if "convergence" in raw:
             with _section(raw, "convergence", _CONVERGENCE_KEYS, ["meshes"]) as section:
-                self.meshes = [int(m) for m in section["meshes"]]
+                meshes = section["meshes"]
+                if not isinstance(meshes, list) or not meshes:
+                    raise ConfigParseError(f"convergence.meshes must be a non-empty list, got {meshes!r}")
+                self.meshes = [_count(m, "convergence.meshes", 1) for m in meshes]
 
     # -- builders -----------------------------------------------------------
     def needs(self, *attrs):
@@ -192,7 +198,7 @@ class RunConfig:
     def system(self) -> discretization.DiscreteSystem:
         self.needs("n_elements")
         mesh = discretization.build_mesh(self.beam, self.n_elements)
-        return discretization.assemble(self.beam, mesh, clamp_left=True)
+        return discretization.assemble(self.beam, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +355,7 @@ def _mode_convergence(cfg: RunConfig, writer: ArtifactWriter) -> int:
     prev = None
     for n in cfg.meshes:
         mesh = discretization.build_mesh(cfg.beam, n)
-        sys_d = discretization.assemble(cfg.beam, mesh, clamp_left=True)
+        sys_d = discretization.assemble(cfg.beam, mesh)
         omega = analysis.beam_frequencies(sys_d, count=1)[0]
         err = abs(omega - omega_ref) / omega_ref
         order = float("nan") if prev is None else np.log(prev[1] / err) / np.log(n / prev[0])

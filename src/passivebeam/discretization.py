@@ -7,14 +7,15 @@ are polynomial and integrated exactly by Gauss quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io
-import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from .beam_model import BeamParams
-from .errors import DimensionMismatch, InvalidElementCount
+from .errors import DimensionMismatch, InvalidElementCount, NotPositiveDefinite
 
 
 @dataclass(frozen=True)
@@ -81,28 +82,56 @@ def element_matrices(h: float, rho: float, rigidity: float) -> tuple[np.ndarray,
     return rho * me, rigidity * ke
 
 
+#: half-bandwidth of the Hermite beam matrices: an element couples the
+#: (value, slope) DOFs of its two nodes
+_BANDWIDTH = 3
+
+
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Assembled matrices and tip selectors for one mesh.
+    """Assembled beam matrices of one clamped mesh (the DOFs of the node at
+    x = 0 eliminated) in LAPACK upper symmetric-band storage: row
+    ``_BANDWIDTH - k`` of a (4, n_dof) array holds the k-th superdiagonal.
 
-    ``mass_beam`` is the rho-weighted Gram of the basis, ``stiffness_beam``
-    the rigidity-weighted Gram of second derivatives, both with clamped DOFs
-    eliminated when ``clamped``. ``mass_tip`` adds the payload inertia J on
-    the tip-slope DOF and mass M on the tip-value DOF; it is the Gram block
-    of the velocity field in the energy inner product. All three are dense
-    symmetric matrices of half-bandwidth 3; no inverse is stored: readers
-    that need mass_tip^-1 apply it by a banded Cholesky solve
-    (``solve_mass_tip``), so the generator's linear/nonlinear split holds to
-    roundoff of that solve.
+    ``mass_band`` is the rho-weighted Gram of the basis, ``stiffness_band``
+    the rigidity-weighted Gram of second derivatives. ``mass_tip_band`` adds
+    the payload inertia J on the tip-slope DOF and mass M on the tip-value
+    DOF (the Gram block of the velocity field in the energy inner product).
+    It and its Cholesky factor ``mass_tip_factor`` are derived on
+    construction, so ``dataclasses.replace`` keeps them consistent; no
+    inverse is stored (``solve_mass_tip``). The bands are read-only and in
+    Fortran order, so BLAS and LAPACK take them without a copy; ``dense``
+    builds a dense matrix for dense algorithms.
     """
 
     beam: BeamParams
     mesh: Mesh
-    clamped: bool
-    n_dof: int
-    mass_beam: np.ndarray
-    stiffness_beam: np.ndarray
-    mass_tip: np.ndarray
+    mass_band: np.ndarray
+    stiffness_band: np.ndarray
+    mass_tip_band: np.ndarray = field(init=False, repr=False)
+    mass_tip_factor: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shape = (_BANDWIDTH + 1, 2 * self.mesh.n_elements)
+        for name in ("mass_band", "stiffness_band"):
+            band = np.asfortranarray(getattr(self, name), dtype=float)
+            if band.shape != shape:
+                raise DimensionMismatch(f"{name} has shape {band.shape}; the mesh needs band storage {shape}")
+            object.__setattr__(self, name, band)
+        mass_tip = self.mass_band.copy(order="F")
+        mass_tip[_BANDWIDTH, self.tip_value_index] += self.beam.tip_mass
+        mass_tip[_BANDWIDTH, self.tip_slope_index] += self.beam.tip_inertia
+        factor, info = scipy.linalg.lapack.dpbtrf(mass_tip)
+        if info != 0:
+            raise NotPositiveDefinite("tip mass matrix is not positive definite")
+        object.__setattr__(self, "mass_tip_band", mass_tip)
+        object.__setattr__(self, "mass_tip_factor", factor)
+        for name in ("mass_band", "stiffness_band", "mass_tip_band", "mass_tip_factor"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def n_dof(self) -> int:
+        return self.mass_band.shape[1]
 
     @property
     def tip_value_index(self) -> int:
@@ -120,81 +149,86 @@ class DiscreteSystem:
         return cols
 
 
-def assemble(beam: BeamParams, mesh: Mesh, clamp_left: bool = True) -> DiscreteSystem:
-    """Assemble beam matrices on a mesh.
+def assemble(beam: BeamParams, mesh: Mesh) -> DiscreteSystem:
+    """Assemble the clamped beam's band matrices on a mesh.
 
-    DOF layout is (value, slope) per node; with ``clamp_left`` the two DOFs of
-    the first node are removed, realizing u(0) = u'(0) = 0. The element pair
-    is integrated once per distinct element length and scattered by index
-    arrays; every global entry sums at most two element entries, so the
-    result does not depend on the order of the scatter.
+    DOF layout is (value, slope) per node; the two DOFs of the first node are
+    dropped, realizing u(0) = u'(0) = 0. The element pair is integrated once
+    per distinct element length and the upper triangle of each element
+    matrix is scattered by index arrays straight into band storage; every
+    global entry sums at most two element entries, so the result does not
+    depend on the order of the scatter.
     """
     n_el = mesh.n_elements
-    n_full = 2 * (n_el + 1)
     lengths, which = np.unique(np.diff(mesh.nodes), return_inverse=True)
-    pairs = [element_matrices(h, beam.rho, beam.lambda_rigidity) for h in lengths]
-    dofs = 2 * np.arange(n_el)[:, None] + np.arange(4)
-    grid = (dofs[:, :, None], dofs[:, None, :])
-    mass = np.zeros((n_full, n_full))
-    stiff = np.zeros((n_full, n_full))
-    np.add.at(mass, grid, np.array([me for me, _ in pairs])[which])
-    np.add.at(stiff, grid, np.array([ke for _, ke in pairs])[which])
-
-    if clamp_left:
-        mass = mass[2:, 2:]
-        stiff = stiff[2:, 2:]
-    n_dof = mass.shape[0]
-
-    mass_tip = mass.copy()
-    mass_tip[n_dof - 2, n_dof - 2] += beam.tip_mass
-    mass_tip[n_dof - 1, n_dof - 1] += beam.tip_inertia
-
-    return DiscreteSystem(
-        beam=beam,
-        mesh=mesh,
-        clamped=clamp_left,
-        n_dof=n_dof,
-        mass_beam=mass,
-        stiffness_beam=stiff,
-        mass_tip=mass_tip,
-    )
+    pairs = np.array([element_matrices(h, beam.rho, beam.lambda_rigidity) for h in lengths])[which]
+    a, b = np.triu_indices(4)
+    # element entry (a, b) of element e sits at global (2e + a - 2, 2e + b - 2)
+    # after the clamp, which is band row _BANDWIDTH + a - b
+    cols = 2 * np.arange(n_el)[:, None] + b - 2
+    kept = cols >= b - a
+    index = (np.broadcast_to(_BANDWIDTH + a - b, cols.shape)[kept], cols[kept])
+    mass = np.zeros((_BANDWIDTH + 1, 2 * n_el), order="F")  # LAPACK layout: no copy per call
+    stiff = np.zeros_like(mass)
+    np.add.at(mass, index, pairs[:, 0, a, b][kept])
+    np.add.at(stiff, index, pairs[:, 1, a, b][kept])
+    return DiscreteSystem(beam=beam, mesh=mesh, mass_band=mass, stiffness_band=stiff)
 
 
-#: half-bandwidth of the Hermite beam matrices: an element couples the
-#: (value, slope) DOFs of its two nodes
-_BANDWIDTH = 3
-
-
-def _upper_band(a: np.ndarray) -> np.ndarray:
-    """LAPACK upper symmetric-band storage of a symmetric banded matrix."""
-    lower, upper = scipy.linalg.bandwidth(a)
-    if max(lower, upper) > _BANDWIDTH:
-        raise DimensionMismatch(
-            f"beam matrix has half-bandwidth {max(lower, upper)}, expected at most {_BANDWIDTH}"
-        )
-    ab = np.zeros((_BANDWIDTH + 1, a.shape[0]), order="F")  # LAPACK layout: no copy per call
+def dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix held in upper symmetric-band storage."""
+    n = band.shape[1]
+    out = np.zeros((n, n))
     for k in range(_BANDWIDTH + 1):
-        ab[_BANDWIDTH - k, k:] = np.diagonal(a, k)
-    return ab
+        i = np.arange(n - k)
+        out[i, i + k] = out[i + k, i] = band[_BANDWIDTH - k, k:]
+    return out
+
+
+def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """alpha * A @ x for A in upper symmetric-band storage, for a vector x or
+    each row of a block x. A block takes one BLAS band product per row, so a
+    row gets the same bits as the vector alone (the generator's stiff load
+    needs them: ``tangent_residual`` differences generators of nearby
+    states)."""
+    if x.ndim == 1:
+        return scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, x)
+    return np.array([scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, row) for row in x]).reshape(x.shape)
+
+
+def _band_dot(band: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """a . (A @ b) for A in upper symmetric-band storage, for vectors or for
+    each pair of rows: one BLAS band product for vectors; for blocks A @ b
+    built a diagonal at a time over all rows (a row gets the same bits alone
+    as in a block)."""
+    if a.ndim == 1:
+        return np.vecdot(a, _band_mv(band, b))
+    ab = band[_BANDWIDTH] * b
+    for k in range(1, _BANDWIDTH + 1):
+        diagonal = band[_BANDWIDTH - k, k:]
+        ab[:, :-k] += diagonal * b[:, k:]
+        ab[:, k:] += diagonal * b[:, :-k]
+    return np.vecdot(a, ab)
 
 
 def solve_mass_tip(sys: DiscreteSystem, rhs: np.ndarray) -> np.ndarray:
-    """mass_tip^-1 @ rhs (a vector or columns) by a banded Cholesky solve."""
-    factor = scipy.linalg.cholesky_banded(_upper_band(sys.mass_tip))
-    return scipy.linalg.cho_solve_banded((factor, False), rhs)
+    """mass_tip^-1 @ rhs (a vector or columns) with the stored banded
+    Cholesky factor."""
+    return scipy.linalg.lapack.dpbtrs(sys.mass_tip_factor, rhs)[0]
 
 
 def displacement_gram(sys: DiscreteSystem, k1: float, k2: float) -> np.ndarray:
-    """Gram block of the displacement field: curvature energy plus tip springs."""
-    q = sys.stiffness_beam.copy()
-    q[sys.tip_slope_index, sys.tip_slope_index] += k1
-    q[sys.tip_value_index, sys.tip_value_index] += k2
+    """Gram block of the displacement field in band storage: curvature
+    energy plus the tip springs."""
+    q = sys.stiffness_band.copy(order="F")
+    q[_BANDWIDTH, sys.tip_slope_index] += k1
+    q[_BANDWIDTH, sys.tip_value_index] += k2
     return q
 
 
 def interpolate(sys: DiscreteSystem, values, slopes) -> np.ndarray:
     """Nodal interpolant of a function given by (value, slope) callables."""
-    nodes = sys.mesh.nodes[1:] if sys.clamped else sys.mesh.nodes
+    nodes = sys.mesh.nodes[1:]
     out = np.empty(2 * len(nodes))
     out[0::2] = [values(x) for x in nodes]
     out[1::2] = [slopes(x) for x in nodes]

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
-import scipy.linalg.lapack
 
 from .beam_model import (
     BlockLinearization,
@@ -32,8 +30,8 @@ from .beam_model import (
     _simpson,
     linearize_block,
 )
-from .discretization import _BANDWIDTH, DiscreteSystem, _upper_band, displacement_gram, solve_mass_tip
-from .errors import DimensionMismatch, LinearSolveFailure, NotPositiveDefinite, QuadratureFailure
+from .discretization import DiscreteSystem, _band_dot, _band_mv, dense, displacement_gram, solve_mass_tip
+from .errors import DimensionMismatch, NotPositiveDefinite, QuadratureFailure
 
 #: per-step energy increase budget, as a fraction of H(y0)
 ENERGY_INCREASE_ETA = 1e-8
@@ -199,8 +197,8 @@ def eval_H(flat, sys: DiscreteSystem, config: ClosedLoopConfig) -> EnergyBreakdo
     n = sys.n_dof
     beam = sys.beam
     u, v = rows[:, :n], rows[:, n : 2 * n]
-    strain = 0.5 * _band_dot(_upper_band(sys.stiffness_beam), u, u)
-    kinetic = 0.5 * _band_dot(_upper_band(sys.mass_beam), v, v)
+    strain = 0.5 * _band_dot(sys.stiffness_band, u, u)
+    kinetic = 0.5 * _band_dot(sys.mass_band, v, v)
     xi = beam.tip_inertia * v[:, sys.tip_slope_index]
     psi = beam.tip_mass * v[:, sys.tip_value_index]
     tip = xi**2 / (2.0 * beam.tip_inertia) + psi**2 / (2.0 * beam.tip_mass)
@@ -229,32 +227,6 @@ def eval_Hdot(flat, sys: DiscreteSystem, config: ClosedLoopConfig):
 # ---------------------------------------------------------------------------
 # The closed-loop operator on packed states
 # ---------------------------------------------------------------------------
-
-def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """alpha * A @ x for A in upper symmetric-band storage, for a vector x or
-    each row of a block x. A block takes one BLAS band product per row, so a
-    row gets the same bits as the vector alone (the generator's stiff load
-    needs them: ``tangent_residual`` differences generators of nearby
-    states)."""
-    if x.ndim == 1:
-        return scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, x)
-    return np.array([scipy.linalg.blas.dsbmv(_BANDWIDTH, alpha, band, row) for row in x]).reshape(x.shape)
-
-
-def _band_dot(band: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """a . (A @ b) for A in upper symmetric-band storage, for vectors or for
-    each pair of rows: one BLAS band product for vectors; for blocks A @ b
-    built a diagonal at a time over all rows (a row gets the same bits alone
-    as in a block)."""
-    if a.ndim == 1:
-        return np.vecdot(a, _band_mv(band, b))
-    ab = band[_BANDWIDTH] * b
-    for k in range(1, _BANDWIDTH + 1):
-        diagonal = band[_BANDWIDTH - k, k:]
-        ab[:, :-k] += diagonal * b[:, k:]
-        ab[:, k:] += diagonal * b[:, :-k]
-    return np.vecdot(a, ab)
-
 
 @dataclass(frozen=True, slots=True)
 class _Channel:
@@ -330,12 +302,11 @@ class ClosedLoopOperator:
     block of them (R, N), one state per row.
 
     Built once per (system, config), with the linearizations of the config's
-    blocks; it does not depend on a time step. The beam matrices are held in
-    symmetric-band storage and the tip mass as its banded Cholesky factor, so
-    every operation costs O(n). The full generator and its linear part fill
-    one skeleton (stiff load, per-channel tip loads and block rows, tip-mass
-    solve); the remainder is ``RemainderMap.value`` placed by
-    ``RemainderMap.placement``. Each generator method returns the packed
+    blocks; it does not depend on a time step. It reads the system's band
+    matrices and tip-mass factor, so every operation costs O(n). The full
+    generator and its linear part fill one skeleton (stiff load, per-channel
+    tip loads and block rows, tip-mass solve); the remainder is
+    ``RemainderMap.value`` placed by ``RemainderMap.placement``. Each generator method returns the packed
     tangent and the load of its velocity equation (mass_tip @ v_dot), so
     ``inner(out, y, load)`` pairs a tangent with y without the mass product.
     On a block the laws and blocks are called once over all rows, the
@@ -355,18 +326,14 @@ class ClosedLoopOperator:
         for ch in self.channels:
             block = slice(ch.z.start - 2 * n, ch.z.stop - 2 * n)
             self.storage_gram[block, block] = ch.lin.P
-        self.stiff_band = _upper_band(sys.stiffness_beam)
-        self.mass_band = _upper_band(sys.mass_tip)
-        self.gram_band = _upper_band(displacement_gram(
-            sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope))
-        self._mass_chol, info = scipy.linalg.lapack.dpbtrf(self.mass_band)
-        if info != 0:
-            raise LinearSolveFailure("tip mass matrix could not be factored")
+        self.sys = sys
+        self.gram_band = displacement_gram(
+            sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope)
 
     def _fill(self, flat, stiff_load, terms):
         """The one generator skeleton: the stiff load, each channel's tip load
         and block rows from ``terms(channel, u_l, v_l, z)``, the tip-mass solve."""
-        load = _band_mv(self.stiff_band, flat[self._u], -1.0) if stiff_load is None else -stiff_load
+        load = _band_mv(self.sys.stiffness_band, flat[self._u], -1.0) if stiff_load is None else -stiff_load
         out = np.empty_like(flat)
         out[self._u] = flat[self._v]
         # transposed, one state's entry is a number (not a 0-d array) and a
@@ -375,7 +342,7 @@ class ClosedLoopOperator:
         for ch in self.channels:
             tip_load, out[..., ch.z] = terms(ch, entries[ch.tip], entries[self.n + ch.tip], flat[..., ch.z])
             tip_loads[ch.tip] -= tip_load
-        out[self._v] = scipy.linalg.lapack.dpbtrs(self._mass_chol, tip_loads)[0].T
+        out[self._v] = solve_mass_tip(self.sys, tip_loads).T
         return out, load
 
     def generator(self, flat: np.ndarray, stiff_load: np.ndarray | None = None):
@@ -405,7 +372,7 @@ class ClosedLoopOperator:
         u, v, z = self._u, self._v, self._z
         val = _band_dot(self.gram_band, a[u], b[u])
         if a_load is None:
-            val += _band_dot(self.mass_band, a[v], b[v])
+            val += _band_dot(self.sys.mass_tip_band, a[v], b[v])
         else:
             val += np.vecdot(a_load, b[v])
         return val + np.vecdot(a[z] @ self.storage_gram, b[z])
@@ -494,58 +461,79 @@ class RemainderMap:
         return flat_state.take(self.q_indices, axis=-1)
 
 
+def projected_system(
+    sys: DiscreteSystem,
+    spring_constants: tuple[float, float],
+    damper_constants: tuple[float, float] = (0.0, 0.0),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense generator and Gram of the projected loop over (u, v): beam, tip
+    inertia, linear tip springs, optional linear tip dampers, no blocks."""
+    g, q = np.zeros((2, 2 * sys.n_dof, 2 * sys.n_dof))
+    _projected_into(g, q, sys, spring_constants, damper_constants)
+    return g, q
+
+
+def _projected_into(g, q, sys: DiscreteSystem, spring_constants, damper_constants) -> np.ndarray:
+    """Write the projected system into the leading (u, v) block of the zero
+    arrays g and q; the closed loop's linear generator and Gram embed it so,
+    without a copy. Returns mass_tip^-1 at the two tip unit columns."""
+    k1, k2 = spring_constants
+    d1, d2 = damper_constants
+    n = sys.n_dof
+    q_u = dense(displacement_gram(sys, k1, k2))
+    # mass_tip^-1 applied to the displacement Gram and the two tip columns
+    sol = solve_mass_tip(sys, np.hstack([q_u, sys.tip_unit_columns()]))
+    g[:n, n : 2 * n] = np.eye(n)
+    g[n : 2 * n, :n] = -sol[:, :n]
+    g[n : 2 * n, n + sys.tip_slope_index] -= d1 * sol[:, n]
+    g[n : 2 * n, n + sys.tip_value_index] -= d2 * sol[:, n + 1]
+    q[:n, :n] = q_u
+    q[n : 2 * n, n : 2 * n] = dense(sys.mass_tip_band)
+    return sol[:, n:]
+
+
 def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
     """Dense matrix G with G @ y = ClosedLoopOperator.linear(y)[0]."""
-    return _generator_matrix(sys, _channels(sys, config))
+    return _linear_matrices(sys, _channels(sys, config))[0]
 
 
 def assemble_gram(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
-    """Dense energy Gram matrix Q over (u, v, z1, z2); see ``_gram_matrix``."""
-    return _gram_matrix(sys, _channels(sys, config))
+    """Dense energy Gram matrix Q over (u, v, z1, z2); see ``linear_system``."""
+    return linear_system(sys, config)[1]
 
 
 def linear_system(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``linear_generator_matrix`` and ``assemble_gram`` from one linearization
-    of each block."""
+    """``linear_generator_matrix`` and the block-diagonal energy Gram matrix
+    Q over (u, v, z1, z2), from one linearization of each block.
+
+    The displacement block of Q carries the curvature Gram plus the spring
+    slopes K1, K2 on the tip DOFs; the velocity block carries the rho-mass
+    plus the payload terms, so the tip momenta contribute J v'(L)^2 +
+    M v(L)^2; the block states are weighted with the storage Hessians P1,
+    P2. Definiteness is checked per block: the lowest eigenvalue of the
+    banded displacement block here, while ``DiscreteSystem`` factors the tip
+    mass and ``BlockLinearization`` rejects a P that is not positive definite.
+    """
     channels = _channels(sys, config)
-    return _generator_matrix(sys, channels), _gram_matrix(sys, channels)
+    q_u = displacement_gram(sys, *(ch.sd.spring_slope for ch in channels))
+    if not scipy.linalg.eigvals_banded(q_u, select="i", select_range=(0, 0))[0] > 0.0:
+        raise NotPositiveDefinite(
+            "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
+        )
+    return _linear_matrices(sys, channels)
 
 
-def _generator_matrix(sys: DiscreteSystem, channels: tuple[_Channel, ...]) -> np.ndarray:
+def _linear_matrices(sys: DiscreteSystem, channels: tuple[_Channel, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The projected system of the channels' spring and damper slopes, with
+    the blocks' rows and columns and their storage Hessians embedded."""
     n = sys.n_dof
     total = channels[-1].z.stop
-    k1, k2 = (ch.sd.spring_slope for ch in channels)
-    # mass_tip^-1 applied to the displacement Gram and the two tip columns
-    sol = solve_mass_tip(sys, np.hstack([displacement_gram(sys, k1, k2), sys.tip_unit_columns()]))
-
-    g = np.zeros((total, total))
-    g[:n, n : 2 * n] = np.eye(n)
-    g[n : 2 * n, :n] = -sol[:, :n]
+    g, q = np.zeros((2, total, total))
+    tip_cols = _projected_into(g, q, sys, tuple(ch.sd.spring_slope for ch in channels),
+                               tuple(ch.sd.damper_slope for ch in channels))
     for ch in channels:
-        col = sol[:, n + ch.index]
-        g[n : 2 * n, n + ch.tip] -= ch.sd.damper_slope * col
-        g[n : 2 * n, ch.z] = -np.outer(col, ch.lin.C)
+        g[n : 2 * n, ch.z] = -np.outer(tip_cols[:, ch.index], ch.lin.C)
         g[ch.z, n + ch.tip] = ch.lin.B
         g[ch.z, ch.z] = ch.lin.A
-    return g
-
-
-def _gram_matrix(sys: DiscreteSystem, channels: tuple[_Channel, ...]) -> np.ndarray:
-    """Block-diagonal energy Gram matrix over (u, v, z1, z2).
-
-    The displacement block carries the curvature Gram plus the spring slopes
-    K1, K2 on the tip DOFs; the velocity block carries the rho-mass plus the
-    payload terms, so the tip momenta contribute J v'(L)^2 + M v(L)^2; the
-    block states are weighted with the storage Hessians P1, P2. Definiteness
-    is checked per block: a banded Cholesky of the two beam blocks, while
-    ``BlockLinearization`` already rejects a P that is not positive definite.
-    """
-    q_u = displacement_gram(sys, *(ch.sd.spring_slope for ch in channels))
-    for block in (q_u, sys.mass_tip):
-        try:
-            scipy.linalg.cholesky_banded(_upper_band(block))
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
-                "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
-            ) from exc
-    return scipy.linalg.block_diag(q_u, sys.mass_tip, *(ch.lin.P for ch in channels))
+        q[ch.z, ch.z] = ch.lin.P
+    return g, q

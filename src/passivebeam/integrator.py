@@ -19,14 +19,13 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .beam_model import ClosedLoopConfig
-from .discretization import _BANDWIDTH, DiscreteSystem, interpolate
+from .discretization import _BANDWIDTH, DiscreteSystem, _band_mv, interpolate
 from .dynamics import (
     ENERGY_INCREASE_ETA,
     ClosedLoopOperator,
     EnergyBreakdown,
     StateVector,
     _as_given,
-    _band_mv,
     _rows,
     eval_H,
     eval_Hdot,
@@ -177,7 +176,7 @@ class MidpointStepper:
         # Schur complement on the velocity, h = dt/2:
         # S = M_tip + h^2 K_q + h d_i + h^2 c_i (I - h A_i)^-1 b_i (tip diagonal)
         h = 0.5 * self.dt
-        s_band = op.mass_band + h * h * op.gram_band
+        s_band = op.sys.mass_tip_band + h * h * op.gram_band
         self._blocks = []
         for ch in op.channels:
             lin = ch.lin
@@ -212,7 +211,7 @@ class MidpointStepper:
         n = op.n
         h = 0.5 * self.dt
         out = np.empty(len(r))
-        b = _band_mv(op.mass_band, r[n : 2 * n])
+        b = _band_mv(op.sys.mass_tip_band, r[n : 2 * n])
         b -= _band_mv(op.gram_band, r[:n], h)
         for z_slice, tip, resolvent, _, hc in self._blocks:
             out[z_slice] = resolvent @ r[z_slice]
@@ -247,14 +246,14 @@ class MidpointStepper:
         m = self.remainder.m
         eye_m = np.eye(m)
         # midpoint stiff load K (y_u + d_u / 2): K y_u is applied once per step
-        stiff_y = _band_mv(self.operator.stiff_band, y[:n])
+        stiff_y = _band_mv(self.operator.sys.stiffness_band, y[:n])
         d = np.zeros_like(y)
         jac_f = None
         refreshed, falling = False, True
         residual_norm = np.inf
         for iteration in range(newton_max_iter):
             mid = y + 0.5 * d
-            stiff_mid = stiff_y + _band_mv(self.operator.stiff_band, d[:n], 0.5)
+            stiff_mid = stiff_y + _band_mv(self.operator.sys.stiffness_band, d[:n], 0.5)
             residual = d - dt * self.rhs(mid, stiff_mid)
             previous, residual_norm = residual_norm, self.qnorm(residual)
             if not np.isfinite(residual_norm):

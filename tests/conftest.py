@@ -13,9 +13,9 @@ def beam():
     return pb.BeamParams(**DEFAULT_BEAM)
 
 
-def make_system(beam, n_elements, clamp_left=True):
+def make_system(beam, n_elements):
     mesh = pb.build_mesh(beam, n_elements)
-    return pb.assemble(beam, mesh, clamp_left=clamp_left)
+    return pb.assemble(beam, mesh)
 
 
 @pytest.fixture(scope="session")

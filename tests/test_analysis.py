@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import passivebeam as pb
-from passivebeam.discretization import displacement_gram
+from passivebeam.discretization import dense, displacement_gram
 from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, pack
 from passivebeam.errors import EmptyTrajectory
 
@@ -204,9 +204,9 @@ def test_projected_system_matches_dense_tip_mass_solve(beam, n_elements, dampers
     sys_n = make_system(beam, n_elements)
     n = sys_n.n_dof
     g, q = pb.projected_system(sys_n, (1.5, 2.5), dampers)
-    q_u = displacement_gram(sys_n, 1.5, 2.5)
+    q_u = dense(displacement_gram(sys_n, 1.5, 2.5))
     # dense Cholesky oracle (a dense LU is off by cond * eps, 3e-13 at n=256)
-    cho = scipy.linalg.cho_factor(sys_n.mass_tip)
+    cho = scipy.linalg.cho_factor(dense(sys_n.mass_tip_band))
     expected = np.zeros((n, 2 * n))
     expected[:, :n] = -scipy.linalg.cho_solve(cho, q_u)
     tips = scipy.linalg.cho_solve(cho, sys_n.tip_unit_columns())
@@ -214,4 +214,4 @@ def test_projected_system_matches_dense_tip_mass_solve(beam, n_elements, dampers
     expected[:, n + sys_n.tip_value_index] = -dampers[1] * tips[:, 1]
     assert np.abs(g[n:] - expected).max() <= 1e-13 * np.abs(expected).max()
     assert np.array_equal(g[:n], np.hstack([np.zeros((n, n)), np.eye(n)]))
-    assert np.array_equal(q, scipy.linalg.block_diag(q_u, sys_n.mass_tip))
+    assert np.array_equal(q, scipy.linalg.block_diag(q_u, dense(sys_n.mass_tip_band)))

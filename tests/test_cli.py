@@ -209,6 +209,19 @@ def test_bad_certify_values_exit_1(tmp_path, capsys, key, value):
         ("integrator", {"dt": 1.0, "t_end": 0.5}),
         ("integrator", {"dt": 0.003, "t_end": 0.01}),
         ("initial", {"tip_fraction": "a"}),
+        ("initial", {"tip_fraction": float("nan")}),
+        ("initial", {"tip_fraction": float("inf")}),
+        ("integrator", {"dt": 0.001, "t_end": 0.5, "newton_tol": float("nan")}),
+        ("integrator", {"dt": 0.001, "t_end": 0.5, "newton_max_iter": 2.9}),
+        ("convergence", {"meshes": []}),
+        ("convergence", {"meshes": [0, 4]}),
+        ("convergence", {"meshes": [4.7, 8]}),
+        ("convergence", {"meshes": ["4"]}),
+        ("convergence", {"meshes": [True]}),
+        ("seed", 1.7),
+        ("seed", -1),
+        ("integrator", {"dt": 0.001, "t_end": 0.5, "record_every": 2.5}),
+        ("beam", {"rho": True, "lambda_rigidity": 1.0, "length": 1.0, "tip_inertia": 0.1, "tip_mass": 0.1}),
     ],
 )
 def test_bad_section_values_exit_1(tmp_path, capsys, section, value):

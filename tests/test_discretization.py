@@ -1,13 +1,15 @@
 """Meshes, element matrices, assembly, and the energy Gram matrix."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
 
 import passivebeam as pb
-from passivebeam.discretization import displacement_gram, element_matrices
+from passivebeam.discretization import dense, displacement_gram, element_matrices
 from passivebeam.dynamics import pack
-from passivebeam.errors import InvalidElementCount, NotPositiveDefinite
+from passivebeam.errors import DimensionMismatch, InvalidElementCount, NotPositiveDefinite
 
 from conftest import linear_config, make_system, white_state
 
@@ -84,24 +86,26 @@ def test_element_matrices_match_symbolic_integration():
     assert np.allclose(ke, ke_exact, rtol=1e-13, atol=1e-12)
 
 
-def test_unclamped_stiffness_annihilates_rigid_modes(beam):
-    sys_free = make_system(beam, 5, clamp_left=False)
-    constant = pb.interpolate(sys_free, lambda x: 1.0, lambda x: 0.0)
-    affine = pb.interpolate(sys_free, lambda x: x, lambda x: 1.0)
-    scale = np.abs(sys_free.stiffness_beam).max()
-    assert np.abs(sys_free.stiffness_beam @ constant).max() <= 1e-12 * scale
-    assert np.abs(sys_free.stiffness_beam @ affine).max() <= 1e-12 * scale
+def test_element_stiffness_annihilates_rigid_modes(beam):
+    h = 0.2
+    _, ke = element_matrices(h, beam.rho, beam.lambda_rigidity)
+    # (value, slope) at both element ends of u = 1 and of u = x
+    constant = np.array([1.0, 0.0, 1.0, 0.0])
+    affine = np.array([0.0, 1.0, h, 1.0])
+    scale = np.abs(ke).max()
+    assert np.abs(ke @ constant).max() <= 1e-12 * scale
+    assert np.abs(ke @ affine).max() <= 1e-12 * scale
 
 
 def test_clamped_matrices_symmetric_positive_definite(sys8):
-    assert np.array_equal(sys8.mass_beam, sys8.mass_beam.T)
-    assert np.array_equal(sys8.stiffness_beam, sys8.stiffness_beam.T)
-    assert np.linalg.eigvalsh(sys8.mass_beam).min() > 0.0
-    assert np.linalg.eigvalsh(sys8.stiffness_beam).min() > 0.0
+    assert np.array_equal(dense(sys8.mass_band), dense(sys8.mass_band).T)
+    assert np.array_equal(dense(sys8.stiffness_band), dense(sys8.stiffness_band).T)
+    assert np.linalg.eigvalsh(dense(sys8.mass_band)).min() > 0.0
+    assert np.linalg.eigvalsh(dense(sys8.stiffness_band)).min() > 0.0
 
 
 def test_tip_terms_added_to_mass(sys8, beam):
-    diff = sys8.mass_tip - sys8.mass_beam
+    diff = dense(sys8.mass_tip_band) - dense(sys8.mass_band)
     expected = np.zeros_like(diff)
     expected[sys8.tip_value_index, sys8.tip_value_index] = beam.tip_mass
     expected[sys8.tip_slope_index, sys8.tip_slope_index] = beam.tip_inertia
@@ -111,7 +115,7 @@ def test_tip_terms_added_to_mass(sys8, beam):
 def test_quadratic_interpolant_curvature_energy_exact(sys8, beam):
     # x^2 lies in the cubic space; its curvature energy is rigidity * 4 * L
     u = pb.interpolate(sys8, lambda x: x**2, lambda x: 2.0 * x)
-    energy = float(u @ (sys8.stiffness_beam @ u))
+    energy = float(u @ (dense(sys8.stiffness_band) @ u))
     exact = beam.lambda_rigidity * 4.0 * beam.length
     assert energy == pytest.approx(exact, rel=1e-13)
 
@@ -126,7 +130,7 @@ def test_gram_zero_state_and_velocity_only_state(sys8, beam):
     v = pb.interpolate(sys8, lambda x: np.sin(np.pi * x / 2), lambda x: np.pi / 2 * np.cos(np.pi * x / 2))
     state = pb.StateVector(u_dofs=np.zeros(sys8.n_dof), v_dofs=v, z1=np.zeros(1), z2=np.zeros(1))
     qn2 = float(pack(state) @ (gram @ pack(state)))
-    expected = float(v @ (sys8.mass_beam @ v))
+    expected = float(v @ (dense(sys8.mass_band) @ v))
     expected += beam.tip_inertia * v[sys8.tip_slope_index] ** 2
     expected += beam.tip_mass * v[sys8.tip_value_index] ** 2
     assert qn2 == pytest.approx(expected, rel=1e-14)
@@ -158,8 +162,8 @@ def test_gram_rejects_indefinite_spring(sys8, beam):
 
 
 def test_displacement_gram_adds_spring_slopes(sys4):
-    q = displacement_gram(sys4, 2.5, 1.5)
-    base = sys4.stiffness_beam
+    q = dense(displacement_gram(sys4, 2.5, 1.5))
+    base = dense(sys4.stiffness_band)
     assert q[sys4.tip_slope_index, sys4.tip_slope_index] == pytest.approx(
         base[sys4.tip_slope_index, sys4.tip_slope_index] + 2.5
     )
@@ -172,9 +176,9 @@ def test_export_matrix_roundtrip(tmp_path, sys4):
     import scipy.io
 
     path = tmp_path / "mass.mtx"
-    pb.export_matrix(path, sys4.mass_beam)
+    pb.export_matrix(path, dense(sys4.mass_band))
     back = np.asarray(scipy.io.mmread(str(path)))
-    assert np.allclose(back, sys4.mass_beam, rtol=0, atol=1e-12)
+    assert np.allclose(back, dense(sys4.mass_band), rtol=0, atol=1e-12)
 
 
 # -- loop-free assembly --------------------------------------------------------
@@ -198,9 +202,9 @@ def assemble_per_element(beam, mesh):
 def assert_assembly_equals_loop(beam, mesh):
     sys_n = pb.assemble(beam, mesh)
     mass, stiff, mass_tip = assemble_per_element(beam, mesh)
-    assert np.array_equal(sys_n.mass_beam, mass)
-    assert np.array_equal(sys_n.stiffness_beam, stiff)
-    assert np.array_equal(sys_n.mass_tip, mass_tip)
+    assert np.array_equal(dense(sys_n.mass_band), mass)
+    assert np.array_equal(dense(sys_n.stiffness_band), stiff)
+    assert np.array_equal(dense(sys_n.mass_tip_band), mass_tip)
 
 
 @pytest.mark.parametrize("n_elements", [1, 3, 16, 256])
@@ -213,3 +217,21 @@ def test_assembly_of_non_uniform_mesh_equals_per_element_loop(beam):
     mesh = pb.Mesh(n_elements=5, nodes=[0.0, 0.125, 0.25, 0.375, 0.6875, 1.0])
     assert len(np.unique(np.diff(mesh.nodes))) == 2
     assert_assembly_equals_loop(beam, mesh)
+
+
+# -- band storage ----------------------------------------------------------------
+
+def test_system_holds_band_storage_only(beam):
+    sys_n = make_system(beam, 64)
+    arrays = {f.name: getattr(sys_n, f.name) for f in dataclasses.fields(sys_n)
+              if isinstance(getattr(sys_n, f.name), np.ndarray)}
+    assert arrays
+    for name, value in arrays.items():
+        assert value.size <= 4 * sys_n.n_dof, name
+
+
+def test_band_of_the_wrong_shape_is_rejected(sys4):
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(sys4, stiffness_band=np.ones((7, sys4.n_dof)))
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(sys4, mass_band=np.ones((4, sys4.n_dof + 2)))

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import passivebeam as pb
 from passivebeam import dynamics, errors
-from passivebeam.discretization import displacement_gram
+from passivebeam.discretization import dense, displacement_gram
 from passivebeam.dynamics import (
     ClosedLoopOperator,
     EnergyBreakdown,
@@ -224,7 +224,7 @@ def test_generator_reduces_to_bare_beam_with_zeroed_feedback(beam, sys8):
     state = pb.StateVector(u_dofs=state.u_dofs, v_dofs=state.v_dofs, z1=np.zeros(1), z2=np.zeros(1))
     out, _ = ClosedLoopOperator(sys8, config).generator(pack(state))
     n = sys8.n_dof
-    expected = -np.linalg.solve(sys8.mass_tip, sys8.stiffness_beam @ state.u_dofs)
+    expected = -np.linalg.solve(dense(sys8.mass_tip_band), dense(sys8.stiffness_band) @ state.u_dofs)
     assert np.allclose(out[n : 2 * n], expected, rtol=1e-13, atol=1e-13)
     assert np.array_equal(out[:n], state.v_dofs)
 
@@ -236,12 +236,12 @@ def test_generator_matches_dense_oracle_per_channel(sys8, beam):
     rot, tr = config.sd_rotational, config.sd_translational
     b1, b2 = config.block_rotational, config.block_translational
     isl, iv = sys8.tip_slope_index, sys8.tip_value_index
-    factor = scipy.linalg.cho_factor(sys8.mass_tip)
+    factor = scipy.linalg.cho_factor(dense(sys8.mass_tip_band))
     rng = np.random.default_rng(16)
     for _ in range(20):
         state = white_state(sys8, config, rng)
         u, v, z1, z2 = state.u_dofs, state.v_dofs, state.z1, state.z2
-        load = -(sys8.stiffness_beam @ u)
+        load = -(dense(sys8.stiffness_band) @ u)
         load[isl] -= float(b1.output(z1)) + float(rot.damper.eval(v[isl])) + float(rot.spring.eval(u[isl]))
         load[iv] -= float(b2.output(z2)) + float(tr.damper.eval(v[iv])) + float(tr.spring.eval(u[iv]))
         expected = np.concatenate([
@@ -389,7 +389,7 @@ def test_nonlinear_remainder_scales_quadratically(sys8, nonlinear):
 def dense_tip_mass_solve(sys_n, rhs):
     # dense Cholesky: a dense LU (np.linalg.solve) of mass_tip is itself off by
     # about cond * eps (1e-13 at n=64, 3e-13 at n=256)
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(sys_n.mass_tip), rhs)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(dense(sys_n.mass_tip_band)), rhs)
 
 
 def assert_close_relative(got, expected, rtol=1e-13):
@@ -415,7 +415,7 @@ def test_linear_generator_matrix_matches_dense_tip_mass_solve(beam, n_elements, 
     sd1, sd2 = config.sd_rotational, config.sd_translational
     n, n1 = sys_n.n_dof, lin1.A.shape[0]
     isl, iv = sys_n.tip_slope_index, sys_n.tip_value_index
-    minv_q = dense_tip_mass_solve(sys_n, displacement_gram(sys_n, sd1.spring_slope, sd2.spring_slope))
+    minv_q = dense_tip_mass_solve(sys_n, dense(displacement_gram(sys_n, sd1.spring_slope, sd2.spring_slope)))
     col_s, col_v = dense_tip_mass_solve(sys_n, sys_n.tip_unit_columns()).T
     g = linear_generator_matrix(sys_n, config)
     velocity_rows = g[n : 2 * n]
@@ -453,9 +453,9 @@ def dense_record_columns(state, sys_n, config):
     rot, tr = config.sd_rotational, config.sd_translational
     b1, b2 = config.block_rotational, config.block_translational
     lin1, lin2 = lins_of(config)
-    factor = scipy.linalg.cho_factor(sys_n.mass_tip)
+    factor = scipy.linalg.cho_factor(dense(sys_n.mass_tip_band))
     gram = scipy.linalg.block_diag(
-        displacement_gram(sys_n, rot.spring_slope, tr.spring_slope), sys_n.mass_tip, lin1.P, lin2.P)
+        dense(displacement_gram(sys_n, rot.spring_slope, tr.spring_slope)), dense(sys_n.mass_tip_band), lin1.P, lin2.P)
 
     def norm(x):
         return float(np.sqrt(x @ gram @ x))
@@ -466,8 +466,8 @@ def dense_record_columns(state, sys_n, config):
         return np.concatenate([np.zeros(sys_n.n_dof), scipy.linalg.cho_solve(factor, load), *rates])
 
     parts = [
-        0.5 * u @ sys_n.stiffness_beam @ u,
-        0.5 * v @ sys_n.mass_beam @ v,
+        0.5 * u @ dense(sys_n.stiffness_band) @ u,
+        0.5 * v @ dense(sys_n.mass_band) @ v,
         0.5 * beam.tip_inertia * v[isl] ** 2 + 0.5 * beam.tip_mass * v[iv] ** 2,
         float(rot.spring.potential(u[isl])),
         float(tr.spring.potential(u[iv])),
@@ -480,7 +480,7 @@ def dense_record_columns(state, sys_n, config):
         [b1.drift(z1) + b1.input_gain(z1) * v[isl], b2.drift(z2) + b2.input_gain(z2) * v[iv]],
     )
     full[: sys_n.n_dof] = v
-    full[sys_n.n_dof : 2 * sys_n.n_dof] -= scipy.linalg.cho_solve(factor, sys_n.stiffness_beam @ u)
+    full[sys_n.n_dof : 2 * sys_n.n_dof] -= scipy.linalg.cho_solve(factor, dense(sys_n.stiffness_band) @ u)
     remainder = tangent(
         [-((float(b1.output(z1)) - lin1.C @ z1) + (float(rot.damper.eval(v[isl])) - rot.damper_slope * v[isl])
            + (float(rot.spring.eval(u[isl])) - rot.spring_slope * u[isl])),

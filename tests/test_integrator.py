@@ -4,12 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 
 import passivebeam as pb
 from passivebeam import integrator
-from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, pack, tip_traces
+from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, linear_system, pack, tip_traces
 from passivebeam.errors import (
-    DimensionMismatch,
     EmptyTrajectory,
     InsufficientResolution,
     LinearSolveFailure,
@@ -160,10 +161,21 @@ def test_schur_solve_inverts_midpoint_matrix(beam, n_elements, dt):
     assert stepper.qnorm(defect) <= 1e-12 * stepper.qnorm(r)
 
 
-def test_stepper_rejects_non_banded_system(sys6, beam):
-    dense = dataclasses.replace(sys6, stiffness_beam=np.ones_like(sys6.stiffness_beam))
-    with pytest.raises(DimensionMismatch):
-        MidpointStepper(dense, default_config(beam), 1e-3)
+def test_tip_mass_is_factored_once_per_system(beam, monkeypatch):
+    calls = []
+    for owner, name in ((scipy.linalg.lapack, "dpbtrf"), (scipy.linalg, "cholesky_banded")):
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    sys_n = make_system(beam, 6)
+    assert calls == ["dpbtrf"]
+    config = default_config(beam)
+    y0 = pb.first_mode_initial_state(sys_n, config)
+    MidpointStepper(sys_n, config, 1e-3).step_flat(pack(y0), 1e-10, 25)
+    pb.simulate(y0, pb.IntegratorSettings(dt=1e-3, t_end=5e-3), sys_n, config)
+    linear_system(sys_n, config)
+    assert calls == ["dpbtrf"]
 
 
 @pytest.mark.parametrize("n_elements", [256, 512])
