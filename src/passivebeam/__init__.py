@@ -32,7 +32,6 @@ from .discretization import (
     Mesh,
     assemble,
     build_mesh,
-    export_matrix,
     interpolate,
 )
 from .dynamics import (
@@ -81,7 +80,6 @@ __all__ = [
     "decay_metrics",
     "eval_H",
     "eval_Hdot",
-    "export_matrix",
     "first_mode_initial_state",
     "interpolate",
     "linearize_block",

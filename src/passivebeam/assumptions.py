@@ -6,11 +6,11 @@ Strict inequalities are tested with an absolute margin so that re-evaluating
 a witness reproduces the violation.
 
 Each law and block callback is evaluated over the whole sample set in one
-call, the closed-form spring potential included; a callback whose batched
-result fails a shape and per-point probe check is evaluated point by point
-instead, with the same report. A spring law without a closed-form potential
-is integrated by a 129-node Simpson rule per point, in fixed-size chunks of
-points.
+call, the closed-form spring potential included. Laws and blocks settle at
+construction whether a callback batches; one that does not runs per point
+behind the same call, with the same report. A spring law without a
+closed-form potential is integrated by a 129-node Simpson rule per point, in
+fixed-size chunks of points.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_model import PassiveBlock, ScalarLaw, SpringDamperLaw, _batch, _simpson, _storage_hessian
+from .beam_model import PassiveBlock, ScalarLaw, SpringDamperLaw, _simpson, _storage_hessian
 
 #: absolute margin for strict inequalities
 STRICT_MARGIN = 1e-9
@@ -141,12 +141,12 @@ def _spring_potentials(law: ScalarLaw, uppers: np.ndarray) -> np.ndarray:
     """The law's potential at each s in ``uppers``: its closed form in one
     call, or else composite Simpson with 129 nodes on [0, s]."""
     if law.potential is not None:
-        return _batch(law.potential, uppers)
+        return law.potential(uppers)
     out = []
     for i in range(0, len(uppers), _POTENTIAL_CHUNK):
         upper = uppers[i : i + _POTENTIAL_CHUNK]
         x = np.linspace(0.0, upper, 129, axis=-1)
-        out.append(_simpson(_batch(law.eval, x.ravel()).reshape(x.shape), upper / 128.0))
+        out.append(_simpson(np.reshape(law.eval(x.ravel()), x.shape), upper / 128.0))
     return np.concatenate(out)
 
 
@@ -158,7 +158,9 @@ def _check(name: str, ok, witness, value) -> CheckResult:
 
 
 def _sampled(name: str, points, values, passes, flip: bool = False) -> CheckResult:
-    """The check on the worst sampled value: the smallest, or the largest if flip."""
+    """The check on the worst sampled value: the smallest, or the largest if
+    flip. ``values`` may broadcast to one per point, as block callbacks may."""
+    values = np.broadcast_to(values, len(points))
     idx = int(np.argmax(values)) if flip else int(np.argmin(values))
     return _check(name, passes(float(values[idx])), points[idx], values[idx])
 
@@ -184,7 +186,7 @@ def certify_spring_damper(
     k0, kslope = float(law.spring.eval(0.0)), float(law.spring.deriv(0.0))
     checks = [
         _check("damper-vanishes-at-zero", abs(d0) <= STRICT_MARGIN, 0.0, d0),
-        _sampled("damper-derivative-nonnegative", pts, _batch(law.damper.deriv, pts),
+        _sampled("damper-derivative-nonnegative", pts, law.damper.deriv(pts),
                  lambda worst: worst >= -STRICT_MARGIN),
         _check("damper-slope-positive", dslope >= STRICT_MARGIN, 0.0, dslope),
         _check("spring-slope-positive", kslope >= STRICT_MARGIN, 0.0, kslope),
@@ -211,13 +213,11 @@ def certify_block(
     if samples < 100 * block.dim:
         raise ValueError(f"samples must be >= {100 * block.dim} for dim {block.dim}")
     pts = _ball_points(block.dim, radius, _BLOCK_GRID_POINTS, samples, seed)
-    dim = (block.dim,)
-    grad = _batch(block.storage_grad, pts, dim)
-    output = _batch(block.output, pts)
-    kyp = np.abs(np.vecdot(grad, _batch(block.input_gain, pts, dim)) - output) / (1.0 + np.abs(output))
+    grad = block.storage_grad(pts)
+    output = block.output(pts)
+    kyp = np.abs(np.vecdot(grad, block.input_gain(pts)) - output) / (1.0 + np.abs(output))
 
     hess = _storage_hessian(block)
-    hess = 0.5 * (hess + hess.T)
     eigvals, eigvecs = np.linalg.eigh(hess)
     amat = np.asarray(block.drift_jac(np.zeros(block.dim)), dtype=float)
     svals = np.linalg.svd(amat, compute_uv=False)
@@ -225,14 +225,14 @@ def certify_block(
     sphere = pts * (radius / np.linalg.norm(pts, axis=1))[:, None]
 
     checks = [
-        _sampled("storage-positive", pts, _batch(block.storage, pts), lambda worst: worst >= STRICT_MARGIN),
-        _sampled("dissipation-strict", pts, np.vecdot(grad, _batch(block.drift, pts, dim)),
+        _sampled("storage-positive", pts, block.storage(pts), lambda worst: worst >= STRICT_MARGIN),
+        _sampled("dissipation-strict", pts, np.vecdot(grad, block.drift(pts)),
                  lambda worst: worst <= -STRICT_MARGIN, flip=True),
         _sampled("kyp-output-match", pts, kyp, lambda worst: worst <= STRICT_MARGIN, flip=True),
         _check("hessian-positive-definite", eigvals[0] >= STRICT_MARGIN, eigvecs[:, 0], eigvals[0]),
         _check("drift-jacobian-invertible", np.isfinite(cond) and cond <= 1e12,
                np.linalg.svd(amat)[2][-1], cond),
-        _sampled("radial-growth", sphere, _batch(block.storage, sphere), lambda worst: worst > h_threshold),
+        _sampled("radial-growth", sphere, block.storage(sphere), lambda worst: worst > h_threshold),
         _sampled("pa-negative-semidefinite", pts, np.vecdot(pts, pts @ (hess @ amat).T) / np.vecdot(pts, pts),
                  lambda worst: worst <= STRICT_MARGIN, flip=True),
     ]

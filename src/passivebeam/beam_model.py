@@ -19,8 +19,39 @@ _DERIV_RTOL = 1e-6
 _DERIV_STEP = 1e-6
 
 
-def _centered(f: Callable, x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+def _per_point_values(f: Callable, points, shape: tuple = ()) -> np.ndarray:
+    """``f`` called once per point along the leading axis of ``points``, as a
+    ``(P,) + shape`` array."""
+    return np.array([f(p) for p in points], dtype=float).reshape((len(points),) + shape)
+
+
+def _per_point(f: Callable, point_ndim: int, shape: tuple) -> Callable:
+    """Stand-in for a callback that does not batch: one point (``point_ndim``
+    axes) goes to ``f`` as it is, a batch of them one point per call."""
+    def stand_in(x):
+        if np.ndim(x) == point_ndim:
+            return f(x)
+        x = np.asarray(x, dtype=float)
+        lead, point = x.shape[: x.ndim - point_ndim], x.shape[x.ndim - point_ndim :]
+        return _per_point_values(f, x.reshape((-1,) + point), shape).reshape(lead + shape)
+    return stand_in
+
+
+def _settle_callback(owner, name: str, points: np.ndarray, per_point: np.ndarray, point_ndim: int):
+    """Keep callback ``name`` of ``owner`` when one call on all ``points``
+    agrees with their ``per_point`` values to rtol 1e-13 (a law's result must
+    have exactly their shape, a block's must broadcast to it); otherwise
+    replace it by a per-point stand-in."""
+    f = getattr(owner, name)
+    try:
+        batched = np.asarray(f(points), dtype=float)
+        if batched.shape != per_point.shape and point_ndim:
+            batched = np.broadcast_to(batched, per_point.shape)
+        if batched.shape == per_point.shape and np.all(np.abs(batched - per_point) <= 1e-13 * np.abs(per_point)):
+            return
+    except Exception:  # whatever a callback raises on a batch, evaluate it per point
+        pass
+    object.__setattr__(owner, name, _per_point(f, point_ndim, per_point.shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -56,17 +87,36 @@ def _simpson(y: np.ndarray, h):
 #: checked against, to the relative tolerance of the derivative check
 _POTENTIAL_CHECK_INTERVALS = 256
 
+#: sample grid of the law checks, its centered-difference points and the
+#: Simpson nodes of the reference potentials
+_LAW_GRID = np.array((-1.0, -0.3, 0.0, 0.2, 0.7))
+_LAW_STEPS = _DERIV_STEP * (1.0 + np.abs(_LAW_GRID))
+_LAW_SHIFTED = np.concatenate([_LAW_GRID + _LAW_STEPS, _LAW_GRID - _LAW_STEPS])
+_POTENTIAL_NODES = np.linspace(0.0, _LAW_GRID, _POTENTIAL_CHECK_INTERVALS + 1, axis=-1)
+
+
+def _require_close(what: str, var: str, points, supplied, approx):
+    """Raise ValueError at the first of ``points`` where ``supplied`` misses
+    ``approx`` by more than the derivative check's tolerance."""
+    miss = np.abs(supplied - approx) > _DERIV_RTOL * (1.0 + np.abs(supplied))
+    bad = np.flatnonzero(miss.reshape(len(points), -1).any(axis=1))
+    if len(bad):
+        raise ValueError(f"{what} at {var}={points[bad[0]]}: {supplied[bad[0]]} vs {approx[bad[0]]}")
+
 
 @dataclass(frozen=True)
 class ScalarLaw:
     """A scalar map with its derivative and, optionally, its antiderivative.
 
-    ``eval``, ``deriv`` and ``potential`` must be pure and accept
-    numpy arrays elementwise. ``deriv`` is validated against a centered
-    difference of ``eval`` on a small sample grid at construction.
-    ``potential``, the integral of ``eval`` from 0 to s, must vanish at 0
-    exactly and is validated against a fine Simpson rule of ``eval`` on the
-    same grid; without it, spring potentials fall back to quadrature.
+    ``eval``, ``deriv`` and ``potential`` must be pure and take a number.
+    ``deriv`` is validated against a centered difference of ``eval`` on a
+    small sample grid at construction. ``potential``, the integral of
+    ``eval`` from 0 to s, must vanish at 0 exactly and is validated against a
+    fine Simpson rule of ``eval`` on the same grid; without it, spring
+    potentials fall back to quadrature. Callers evaluate a callback
+    elementwise on an array in one call; construction checks that once on the
+    grid (the input's shape, rtol 1e-13) and runs a callback that fails it per
+    point. The registry laws are elementwise.
     """
 
     eval: Callable
@@ -74,59 +124,23 @@ class ScalarLaw:
     potential: Callable | None = None
 
     def __post_init__(self):
-        grid = (-1.0, -0.3, 0.0, 0.2, 0.7)
-        for s in grid:
-            supplied = float(self.deriv(s))
-            approx = _centered(self.eval, s, _DERIV_STEP * (1.0 + abs(s)))
-            if abs(supplied - approx) > _DERIV_RTOL * (1.0 + abs(supplied)):
-                raise ValueError(
-                    f"ScalarLaw.deriv disagrees with centered difference at s={s}: "
-                    f"{supplied} vs {approx}"
-                )
+        grid, half = _LAW_GRID, len(_LAW_GRID)
+        values = _per_point_values(self.eval, _LAW_SHIFTED.tolist())
+        derivs = _per_point_values(self.deriv, grid.tolist())
+        centered = (values[:half] - values[half:]) / (2.0 * _LAW_STEPS)
+        _require_close("ScalarLaw.deriv disagrees with centered difference", "s", grid, derivs, centered)
+        _settle_callback(self, "eval", _LAW_SHIFTED, values, 0)
+        _settle_callback(self, "deriv", grid, derivs, 0)
         if self.potential is None:
             return
         if float(self.potential(0.0)) != 0.0:
             raise ValueError("ScalarLaw requires potential(0) = 0 exactly")
-        uppers = np.array(grid)
-        nodes = np.linspace(0.0, uppers, _POTENTIAL_CHECK_INTERVALS + 1, axis=-1)
-        values = _batch(self.eval, nodes.ravel(), probe=False).reshape(nodes.shape)
-        reference = _simpson(values, uppers / _POTENTIAL_CHECK_INTERVALS)
-        for s, approx in zip(grid, reference):
-            supplied = float(self.potential(s))
-            if abs(supplied - approx) > _DERIV_RTOL * (1.0 + abs(supplied)):
-                raise ValueError(
-                    f"ScalarLaw.potential disagrees with the Simpson integral of eval at s={s}: "
-                    f"{supplied} vs {approx}"
-                )
-
-
-def _batch(f: Callable, pts: np.ndarray, shape: tuple = (), probe: bool = True) -> np.ndarray:
-    """``f`` at every point along the leading axis of ``pts``, as a
-    ``(P,) + shape`` array.
-
-    ``f`` is called once on the whole batch. With ``probe`` the result is
-    accepted when it broadcasts to ``(P,) + shape`` and agrees with
-    per-point calls on the first, middle and last point to rtol 1e-13;
-    without (hot paths that rely on the elementwise contract of
-    ``ScalarLaw``) when it has exactly that shape. Otherwise (a callback that
-    rejects or mishandles the batch axis) ``f`` is called once per point.
-    """
-    pts = np.asarray(pts, dtype=float)
-    count = len(pts)
-    try:
-        y = np.asarray(f(pts), dtype=float)
-        if probe and count:
-            y = np.broadcast_to(y, (count,) + shape)
-            idx = [0, count // 2, count - 1]
-            per_point = np.reshape([np.asarray(f(pts[i]), dtype=float) for i in idx], (len(idx),) + shape)
-            accepted = np.allclose(y[idx], per_point, rtol=1e-13, atol=0.0, equal_nan=True)
-        else:
-            accepted = y.shape == (count,) + shape
-        if accepted:
-            return y
-    except Exception:  # whatever a callback raises on a batch, evaluate per point
-        pass
-    return np.array([np.asarray(f(p), dtype=float).reshape(shape) for p in pts]).reshape((count,) + shape)
+        potentials = _per_point_values(self.potential, grid.tolist())
+        nodes = _POTENTIAL_NODES
+        reference = _simpson(np.reshape(self.eval(nodes.ravel()), nodes.shape), grid / _POTENTIAL_CHECK_INTERVALS)
+        _require_close("ScalarLaw.potential disagrees with the Simpson integral of eval", "s", grid, potentials,
+                       reference)
+        _settle_callback(self, "potential", grid, potentials, 0)
 
 
 @dataclass(frozen=True)
@@ -176,12 +190,11 @@ class PassiveBlock:
     centered differences at construction; a(0), c(0) and V(0) must vanish
     exactly.
 
-    Callbacks take one state of shape (dim,). ``drift``, ``input_gain``,
-    ``output``, ``storage`` and ``storage_grad`` may also accept a leading
-    batch axis, (P, dim) -> (P, ...); certification probes each of them for
-    that and falls back to per-point calls when the batched result is
-    missing, has the wrong shape or disagrees with the per-point values.
-    The registry blocks broadcast.
+    Callbacks take one state of shape (dim,); callers also pass a batch
+    (P, dim) to ``drift``, ``input_gain``, ``output``, ``storage`` and
+    ``storage_grad``. Construction checks that once on its sample points (the
+    result broadcasts to P per-point results, rtol 1e-13) and runs a callback
+    that fails it per point. The registry blocks broadcast.
     """
 
     dim: int
@@ -206,38 +219,30 @@ class PassiveBlock:
             raise ValueError("PassiveBlock requires V(0) = 0 exactly")
         self._check_derivatives()
 
-    def _sample_points(self):
-        pts = [np.zeros(self.dim)]
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            pts.append(0.3 * e)
-            pts.append(-0.2 * e)
-        pts.append(np.full(self.dim, 0.15))
-        return pts
-
     def _check_derivatives(self):
-        h = _DERIV_STEP
-
-        def check_jac(fun, jac, label, out_dim):
-            for z in self._sample_points():
-                supplied = np.atleast_2d(np.asarray(jac(z), dtype=float))
-                approx = np.zeros((out_dim, self.dim))
-                for j in range(self.dim):
-                    e = np.zeros(self.dim)
-                    e[j] = h
-                    approx[:, j] = (
-                        np.asarray(fun(z + e), dtype=float)
-                        - np.asarray(fun(z - e), dtype=float)
-                    ) / (2.0 * h)
-                scale = 1.0 + np.abs(supplied)
-                if np.any(np.abs(supplied - approx) > _DERIV_RTOL * scale):
-                    raise ValueError(f"PassiveBlock.{label} disagrees with centered differences")
-
-        check_jac(self.drift, self.drift_jac, "drift_jac", self.dim)
-        check_jac(self.input_gain, self.input_jac, "input_jac", self.dim)
-        check_jac(lambda z: np.atleast_1d(self.output(z)), lambda z: np.atleast_2d(self.output_grad(z)), "output_grad", 1)
-        check_jac(lambda z: np.atleast_1d(self.storage(z)), lambda z: np.atleast_2d(self.storage_grad(z)), "storage_grad", 1)
+        """Each supplied derivative against centered differences of its
+        callback at the sample points (the origin, 0.3 e_i and -0.2 e_i, and
+        0.15 (1, ..., 1)); each batched callback is settled on the same points."""
+        dim, axes = self.dim, np.eye(self.dim)
+        points = np.concatenate([
+            np.zeros((1, dim)), np.stack([0.3 * axes, -0.2 * axes], axis=1).reshape(-1, dim), np.full((1, dim), 0.15)
+        ])
+        steps = _DERIV_STEP * axes
+        stencil = np.concatenate([points[:, None] + steps, points[:, None] - steps]).reshape(-1, dim)
+        for name, label, shape in (
+            ("drift", "drift_jac", (dim,)),
+            ("input_gain", "input_jac", (dim,)),
+            ("output", "output_grad", ()),
+            ("storage", "storage_grad", ()),
+        ):
+            values = _per_point_values(getattr(self, name), stencil, shape)
+            plus, minus = values.reshape((2, len(points), dim) + shape)
+            supplied = np.array([np.atleast_2d(getattr(self, label)(z)) for z in points], dtype=float)
+            approx = np.moveaxis((plus - minus) / (2.0 * _DERIV_STEP), 1, -1).reshape(supplied.shape)
+            _require_close(f"PassiveBlock.{label} disagrees with centered differences", "z", points, supplied, approx)
+            _settle_callback(self, name, stencil, values, 1)
+        # the last derivatives checked are storage_grad's values at the points
+        _settle_callback(self, "storage_grad", points, supplied.reshape(len(points), dim), 1)
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,6 @@ def linearize_block(block: PassiveBlock) -> BlockLinearization:
     B = np.asarray(block.input_gain(zero), dtype=float).ravel()
     C = np.asarray(block.output_grad(zero), dtype=float).ravel()
     P = _storage_hessian(block)
-    P = 0.5 * (P + P.T)
     eigs = np.abs(np.linalg.eigvalsh(P))
     scale = max(1.0, eigs.max())
     if eigs.min() <= 1e-12 * scale or eigs.max() / eigs.min() > 1e12:
@@ -295,7 +299,8 @@ def linearize_block(block: PassiveBlock) -> BlockLinearization:
 
 
 def _storage_hessian(block: PassiveBlock) -> np.ndarray:
-    """Hessian of V at 0 from the supplied gradient, by centered differences."""
+    """Hessian of V at 0 from the supplied gradient, by centered differences,
+    symmetrized."""
     n = block.dim
     h = 1e-6
     H = np.zeros((n, n))
@@ -305,7 +310,7 @@ def _storage_hessian(block: PassiveBlock) -> np.ndarray:
         gp = np.asarray(block.storage_grad(e), dtype=float).ravel()
         gm = np.asarray(block.storage_grad(-e), dtype=float).ravel()
         H[:, j] = (gp - gm) / (2.0 * h)
-    return H
+    return 0.5 * (H + H.T)
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,9 @@ class RunConfig:
 
     def __init__(self, raw: dict, mode: str, seed_override=None, out_override=None):
         with _section(raw, None, _TOP_KEYS, ["beam"], "config root"):
-            if raw.get("schema_version") != SCHEMA_VERSION:
-                raise ConfigParseError(
-                    f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
-                )
+            version = raw.get("schema_version")
+            if type(version) is not int or version != SCHEMA_VERSION:
+                raise ConfigParseError(f"schema_version must be the integer {SCHEMA_VERSION}, got {version!r}")
             if "mode" in raw and raw["mode"] != mode:
                 raise ConfigParseError(
                     f"config mode {raw['mode']!r} does not match requested mode {mode!r}"
@@ -164,6 +163,8 @@ class RunConfig:
                 if not isinstance(meshes, list) or not meshes:
                     raise ConfigParseError(f"convergence.meshes must be a non-empty list, got {meshes!r}")
                 self.meshes = [_count(m, "convergence.meshes", 1) for m in meshes]
+                if len(set(self.meshes)) != len(self.meshes):
+                    raise ConfigParseError(f"convergence.meshes must be distinct, got {meshes!r}")
 
     # -- builders -----------------------------------------------------------
     def needs(self, *attrs):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
@@ -234,7 +233,3 @@ def interpolate(sys: DiscreteSystem, values, slopes) -> np.ndarray:
     out[1::2] = [slopes(x) for x in nodes]
     return out
 
-
-def export_matrix(path, matrix: np.ndarray, comment: str = "") -> None:
-    """Write a matrix in Matrix Market format for external inspection."""
-    scipy.io.mmwrite(str(path), np.asarray(matrix), comment=comment)

@@ -26,7 +26,6 @@ from .beam_model import (
     PassiveBlock,
     ScalarLaw,
     SpringDamperLaw,
-    _batch,
     _simpson,
     linearize_block,
 )
@@ -145,8 +144,7 @@ _MAX_DOUBLINGS = 10
 
 
 def _simpson_law(f, s: float, intervals: int) -> float:
-    # this runs on every record: rely on the elementwise contract of ScalarLaw
-    return _simpson(_batch(f, np.linspace(0.0, s, intervals + 1), probe=False), s / intervals)
+    return _simpson(f(np.linspace(0.0, s, intervals + 1)), s / intervals)
 
 
 def spring_potential(law: ScalarLaw, s, tol: float = 1e-12):
@@ -161,7 +159,7 @@ def spring_potential(law: ScalarLaw, s, tol: float = 1e-12):
     """
     points = np.asarray(s, dtype=float)
     if law.potential is not None:
-        values = _batch(law.potential, points.ravel(), probe=False)
+        values = law.potential(points.ravel())
     else:
         values = np.array([_quadrature(law, x, tol) for x in points.ravel().tolist()])
     return values.reshape(points.shape) if points.ndim else float(values[0])
@@ -204,7 +202,8 @@ def eval_H(flat, sys: DiscreteSystem, config: ClosedLoopConfig) -> EnergyBreakdo
     tip = xi**2 / (2.0 * beam.tip_inertia) + psi**2 / (2.0 * beam.tip_mass)
     channels = _channels(sys, config, linearize=False)
     springs = [spring_potential(ch.sd.spring, rows[:, ch.tip]) for ch in channels]
-    storages = [_batch(ch.block.storage, rows[:, ch.z]) for ch in channels]
+    # a block's storage may broadcast over the rows (PassiveBlock)
+    storages = [np.broadcast_to(ch.block.storage(rows[:, ch.z]), len(rows)) for ch in channels]
     total = strain + kinetic + tip
     for part in springs + storages:
         total = total + part
@@ -218,9 +217,9 @@ def eval_Hdot(flat, sys: DiscreteSystem, config: ClosedLoopConfig):
     rows = _rows(flat, sys, config)
     rate = np.zeros(len(rows))
     for ch in _channels(sys, config, linearize=False):
-        z, shape, v_l = rows[:, ch.z], (ch.block.dim,), rows[:, sys.n_dof + ch.tip]
-        rate += np.vecdot(_batch(ch.block.drift, z, shape), _batch(ch.block.storage_grad, z, shape))
-        rate -= _batch(ch.sd.damper.eval, v_l, probe=False) * v_l
+        z, v_l = rows[:, ch.z], rows[:, sys.n_dof + ch.tip]
+        rate += np.vecdot(ch.block.drift(z), ch.block.storage_grad(z))
+        rate -= ch.sd.damper.eval(v_l) * v_l
     return _as_given(flat, rate)
 
 
@@ -261,15 +260,9 @@ class _Channel:
 
     def laws_at_rows(self, u_l, v_l, z):
         """Block output, damper, spring, block drift and input gain at rows of
-        traces, one callback call over all rows (``beam_model._batch``)."""
-        blk, sd, shape = self.block, self.sd, (self.block.dim,)
-        return (
-            _batch(blk.output, z),
-            _batch(sd.damper.eval, v_l, probe=False),
-            _batch(sd.spring.eval, u_l, probe=False),
-            _batch(blk.drift, z, shape),
-            _batch(blk.input_gain, z, shape),
-        )
+        traces, one callback call over all rows."""
+        blk, sd = self.block, self.sd
+        return blk.output(z), sd.damper.eval(v_l), sd.spring.eval(u_l), blk.drift(z), blk.input_gain(z)
 
     def linear_load_and_rate(self, u_l, v_l, z):
         """Tip load and block rate of the laws' and block's origin slopes."""

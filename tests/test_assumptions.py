@@ -217,6 +217,96 @@ def test_broadcasting_but_wrong_storage_is_evaluated_per_point():
     assert batched.check("storage-positive").value == pytest.approx(0.5 * np.min(np.sum(pts**2, axis=1)))
 
 
+# ---------------------------------------------------------------------------
+# The batch contract is settled at construction
+# ---------------------------------------------------------------------------
+
+def _non_elementwise_law():
+    # eval sums an array to one number, so only scalar calls give s + s^3
+    return pb.ScalarLaw(eval=lambda s: np.sum(s) + np.sum(s) ** 3, deriv=lambda s: 1.0 + 3.0 * np.sum(s) ** 2)
+
+
+def _size_scaled_law():
+    # the shape of its input, but the cubic term scales with the batch size
+    return pb.ScalarLaw(
+        eval=lambda s: s + np.size(s) * np.power(s, 3), deriv=lambda s: 1.0 + 3.0 * np.size(s) * np.square(s)
+    )
+
+
+LAW_STAND_IN_CASES = {
+    "raises": lambda: pointwise_law(pb.make_law("tanh")),
+    "wrong-shape": _non_elementwise_law,
+    "wrong-value": _size_scaled_law,
+}
+
+BLOCK_STAND_IN_CASES = {
+    "raises": lambda: pointwise_block(pb.make_block("cubic-drift")),
+    # one row of a batch, not one entry per row
+    "wrong-shape": lambda: dataclasses.replace(
+        pb.make_block("cubic-drift"), output=lambda z: np.asarray(z, dtype=float)[1]
+    ),
+    # the storage sums over every axis: right for one state, one number for a batch
+    "wrong-value": lambda: dataclasses.replace(
+        pb.make_block("linear", dim=2), storage=lambda z: 0.5 * float(np.sum(np.square(z)))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAW_STAND_IN_CASES))
+def test_law_that_does_not_batch_gets_per_point_stand_ins(case):
+    law = LAW_STAND_IN_CASES[case]()
+    s = np.random.default_rng(3).uniform(-1.5, 1.5, size=(3, 4))
+    for name in ("eval", "deriv", "potential"):
+        f = getattr(law, name)
+        if f is not None:
+            np.testing.assert_array_equal(f(s), [[float(f(x)) for x in row] for row in s.tolist()], err_msg=name)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_STAND_IN_CASES))
+def test_block_that_does_not_batch_gets_per_point_stand_ins(case):
+    block = BLOCK_STAND_IN_CASES[case]()
+    z = np.random.default_rng(3).uniform(-1.5, 1.5, size=(7, block.dim))
+    for name in BATCHED_CALLBACKS:
+        f = getattr(block, name)
+        rows = np.array([np.asarray(f(row), dtype=float) for row in z])
+        np.testing.assert_array_equal(np.broadcast_to(f(z), rows.shape), rows, err_msg=name)
+
+
+@pytest.mark.parametrize("name", sorted(LAW_BUILDERS))
+def test_elementwise_law_keeps_its_callbacks(name):
+    law = pb.make_law(name)
+    rebuilt = dataclasses.replace(law)
+    assert all(getattr(rebuilt, k) is getattr(law, k) for k in ("eval", "deriv", "potential"))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_broadcasting_block_keeps_its_callbacks(name):
+    block = pb.make_block(name.removesuffix("-dim3"), **BLOCKS[name])
+    rebuilt = dataclasses.replace(block)
+    assert all(getattr(rebuilt, k) is getattr(block, k) for k in BATCHED_CALLBACKS)
+
+
+def test_certify_block_reports_on_broadcast_callback_values():
+    # constant output and storage gradient broadcast over the batch, so the
+    # KYP defect comes out as one number for all points
+    block = pb.PassiveBlock(
+        dim=1,
+        drift=lambda z: -np.asarray(z, dtype=float),
+        input_gain=lambda z: np.ones(1),
+        output=lambda z: 0.0,
+        storage=lambda z: np.asarray(z, dtype=float)[..., 0],
+        storage_grad=lambda z: np.ones(1),
+        drift_jac=lambda z: -np.eye(1),
+        input_jac=lambda z: np.zeros((1, 1)),
+        output_grad=lambda z: np.zeros(1),
+    )
+    report = pb.certify_block(block, radius=1.0, samples=100)
+    kyp = report.check("kyp-output-match")
+    assert (kyp.passed, kyp.value) == (False, 1.0)
+    assert kyp.witness is not None
+    assert not report.check("storage-positive").passed
+
+
 def _ball_points_per_point(dim, radius, n_halton, n_uniform, seed):
     """The original one-point-at-a-time rejection sampler."""
 

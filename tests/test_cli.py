@@ -86,9 +86,10 @@ def test_unknown_keys_rejected(tmp_path):
 
 
 def test_wrong_schema_version_rejected(tmp_path):
-    cfg = base_config(schema_version=99)
-    path = write_config(tmp_path, cfg)
-    assert cli.run("certify", path, out=tmp_path / "out") == 1
+    # true and 1.0 equal 1 in Python, but neither is the JSON integer 1
+    for version in (99, True, 1.0):
+        path = write_config(tmp_path, base_config(schema_version=version))
+        assert cli.run("certify", path, out=tmp_path / "out") == 1
 
 
 def test_mode_mismatch_rejected(tmp_path):
@@ -222,6 +223,7 @@ def test_bad_certify_values_exit_1(tmp_path, capsys, key, value):
         ("seed", -1),
         ("integrator", {"dt": 0.001, "t_end": 0.5, "record_every": 2.5}),
         ("beam", {"rho": True, "lambda_rigidity": 1.0, "length": 1.0, "tip_inertia": 0.1, "tip_mass": 0.1}),
+        ("convergence", {"meshes": [8, 8, 4]}),
     ],
 )
 def test_bad_section_values_exit_1(tmp_path, capsys, section, value):

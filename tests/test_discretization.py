@@ -172,15 +172,6 @@ def test_displacement_gram_adds_spring_slopes(sys4):
     )
 
 
-def test_export_matrix_roundtrip(tmp_path, sys4):
-    import scipy.io
-
-    path = tmp_path / "mass.mtx"
-    pb.export_matrix(path, dense(sys4.mass_band))
-    back = np.asarray(scipy.io.mmread(str(path)))
-    assert np.allclose(back, dense(sys4.mass_band), rtol=0, atol=1e-12)
-
-
 # -- loop-free assembly --------------------------------------------------------
 
 def assemble_per_element(beam, mesh):

@@ -163,6 +163,15 @@ def test_energy_dimension_mismatch(sys8, sys4, nonlinear):
 
 # -- energy rate ---------------------------------------------------------------
 
+def test_energy_of_a_block_whose_storage_broadcasts(sys8, linear):
+    # a storage that returns one number for any batch is a valid broadcast
+    block = dataclasses.replace(pb.make_block("linear"), storage=lambda z: 0.0, storage_grad=lambda z: np.zeros(1))
+    config = dataclasses.replace(linear, block_rotational=block)
+    rows = np.ones((3, 2 * sys8.n_dof + 2))
+    assert np.array_equal(pb.eval_H(rows, sys8, config).storage_z1, np.zeros(3))
+    assert pb.eval_H(rows[0], sys8, config).storage_z1 == 0.0
+
+
 def test_hdot_zero_state(sys8, nonlinear):
     assert pb.eval_Hdot(pack(pb.zero_state(sys8, nonlinear)), sys8, nonlinear) == 0.0
 

@@ -294,6 +294,46 @@ def test_per_state_block_records_match_the_batched_path(sys6, beam):
         assert np.abs(got - value).max() <= 1e-13 * np.abs(value).max(), name
 
 
+def count_callback_calls(*objects):
+    """Swap each callable field of the laws and blocks for a counting one, as
+    the benchmark tracer does; returns the running count."""
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    for obj in objects:
+        for field in dataclasses.fields(obj):
+            value = getattr(obj, field.name)
+            if callable(value):
+                object.__setattr__(obj, field.name, counting(value))
+    return calls
+
+
+def test_record_chunk_and_block_certification_call_each_callback_once(sys6, beam):
+    config = default_config(beam)
+    stepper = MidpointStepper(sys6, config, 1e-3)
+    rng = np.random.default_rng(2)
+    rows = np.array([pack(white_state(sys6, config, rng, scale=0.5)) for _ in range(256)])
+    laws = [law for sd in (config.sd_rotational, config.sd_translational) for law in (sd.damper, sd.spring)]
+    calls = count_callback_calls(*laws, config.block_rotational, config.block_translational)
+    pb.eval_H(rows, sys6, config)
+    pb.eval_Hdot(rows, sys6, config)
+    stepper.nonlinear_norm(rows)
+    stepper.generator_norm(rows)
+    # energy: 2 potentials + 2 storages; rate: 2 x (drift, storage_grad, damper);
+    # each norm: 2 channels x (output, damper, spring, drift, input_gain)
+    assert calls[0] == 4 + 6 + 2 * 10
+    block = pb.make_block("cubic-drift")
+    calls = count_callback_calls(block)
+    pb.certify_block(block, radius=1.5, samples=200)
+    # 6 batched calls, 2 x 2 storage_grad calls for the Hessian, drift_jac at 0
+    assert calls[0] == 6 + 4 + 1
+
+
 def test_simulate_failures_carry_the_failing_time(sys6, beam, monkeypatch):
     config = default_config(beam)
     state = white_state(sys6, config, np.random.default_rng(1), scale=5.0)
