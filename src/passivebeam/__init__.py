@@ -11,7 +11,6 @@ from .analysis import (
     beam_frequencies,
     clamped_free_wavenumbers,
     decay_metrics,
-    projected_system,
     skew_check,
     spectrum,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "linearize_block",
     "make_block",
     "make_law",
-    "projected_system",
     "simulate",
     "smooth_initial_state",
     "skew_check",

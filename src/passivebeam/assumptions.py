@@ -6,11 +6,11 @@ Strict inequalities are tested with an absolute margin so that re-evaluating
 a witness reproduces the violation.
 
 Each law and block callback is evaluated over the whole sample set in one
-call, the closed-form spring potential included. Laws and blocks settle at
-construction whether a callback batches; one that does not runs per point
-behind the same call, with the same report. A spring law without a
-closed-form potential is integrated by a 129-node Simpson rule per point, in
-fixed-size chunks of points.
+call, the spring potential included. Laws and blocks settle at construction
+whether a callback batches; one that does not runs per point behind the same
+call, with the same report. The spring potential is the law's ``potential``,
+the one the Lyapunov functional uses: its closed form, or the adaptive
+Simpson rule a law without one gets at construction.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_model import PassiveBlock, ScalarLaw, SpringDamperLaw, _simpson, _storage_hessian
+from .beam_model import PassiveBlock, SpringDamperLaw, _storage_hessian
 
 #: absolute margin for strict inequalities
 STRICT_MARGIN = 1e-9
@@ -30,9 +30,6 @@ _INNER_FRACTION = 1e-3
 
 _GRID_POINTS = 257
 _BLOCK_GRID_POINTS = 512
-
-#: sample points per spring-potential chunk (bounds the node-grid memory)
-_POTENTIAL_CHUNK = 64
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -137,19 +134,6 @@ def _law_samples(radius: float, samples: int, seed: int) -> np.ndarray:
     return pts[np.abs(pts) >= _INNER_FRACTION * radius]
 
 
-def _spring_potentials(law: ScalarLaw, uppers: np.ndarray) -> np.ndarray:
-    """The law's potential at each s in ``uppers``: its closed form in one
-    call, or else composite Simpson with 129 nodes on [0, s]."""
-    if law.potential is not None:
-        return law.potential(uppers)
-    out = []
-    for i in range(0, len(uppers), _POTENTIAL_CHUNK):
-        upper = uppers[i : i + _POTENTIAL_CHUNK]
-        x = np.linspace(0.0, upper, 129, axis=-1)
-        out.append(_simpson(np.reshape(law.eval(x.ravel()), x.shape), upper / 128.0))
-    return np.concatenate(out)
-
-
 def _check(name: str, ok, witness, value) -> CheckResult:
     """A check result that carries its witness point only on failure."""
     ok = bool(ok)
@@ -173,9 +157,8 @@ def certify_spring_damper(
     The damper must vanish at the origin, have a nonnegative derivative
     everywhere sampled (the monotone reading of the damper assumption) and a
     strictly positive origin slope; the spring must have a strictly positive
-    origin slope and a positive potential off the origin (the law's closed
-    form ``potential``, or 129-node Simpson of ``eval`` for a law without
-    one).
+    origin slope and a positive potential off the origin (the law's
+    ``potential``, as in the Lyapunov functional).
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -191,7 +174,7 @@ def certify_spring_damper(
         _check("damper-slope-positive", dslope >= STRICT_MARGIN, 0.0, dslope),
         _check("spring-slope-positive", kslope >= STRICT_MARGIN, 0.0, kslope),
         _check("spring-vanishes-at-zero", abs(k0) <= STRICT_MARGIN, 0.0, k0),
-        _sampled("spring-potential-positive", pts, _spring_potentials(law.spring, pts),
+        _sampled("spring-potential-positive", pts, law.spring.potential(pts),
                  lambda worst: worst >= STRICT_MARGIN),
     ]
     return _finish(checks, radius, len(pts))

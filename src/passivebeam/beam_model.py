@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularHessian
+from .errors import QuadratureFailure, SingularHessian
 
 _DERIV_RTOL = 1e-6
 _DERIV_STEP = 1e-6
@@ -83,6 +83,53 @@ def _simpson(y: np.ndarray, h):
                       + 2.0 * y[..., 2:-1:2].sum(axis=-1))
 
 
+def _simpson_integral(f: Callable, uppers: np.ndarray, intervals: int) -> np.ndarray:
+    """Composite Simpson integral of ``f`` from 0 to each of ``uppers`` over
+    ``intervals`` intervals, with one call of ``f`` on all the nodes."""
+    nodes = np.linspace(0.0, uppers, intervals + 1, axis=-1)
+    return _simpson(np.reshape(f(nodes.ravel()), nodes.shape), uppers / intervals)
+
+
+#: points integrated together by the adaptive potential (bounds its node grid)
+_ADAPTIVE_CHUNK = 64
+
+
+def _adaptive_potential(f: Callable) -> Callable:
+    """The integral of ``f`` from 0 to s, elementwise over any array of s.
+
+    Per point, composite Simpson from 16 intervals, doubled with Richardson
+    extrapolation until the update drops to 1e-12, at most 10 times (16 *
+    2**10 intervals); raises QuadratureFailure at the first point whose
+    update is still above that. Points go in chunks of ``_ADAPTIVE_CHUNK``,
+    one call of ``f`` per chunk and doubling; a point's value does not depend
+    on the other points of its chunk.
+    """
+    def potential(s):
+        uppers = np.asarray(s, dtype=float)
+        flat = uppers.ravel()
+        values = np.zeros(len(flat))  # s = 0 integrates to 0 without a call
+        for start in range(0, len(flat), _ADAPTIVE_CHUNK):
+            active = start + np.flatnonzero(flat[start : start + _ADAPTIVE_CHUNK])
+            if not len(active):
+                continue
+            intervals, coarse = 16, _simpson_integral(f, flat[active], 16)
+            while len(active) and intervals < 16 * 2**10:
+                intervals *= 2
+                fine = _simpson_integral(f, flat[active], intervals)
+                update = (fine - coarse) / 15.0
+                done = np.abs(update) <= 1e-12
+                values[active[done]] = fine[done] + update[done]
+                active, coarse, update = active[~done], fine[~done], update[~done]
+            if len(active):
+                raise QuadratureFailure(
+                    f"potential at s={flat[active[0]].item()!r} did not converge in {intervals} Simpson "
+                    f"intervals: last update {abs(update[0]):.3e} > tol 1.000e-12"
+                )
+        return values.reshape(uppers.shape)
+
+    return potential
+
+
 #: Simpson intervals of the reference integral that a supplied potential is
 #: checked against, to the relative tolerance of the derivative check
 _POTENTIAL_CHECK_INTERVALS = 256
@@ -106,17 +153,19 @@ def _require_close(what: str, var: str, points, supplied, approx):
 
 @dataclass(frozen=True)
 class ScalarLaw:
-    """A scalar map with its derivative and, optionally, its antiderivative.
+    """A scalar map with its derivative and its antiderivative.
 
     ``eval``, ``deriv`` and ``potential`` must be pure and take a number.
     ``deriv`` is validated against a centered difference of ``eval`` on a
     small sample grid at construction. ``potential``, the integral of
     ``eval`` from 0 to s, must vanish at 0 exactly and is validated against a
-    fine Simpson rule of ``eval`` on the same grid; without it, spring
-    potentials fall back to quadrature. Callers evaluate a callback
-    elementwise on an array in one call; construction checks that once on the
-    grid (the input's shape, rtol 1e-13) and runs a callback that fails it per
-    point. The registry laws are elementwise.
+    fine Simpson rule of ``eval`` on the same grid. When none is supplied,
+    construction installs the adaptive Simpson rule of ``eval``
+    (``_adaptive_potential``), so ``potential`` is never None and the energy
+    and the certificate integrate a spring the same way. Callers evaluate a
+    callback elementwise on an array in one call; construction checks that
+    once on the grid (the input's shape, rtol 1e-13) and runs a callback that
+    fails it per point. The registry laws are elementwise.
     """
 
     eval: Callable
@@ -132,6 +181,7 @@ class ScalarLaw:
         _settle_callback(self, "eval", _LAW_SHIFTED, values, 0)
         _settle_callback(self, "deriv", grid, derivs, 0)
         if self.potential is None:
+            object.__setattr__(self, "potential", _adaptive_potential(self.eval))
             return
         if float(self.potential(0.0)) != 0.0:
             raise ValueError("ScalarLaw requires potential(0) = 0 exactly")

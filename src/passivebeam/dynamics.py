@@ -26,11 +26,10 @@ from .beam_model import (
     PassiveBlock,
     ScalarLaw,
     SpringDamperLaw,
-    _simpson,
     linearize_block,
 )
 from .discretization import DiscreteSystem, _band_dot, _band_mv, dense, displacement_gram, solve_mass_tip
-from .errors import DimensionMismatch, NotPositiveDefinite, QuadratureFailure
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 #: per-step energy increase budget, as a fraction of H(y0)
 ENERGY_INCREASE_ETA = 1e-8
@@ -135,52 +134,14 @@ def unpack(vec: np.ndarray, sys: DiscreteSystem, config: ClosedLoopConfig) -> St
     )
 
 
-# ---------------------------------------------------------------------------
-# Spring potential quadrature
-# ---------------------------------------------------------------------------
-
-#: doublings of the fallback quadrature: at most 16 * 2**10 intervals
-_MAX_DOUBLINGS = 10
-
-
-def _simpson_law(f, s: float, intervals: int) -> float:
-    return _simpson(f(np.linspace(0.0, s, intervals + 1)), s / intervals)
-
-
-def spring_potential(law: ScalarLaw, s, tol: float = 1e-12):
+def spring_potential(law: ScalarLaw, s):
     """Integral of the spring law from 0 to s, for a number or elementwise
-    for an array of s.
-
-    The law's closed-form ``potential`` when it has one, in one call over all
-    points. Otherwise, per point, composite Simpson from 16 intervals, doubled
-    with Richardson extrapolation until the absolute update drops below
-    ``tol``, at most 10 times (16 * 2**10 intervals); raises
-    QuadratureFailure if the update is still above ``tol``.
-    """
+    for an array of s: the law's ``potential`` (its closed form, or the
+    adaptive Simpson rule installed at construction) in one call over all
+    points."""
     points = np.asarray(s, dtype=float)
-    if law.potential is not None:
-        values = law.potential(points.ravel())
-    else:
-        values = np.array([_quadrature(law, x, tol) for x in points.ravel().tolist()])
+    values = law.potential(points.ravel())
     return values.reshape(points.shape) if points.ndim else float(values[0])
-
-
-def _quadrature(law: ScalarLaw, s: float, tol: float) -> float:
-    if s == 0.0:
-        return 0.0
-    intervals = 16
-    coarse = _simpson_law(law.eval, s, intervals)
-    for _ in range(_MAX_DOUBLINGS):
-        intervals *= 2
-        fine = _simpson_law(law.eval, s, intervals)
-        err = (fine - coarse) / 15.0
-        if abs(err) <= tol:
-            return fine + err
-        coarse = fine
-    raise QuadratureFailure(
-        f"spring potential at s={s!r} did not converge in {intervals} Simpson intervals: "
-        f"last update {abs(err):.3e} > tol {tol:.3e}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +226,11 @@ class _Channel:
         return blk.output(z), sd.damper.eval(v_l), sd.spring.eval(u_l), blk.drift(z), blk.input_gain(z)
 
     def linear_load_and_rate(self, u_l, v_l, z):
-        """Tip load and block rate of the laws' and block's origin slopes."""
+        """Tip load and block rate of the laws' and block's origin slopes, at
+        one state's traces or at rows of them."""
         lin, sd = self.lin, self.sd
-        load = float(lin.C @ z) + sd.damper_slope * v_l + sd.spring_slope * u_l
-        return load, lin.A @ z + lin.B * v_l
+        load = z @ lin.C + sd.damper_slope * v_l + sd.spring_slope * u_l
+        return load, z @ lin.A.T + np.multiply.outer(v_l, lin.B)
 
 
 def _channels(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = True) -> tuple[_Channel, ...]:
@@ -345,7 +307,7 @@ class ClosedLoopOperator:
 
     def linear(self, flat: np.ndarray):
         """Linearized generator: laws and blocks replaced by their origin
-        slopes. One packed vector only."""
+        slopes, on one packed vector or a block of them."""
         return self._fill(flat, None, _Channel.linear_load_and_rate)
 
     def nonlinear(self, flat: np.ndarray):
@@ -454,40 +416,26 @@ class RemainderMap:
         return flat_state.take(self.q_indices, axis=-1)
 
 
-def projected_system(
-    sys: DiscreteSystem,
-    spring_constants: tuple[float, float],
-    damper_constants: tuple[float, float] = (0.0, 0.0),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense generator and Gram of the projected loop over (u, v): beam, tip
-    inertia, linear tip springs, optional linear tip dampers, no blocks."""
-    g, q = np.zeros((2, 2 * sys.n_dof, 2 * sys.n_dof))
-    _projected_into(g, q, sys, spring_constants, damper_constants)
-    return g, q
+#: unit vectors per call of ``ClosedLoopOperator.linear`` when a dense
+#: generator is read off it; bounds the temporaries of one call
+_BASIS_CHUNK = 256
 
 
-def _projected_into(g, q, sys: DiscreteSystem, spring_constants, damper_constants) -> np.ndarray:
-    """Write the projected system into the leading (u, v) block of the zero
-    arrays g and q; the closed loop's linear generator and Gram embed it so,
-    without a copy. Returns mass_tip^-1 at the two tip unit columns."""
-    k1, k2 = spring_constants
-    d1, d2 = damper_constants
-    n = sys.n_dof
-    q_u = dense(displacement_gram(sys, k1, k2))
-    # mass_tip^-1 applied to the displacement Gram and the two tip columns
-    sol = solve_mass_tip(sys, np.hstack([q_u, sys.tip_unit_columns()]))
-    g[:n, n : 2 * n] = np.eye(n)
-    g[n : 2 * n, :n] = -sol[:, :n]
-    g[n : 2 * n, n + sys.tip_slope_index] -= d1 * sol[:, n]
-    g[n : 2 * n, n + sys.tip_value_index] -= d2 * sol[:, n + 1]
-    q[:n, :n] = q_u
-    q[n : 2 * n, n : 2 * n] = dense(sys.mass_tip_band)
-    return sol[:, n:]
+def _generator_matrix(op: ClosedLoopOperator) -> np.ndarray:
+    """Dense G with G @ y = op.linear(y)[0]: row k of its transpose is the
+    operator at the k-th unit vector, filled a chunk of unit vectors at a time."""
+    size = op.channels[-1].z.stop
+    g_t = np.empty((size, size))
+    for start in range(0, size, _BASIS_CHUNK):
+        stop = min(start + _BASIS_CHUNK, size)
+        g_t[start:stop] = op.linear(np.eye(stop - start, size, start))[0]
+    return g_t.T
 
 
 def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
-    """Dense matrix G with G @ y = ClosedLoopOperator.linear(y)[0]."""
-    return _linear_matrices(sys, _channels(sys, config))[0]
+    """Dense matrix G with G @ y = ClosedLoopOperator.linear(y)[0], read off
+    the operator at the unit vectors."""
+    return _generator_matrix(ClosedLoopOperator(sys, config))
 
 
 def assemble_gram(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
@@ -497,36 +445,27 @@ def assemble_gram(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
 
 def linear_system(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[np.ndarray, np.ndarray]:
     """``linear_generator_matrix`` and the block-diagonal energy Gram matrix
-    Q over (u, v, z1, z2), from one linearization of each block.
+    Q over (u, v, z1, z2), both from one ``ClosedLoopOperator`` (one
+    linearization of each block): G is read off its linear part, Q is its
+    inner product written out densely.
 
-    The displacement block of Q carries the curvature Gram plus the spring
-    slopes K1, K2 on the tip DOFs; the velocity block carries the rho-mass
-    plus the payload terms, so the tip momenta contribute J v'(L)^2 +
-    M v(L)^2; the block states are weighted with the storage Hessians P1,
-    P2. Definiteness is checked per block: the lowest eigenvalue of the
-    banded displacement block here, while ``DiscreteSystem`` factors the tip
-    mass and ``BlockLinearization`` rejects a P that is not positive definite.
+    The displacement block of Q is the operator's ``gram_band``, the
+    curvature Gram plus the spring slopes K1, K2 on the tip DOFs; the
+    velocity block is the tip mass, the rho-mass plus the payload terms, so
+    the tip momenta contribute J v'(L)^2 + M v(L)^2; the block states are
+    weighted with the storage Hessians P1, P2. Definiteness is checked per
+    block: the lowest eigenvalue of the banded displacement block here, while
+    ``DiscreteSystem`` factors the tip mass and ``BlockLinearization``
+    rejects a P that is not positive definite.
     """
-    channels = _channels(sys, config)
-    q_u = displacement_gram(sys, *(ch.sd.spring_slope for ch in channels))
-    if not scipy.linalg.eigvals_banded(q_u, select="i", select_range=(0, 0))[0] > 0.0:
+    op = ClosedLoopOperator(sys, config)
+    if not scipy.linalg.eigvals_banded(op.gram_band, select="i", select_range=(0, 0))[0] > 0.0:
         raise NotPositiveDefinite(
             "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
         )
-    return _linear_matrices(sys, channels)
-
-
-def _linear_matrices(sys: DiscreteSystem, channels: tuple[_Channel, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The projected system of the channels' spring and damper slopes, with
-    the blocks' rows and columns and their storage Hessians embedded."""
-    n = sys.n_dof
-    total = channels[-1].z.stop
-    g, q = np.zeros((2, total, total))
-    tip_cols = _projected_into(g, q, sys, tuple(ch.sd.spring_slope for ch in channels),
-                               tuple(ch.sd.damper_slope for ch in channels))
-    for ch in channels:
-        g[n : 2 * n, ch.z] = -np.outer(tip_cols[:, ch.index], ch.lin.C)
-        g[ch.z, n + ch.tip] = ch.lin.B
-        g[ch.z, ch.z] = ch.lin.A
-        q[ch.z, ch.z] = ch.lin.P
+    g = _generator_matrix(op)
+    n, q = op.n, np.zeros(g.shape)
+    q[:n, :n] = dense(op.gram_band)
+    q[n : 2 * n, n : 2 * n] = dense(sys.mass_tip_band)
+    q[2 * n :, 2 * n :] = op.storage_gram
     return g, q

@@ -414,12 +414,13 @@ def tangent_residual(traj: Trajectory, sys: DiscreteSystem, config: ClosedLoopCo
     remainder = op.remainder
     ws = op.generator(traj.packed)[0]
     max_w = float(op.qnorm(ws).max())
+    linear = op.linear(ws[1:-1])[0]
     max_residual = 0.0
     for i in range(1, len(ws) - 1):
         wdot = (ws[i + 1] - ws[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
         jac = remainder.jacobian_analytic(remainder.q_of(traj.packed[i]))
         nonlinear = remainder.placement @ (jac @ remainder.q_of(ws[i]))
-        max_residual = max(max_residual, op.qnorm(wdot - op.linear(ws[i])[0] - nonlinear))
+        max_residual = max(max_residual, op.qnorm(wdot - linear[i - 1] - nonlinear))
 
     if max_w == 0.0:
         return 0.0

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import passivebeam as pb
+from passivebeam.discretization import dense, displacement_gram
 
 DEFAULT_BEAM = dict(rho=1.0, lambda_rigidity=1.0, length=1.0, tip_inertia=0.1, tip_mass=0.1)
 
@@ -26,6 +28,23 @@ def sys4(beam):
 @pytest.fixture(scope="session")
 def sys8(beam):
     return make_system(beam, 8)
+
+
+def dense_projected_system(sys, spring_constants, damper_constants=(0.0, 0.0)):
+    """Dense generator G and Gram Q of the projected loop over (u, v): beam,
+    tip inertia, linear tip springs and dampers, no blocks. The tip-mass
+    solves use a dense Cholesky (a dense LU is off by cond * eps, 3e-13 at
+    n=256)."""
+    n = sys.n_dof
+    q_u = dense(displacement_gram(sys, *spring_constants))
+    cho = scipy.linalg.cho_factor(dense(sys.mass_tip_band))
+    tips = scipy.linalg.cho_solve(cho, sys.tip_unit_columns())
+    g = np.zeros((2 * n, 2 * n))
+    g[:n, n:] = np.eye(n)
+    g[n:, :n] = -scipy.linalg.cho_solve(cho, q_u)
+    g[n:, n + sys.tip_slope_index] = -damper_constants[0] * tips[:, 0]
+    g[n:, n + sys.tip_value_index] = -damper_constants[1] * tips[:, 1]
+    return g, scipy.linalg.block_diag(q_u, dense(sys.mass_tip_band))
 
 
 def default_config(beam):

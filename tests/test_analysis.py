@@ -4,15 +4,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import passivebeam as pb
-from passivebeam.discretization import dense, displacement_gram
-from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, pack
+from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, linear_system, pack
 from passivebeam.errors import EmptyTrajectory
 
 from conftest import (
     default_config,
+    dense_projected_system,
     linear_config,
     make_system,
     smooth_state,
@@ -56,7 +55,7 @@ def test_linear_matrix_invertible(sys8, linear):
 def test_projected_spectrum_purely_imaginary(beam):
     for n in (8, 16):
         sys_d = make_system(beam, n)
-        gp, qp = pb.projected_system(sys_d, (1.0, 1.0))
+        gp, qp = dense_projected_system(sys_d, (1.0, 1.0))
         report = pb.spectrum(gp, qp)
         rel = np.abs(report.eigenvalues.real) / np.abs(report.eigenvalues)
         assert rel.max() <= 1e-8
@@ -86,7 +85,7 @@ def test_spectrum_real_parts_approach_axis_under_refinement(beam):
 
 def test_spectrum_symmetric_under_conjugation(beam):
     sys_d = make_system(beam, 8)
-    gp, qp = pb.projected_system(sys_d, (1.0, 1.0))
+    gp, qp = dense_projected_system(sys_d, (1.0, 1.0))
     eigs = pb.spectrum(gp, qp).eigenvalues
     imag = np.sort(eigs.imag)
     assert np.allclose(imag, -imag[::-1], atol=1e-9 * np.abs(imag).max())
@@ -201,17 +200,32 @@ def test_clamped_free_wavenumbers_are_roots():
 @pytest.mark.parametrize("n_elements", [8, 64, 256])
 @pytest.mark.parametrize("dampers", [(0.0, 0.0), (0.7, 1.3)])
 def test_projected_system_matches_dense_tip_mass_solve(beam, n_elements, dampers):
+    # linear laws and input-decoupled blocks: the (u, v) block of the closed
+    # loop's dense linear system is the projected system
     sys_n = make_system(beam, n_elements)
     n = sys_n.n_dof
-    g, q = pb.projected_system(sys_n, (1.5, 2.5), dampers)
-    q_u = dense(displacement_gram(sys_n, 1.5, 2.5))
-    # dense Cholesky oracle (a dense LU is off by cond * eps, 3e-13 at n=256)
-    cho = scipy.linalg.cho_factor(dense(sys_n.mass_tip_band))
-    expected = np.zeros((n, 2 * n))
-    expected[:, :n] = -scipy.linalg.cho_solve(cho, q_u)
-    tips = scipy.linalg.cho_solve(cho, sys_n.tip_unit_columns())
-    expected[:, n + sys_n.tip_slope_index] = -dampers[0] * tips[:, 0]
-    expected[:, n + sys_n.tip_value_index] = -dampers[1] * tips[:, 1]
-    assert np.abs(g[n:] - expected).max() <= 1e-13 * np.abs(expected).max()
-    assert np.array_equal(g[:n], np.hstack([np.zeros((n, n)), np.eye(n)]))
-    assert np.array_equal(q, scipy.linalg.block_diag(q_u, dense(sys_n.mass_tip_band)))
+    sd = [pb.SpringDamperLaw(damper=pb.make_law("linear", slope=d), spring=pb.make_law("linear", slope=k))
+          for d, k in zip(dampers, (1.5, 2.5))]
+    config = pb.ClosedLoopConfig(beam, *sd, pb.make_block("linear", gain=0.0), pb.make_block("linear", gain=0.0))
+    g, q = linear_system(sys_n, config)
+    expected_g, expected_q = dense_projected_system(sys_n, (1.5, 2.5), dampers)
+    assert np.array_equal(g[:n, : 2 * n], expected_g[:n])
+    assert np.abs(g[n : 2 * n, : 2 * n] - expected_g[n:]).max() <= 1e-13 * np.abs(expected_g[n:]).max()
+    assert np.array_equal(q[: 2 * n, : 2 * n], expected_q)
+
+
+def dense_skew_defect(g, q):
+    qg = q @ g
+    return np.linalg.norm(g.T @ q + qg, ord="fro") / np.linalg.norm(qg, ord="fro")
+
+
+@pytest.mark.parametrize("n_elements", [4, 8, 32, 128])
+@pytest.mark.parametrize("dampers", [(0.0, 0.0), (1.0, 0.0), (0.7, 1.3)])
+def test_skew_check_matches_dense_oracle_defect(beam, n_elements, dampers):
+    sys_n = make_system(beam, n_elements)
+    defect = pb.skew_check(sys_n, (1.5, 2.5), dampers)
+    expected = dense_skew_defect(*dense_projected_system(sys_n, (1.5, 2.5), dampers))
+    if dampers == (0.0, 0.0):
+        assert max(defect, expected) <= 1e-12
+    else:
+        assert defect == pytest.approx(expected, rel=1e-10)

@@ -62,6 +62,8 @@ LAW_PARAMS = {
 def test_every_registry_law_has_a_potential():
     assert set(LAW_PARAMS) == set(LAW_BUILDERS)
     assert all(pb.make_law(name).potential is not None for name in LAW_BUILDERS)
+    # a law built without one gets the adaptive rule
+    assert cubic_law(None).potential(2.0) == pytest.approx(6.0, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -263,6 +263,30 @@ def test_generator_matches_dense_oracle_per_channel(sys8, beam):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def test_linear_generator_matrix_matches_dense_oracle_per_channel(sys8, beam):
+    # each channel's slopes and block linearization fill only its own tip
+    # DOF's row and column and its block's rows and columns
+    config = asymmetric_config(beam)
+    rot, tr = config.sd_rotational, config.sd_translational
+    b1, b2 = config.block_rotational, config.block_translational
+    n, isl, iv = sys8.n_dof, sys8.tip_slope_index, sys8.tip_value_index
+    z1, z2 = slice(2 * n, 2 * n + b1.dim), slice(2 * n + b1.dim, 2 * n + b1.dim + b2.dim)
+    expected = np.zeros((z2.stop, z2.stop))
+    expected[:n, n : 2 * n] = np.eye(n)
+    load = np.zeros((n, z2.stop))  # mass_tip times the velocity rows
+    load[:, :n] = -dense(sys8.stiffness_band)
+    for law, block, tip, z in ((rot, b1, isl, z1), (tr, b2, iv, z2)):
+        zero = np.zeros(block.dim)
+        load[tip, tip] -= float(law.spring.deriv(0.0))
+        load[tip, n + tip] -= float(law.damper.deriv(0.0))
+        load[tip, z] -= block.output_grad(zero)
+        expected[z, n + tip] = block.input_gain(zero)
+        expected[z, z] = block.drift_jac(zero)
+    expected[n : 2 * n] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(dense(sys8.mass_tip_band)), load)
+    g = linear_generator_matrix(sys8, config)
+    assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_linear_config_generator_equals_linear_part(sys8, linear):
     op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(5)
