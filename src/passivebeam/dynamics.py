@@ -212,16 +212,12 @@ class _Channel:
     def load_and_rate(self, u_l, v_l, z):
         """Tip load and block rate of the full laws, at one state's traces or
         at rows of them."""
-        if z.ndim == 1:  # one state: the step path calls the laws directly
-            blk, sd = self.block, self.sd
-            load = float(blk.output(z)) + float(sd.damper.eval(v_l)) + float(sd.spring.eval(u_l))
-            return load, np.asarray(blk.drift(z)) + np.asarray(blk.input_gain(z)) * v_l
         output, damper, spring, drift, gain = self.laws_at_rows(u_l, v_l, z)
-        return output + damper + spring, drift + gain * v_l[:, None]
+        return output + damper + spring, drift + gain * v_l[..., None]
 
     def laws_at_rows(self, u_l, v_l, z):
-        """Block output, damper, spring, block drift and input gain at rows of
-        traces, one callback call over all rows."""
+        """Block output, damper, spring, block drift and input gain at one
+        state's traces or at rows of them, one callback call over all rows."""
         blk, sd = self.block, self.sd
         return blk.output(z), sd.damper.eval(v_l), sd.spring.eval(u_l), blk.drift(z), blk.input_gain(z)
 
@@ -285,10 +281,10 @@ class ClosedLoopOperator:
         self.gram_band = displacement_gram(
             sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope)
 
-    def _fill(self, flat, stiff_load, terms):
+    def _fill(self, flat, terms):
         """The one generator skeleton: the stiff load, each channel's tip load
         and block rows from ``terms(channel, u_l, v_l, z)``, the tip-mass solve."""
-        load = _band_mv(self.sys.stiffness_band, flat[self._u], -1.0) if stiff_load is None else -stiff_load
+        load = _band_mv(self.sys.stiffness_band, flat[self._u], -1.0)
         out = np.empty_like(flat)
         out[self._u] = flat[self._v]
         # transposed, one state's entry is a number (not a 0-d array) and a
@@ -300,15 +296,14 @@ class ClosedLoopOperator:
         out[self._v] = solve_mass_tip(self.sys, tip_loads).T
         return out, load
 
-    def generator(self, flat: np.ndarray, stiff_load: np.ndarray | None = None):
-        """Full nonlinear generator. ``stiff_load``, when given, stands in for
-        stiffness_beam @ u."""
-        return self._fill(flat, stiff_load, _Channel.load_and_rate)
+    def generator(self, flat: np.ndarray):
+        """Full nonlinear generator, on one packed vector or a block of them."""
+        return self._fill(flat, _Channel.load_and_rate)
 
     def linear(self, flat: np.ndarray):
         """Linearized generator: laws and blocks replaced by their origin
         slopes, on one packed vector or a block of them."""
-        return self._fill(flat, None, _Channel.linear_load_and_rate)
+        return self._fill(flat, _Channel.linear_load_and_rate)
 
     def nonlinear(self, flat: np.ndarray):
         """Remainder part of the generator; its load is zero off the tip DOFs."""
@@ -439,33 +434,37 @@ def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np
 
 
 def assemble_gram(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
-    """Dense energy Gram matrix Q over (u, v, z1, z2); see ``linear_system``."""
-    return linear_system(sys, config)[1]
+    """Dense block-diagonal energy Gram matrix Q over (u, v, z1, z2): the
+    ``ClosedLoopOperator`` inner product written out from its bands."""
+    return _gram_matrix(ClosedLoopOperator(sys, config))
 
 
-def linear_system(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``linear_generator_matrix`` and the block-diagonal energy Gram matrix
-    Q over (u, v, z1, z2), both from one ``ClosedLoopOperator`` (one
-    linearization of each block): G is read off its linear part, Q is its
-    inner product written out densely.
-
-    The displacement block of Q is the operator's ``gram_band``, the
-    curvature Gram plus the spring slopes K1, K2 on the tip DOFs; the
-    velocity block is the tip mass, the rho-mass plus the payload terms, so
-    the tip momenta contribute J v'(L)^2 + M v(L)^2; the block states are
-    weighted with the storage Hessians P1, P2. Definiteness is checked per
-    block: the lowest eigenvalue of the banded displacement block here, while
-    ``DiscreteSystem`` factors the tip mass and ``BlockLinearization``
-    rejects a P that is not positive definite.
+def _gram_matrix(op: ClosedLoopOperator) -> np.ndarray:
+    """Dense Q of ``op``. The displacement block is the operator's
+    ``gram_band``, the curvature Gram plus the spring slopes K1, K2 on the tip
+    DOFs; the velocity block is the tip mass, the rho-mass plus the payload
+    terms, so the tip momenta contribute J v'(L)^2 + M v(L)^2; the block
+    states are weighted with the storage Hessians P1, P2. Definiteness is
+    checked per block: the lowest eigenvalue of the banded displacement block
+    here, while ``DiscreteSystem`` factors the tip mass and
+    ``BlockLinearization`` rejects a P that is not positive definite.
     """
-    op = ClosedLoopOperator(sys, config)
     if not scipy.linalg.eigvals_banded(op.gram_band, select="i", select_range=(0, 0))[0] > 0.0:
         raise NotPositiveDefinite(
             "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
         )
-    g = _generator_matrix(op)
-    n, q = op.n, np.zeros(g.shape)
+    n = op.n
+    q = np.zeros((op.channels[-1].z.stop,) * 2)
     q[:n, :n] = dense(op.gram_band)
-    q[n : 2 * n, n : 2 * n] = dense(sys.mass_tip_band)
+    q[n : 2 * n, n : 2 * n] = dense(op.sys.mass_tip_band)
     q[2 * n :, 2 * n :] = op.storage_gram
-    return g, q
+    return q
+
+
+def linear_system(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``linear_generator_matrix`` and ``assemble_gram`` from one
+    ``ClosedLoopOperator`` (one linearization of each block): G is read off
+    its linear part, Q is its inner product written out densely."""
+    op = ClosedLoopOperator(sys, config)
+    q = _gram_matrix(op)  # an indefinite Q raises before G is built
+    return _generator_matrix(op), q

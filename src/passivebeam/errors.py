@@ -35,9 +35,9 @@ class QuadratureFailure(PassiveBeamError):
 
 
 class NewtonDivergence(PassiveBeamError):
-    """Newton iteration stopped short of its tolerance (iteration cap,
-    roundoff stagnation or a non-finite state); ``time`` is the end of the
-    failing step when ``simulate`` raises it."""
+    """Newton iteration on the midpoint step's remainder loads stopped short
+    of its tolerance (iteration cap or a non-finite state); ``time`` is the
+    end of the failing step when ``simulate`` raises it."""
 
     def __init__(self, message, residual=None, time=None):
         super().__init__(message)

@@ -2,12 +2,11 @@
 
 The midpoint rule conserves the quadratic energy of the undamped linear
 subsystem exactly, so conservation and monotonicity checks measure model
-structure rather than scheme drift. Newton steps solve with the linear part
+structure rather than scheme drift. The linear part is solved exactly
 through its banded Schur complement on the velocity (the displacement and
-block states are eliminated), factored once per stepper; the low-rank
-remainder Jacobian (it touches only the tip traces and the block states)
-enters through a Woodbury correction, so no refactorization happens inside
-the time loop and a step costs O(n).
+block states are eliminated), factored once per stepper. The nonlinearity
+reaches the beam only through the tip traces and the block states, so
+Newton runs on the few remainder loads alone, and a step costs O(n).
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ from .errors import (
 
 #: smallest positive root of 1 + cos(x) cosh(x), first clamped-free beam mode
 _BETA1_L = 1.8751040687119612
-
-#: a Newton residual that stops falling below this fraction of 1 + |y|_Q is
-#: taken to be at its roundoff floor (sqrt of the float64 epsilon)
-_ROUNDOFF_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 #: recorded states whose diagnostics ``simulate`` evaluates together; it
 #: bounds the temporaries of one evaluation
@@ -152,20 +147,21 @@ class MidpointStepper:
     packed state to the packed state dt later (dt may be negative). Build
     the stepper once and reuse it; ``simulate`` does.
 
-    Holds the closed-loop operator of (system, config) and the factored
-    Newton matrix I - dt/2 G for the linear generator G, corrected by the
-    analytic remainder Jacobian (from the supplied law and block derivatives)
-    through a Woodbury identity.
-    I - dt/2 G is never formed: eliminating the displacement and the block
-    states leaves one banded velocity matrix (the Schur complement), factored
-    once, so a solve, a generator application and an energy norm all cost
-    O(n). Newton iterates on the increment d = w - y and applies the
-    stiffness to the fixed y once per step, so the roundoff of the stiff load
-    does not change between iterations. The Jacobian is refreshed once per
-    step (and again within a step if the iteration is slow). A residual that
-    stops falling after a refresh while within sqrt(eps) (1 + |y|_Q) of zero
-    sits at its roundoff floor: the step then raises NewtonDivergence saying
-    so instead of iterating to the cap."""
+    Holds the closed-loop operator of (system, config) and the exact solve
+    S = (I - dt/2 G)^-1 for the linear generator G. I - dt/2 G is never
+    formed: eliminating the displacement and the block states leaves one
+    banded velocity matrix (the Schur complement), factored once, so a solve
+    and an energy norm cost O(n).
+
+    With the generator split G y + P F(q(y)) (placement P, remainder loads
+    F of the p-vector q), a step is w = y + a + dt S P f: a = 2 (S y - y) is
+    the Cayley step of the linear part, and the loads f solve
+    f = F(q(y) + q(a)/2 + dt/2 q(S P) f). Newton runs on that p-dimensional
+    system with the analytic remainder Jacobian (from the supplied law and
+    block derivatives) at the current midpoint. The full-space residual of an
+    iterate is exactly dt P (f - F(q_mid)); its energy norm comes from the
+    p x p Gram ``load_gram`` = P^T Q P, so no stiff product enters the
+    residual: its roundoff scales with the loads, not with the stiffness."""
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.dt = float(dt)
@@ -197,8 +193,11 @@ class MidpointStepper:
         if info != 0:
             raise LinearSolveFailure("midpoint velocity system could not be factored")
 
-        self._kinv_e = np.column_stack([self.solve(col) for col in self.remainder.placement.T])
+        placement = self.remainder.placement
+        self._kinv_e = np.column_stack([self.solve(col) for col in placement.T])
         self._sel_kinv_e = self._kinv_e[self.remainder.q_indices]
+        # P^T Q P: e^T M_tip^-1 e for the tip loads, P1, P2 for the block rows
+        self.load_gram = scipy.linalg.block_diag(placement[[n + ch.tip for ch in op.channels], :2], op.storage_gram)
 
     # -- flat-vector operations ---------------------------------------------
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -231,59 +230,39 @@ class MidpointStepper:
         """Energy norm of a packed state vector."""
         return self.operator.qnorm(flat)
 
-    def rhs(self, flat: np.ndarray, stiff_load: np.ndarray | None = None) -> np.ndarray:
-        """Generator applied to a packed state. ``stiff_load``, when given,
-        stands in for stiffness_beam @ u."""
-        return self.operator.generator(flat, stiff_load)[0]
+    def rhs(self, flat: np.ndarray) -> np.ndarray:
+        """Generator applied to a packed state."""
+        return self.operator.generator(flat)[0]
 
     def step_flat(self, y: np.ndarray, newton_tol: float, newton_max_iter: int) -> np.ndarray:
         """One implicit midpoint step from a packed state; raises
         NewtonDivergence when Newton stops short of newton_tol (1 + |y|_Q)."""
-        y_scale = self.qnorm(y)
-        tol = newton_tol * (1.0 + y_scale)
-        n = self.operator.n
-        dt = self.dt
-        m = self.remainder.m
-        eye_m = np.eye(m)
-        # midpoint stiff load K (y_u + d_u / 2): K y_u is applied once per step
-        stiff_y = _band_mv(self.operator.sys.stiffness_band, y[:n])
-        d = np.zeros_like(y)
-        jac_f = None
-        refreshed, falling = False, True
-        residual_norm = np.inf
+        tol = newton_tol * (1.0 + self.qnorm(y))
+        rem, dt = self.remainder, self.dt
+        a = 2.0 * (self.solve(y) - y)  # the Cayley step of the linear part
+        q_linear = rem.q_of(y) + 0.5 * rem.q_of(a)
+        f = np.zeros(rem.p)
+        residual_norm, falling = np.inf, True
         for iteration in range(newton_max_iter):
-            mid = y + 0.5 * d
-            stiff_mid = stiff_y + _band_mv(self.operator.sys.stiffness_band, d[:n], 0.5)
-            residual = d - dt * self.rhs(mid, stiff_mid)
-            previous, residual_norm = residual_norm, self.qnorm(residual)
-            if not np.isfinite(residual_norm):
+            q_mid = q_linear + 0.5 * dt * (self._sel_kinv_e @ f)
+            delta = f - rem.value(q_mid)
+            # the full-space residual of the iterate is dt P delta
+            previous = residual_norm
+            residual_norm = abs(dt) * float(np.sqrt(max(delta @ self.load_gram @ delta, 0.0)))
+            if not (np.isfinite(residual_norm) and np.isfinite(tol)):
                 raise NewtonDivergence(
                     f"state is not finite (Newton residual {residual_norm} "
                     f"at iteration {iteration})",
                     residual=residual_norm,
                 )
             if residual_norm <= tol:
-                return y + d
+                return y + a + dt * (self._kinv_e @ f)
             falling = residual_norm < previous
-            # an update with a fresh exact Jacobian that does not lower an
-            # already tiny residual has hit roundoff, which no dt cures
-            if refreshed and not falling and residual_norm <= _ROUNDOFF_RTOL * (1.0 + y_scale):
-                raise NewtonDivergence(
-                    f"Newton residual stagnated at {residual_norm:.3e} above tolerance {tol:.3e} "
-                    f"at iteration {iteration}: this is the roundoff floor of the residual, "
-                    "not a step-size problem; loosen newton_tol",
-                    residual=residual_norm,
-                )
-            refreshed = jac_f is None or iteration >= 3
-            if refreshed:
-                jac_f = self.remainder.jacobian_analytic(self.remainder.q_of(mid))
-            t = self.solve(-residual)
-            small = eye_m - 0.5 * dt * (self._sel_kinv_e @ jac_f)
+            newton = np.eye(rem.p) - 0.5 * dt * (rem.jacobian_analytic(q_mid) @ self._sel_kinv_e)
             try:
-                gvec = np.linalg.solve(small, t[self.remainder.q_indices])
+                f = f - np.linalg.solve(newton, delta)
             except np.linalg.LinAlgError as exc:
-                raise LinearSolveFailure("Woodbury correction solve failed") from exc
-            d = d + t + 0.5 * dt * (self._kinv_e @ (jac_f @ gvec))
+                raise LinearSolveFailure("Newton matrix of the remainder loads is singular") from exc
         raise NewtonDivergence(
             f"Newton did not reach tolerance {tol:.3e} in {newton_max_iter} iterations "
             f"(residual {residual_norm:.3e}, {'still falling' if falling else 'not falling'}); halve dt",
