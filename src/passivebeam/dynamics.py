@@ -191,7 +191,8 @@ def eval_Hdot(flat, sys: DiscreteSystem, config: ClosedLoopConfig):
 @dataclass(frozen=True, slots=True)
 class _Channel:
     """One feedback channel: a spring-damper law and a passive block acting
-    on one tip DOF, with the block's linearization.
+    on one tip DOF, with the block's linearization, and where the channel
+    sits in the packed state, in q and in F.
 
     Channel 0 (rotational) acts on the tip slope, channel 1 (translational)
     on the tip deflection. In the remainder coordinates q[index] is the
@@ -208,25 +209,6 @@ class _Channel:
     z: slice  # block state in the packed state
     zq: slice  # block state in q
     zf: slice  # block drift in F
-
-    def load_and_rate(self, u_l, v_l, z):
-        """Tip load and block rate of the full laws, at one state's traces or
-        at rows of them."""
-        output, damper, spring, drift, gain = self.laws_at_rows(u_l, v_l, z)
-        return output + damper + spring, drift + gain * v_l[..., None]
-
-    def laws_at_rows(self, u_l, v_l, z):
-        """Block output, damper, spring, block drift and input gain at one
-        state's traces or at rows of them, one callback call over all rows."""
-        blk, sd = self.block, self.sd
-        return blk.output(z), sd.damper.eval(v_l), sd.spring.eval(u_l), blk.drift(z), blk.input_gain(z)
-
-    def linear_load_and_rate(self, u_l, v_l, z):
-        """Tip load and block rate of the laws' and block's origin slopes, at
-        one state's traces or at rows of them."""
-        lin, sd = self.lin, self.sd
-        load = z @ lin.C + sd.damper_slope * v_l + sd.spring_slope * u_l
-        return load, z @ lin.A.T + np.multiply.outer(v_l, lin.B)
 
 
 def _channels(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = True) -> tuple[_Channel, ...]:
@@ -250,16 +232,16 @@ def _channels(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = T
 class ClosedLoopOperator:
     """The closed-loop generator, its linear/nonlinear split and the energy
     inner product, on packed states (u, v, z1, z2): one vector (N,) or a
-    block of them (R, N), one state per row.
+    block of them (R, N), one state per row. Each generator method returns
+    the packed tangent.
 
     Built once per (system, config), with the linearizations of the config's
     blocks; it does not depend on a time step. It reads the system's band
-    matrices and tip-mass factor, so every operation costs O(n). The full
-    generator and its linear part fill one skeleton (stiff load, per-channel
-    tip loads and block rows, tip-mass solve); the remainder is
-    ``RemainderMap.value`` placed by ``RemainderMap.placement``. Each generator method returns the packed
-    tangent and the load of its velocity equation (mass_tip @ v_dot), so
-    ``inner(out, y, load)`` pairs a tangent with y without the mass product.
+    matrices and tip-mass factor, so every operation costs O(n). The linear
+    part applies the stiff load, the laws' and blocks' origin slopes at each
+    channel's tip DOF and block rows, and the tip-mass solve; the nonlinear
+    part is ``RemainderMap.value`` placed by ``RemainderMap.placement``, and
+    the full generator is their sum, so the split is exact by construction.
     On a block the laws and blocks are called once over all rows, the
     tip-mass solve takes the rows as right-hand sides and the band products
     of ``inner`` run a diagonal at a time; a row gets the same bits in a
@@ -281,9 +263,14 @@ class ClosedLoopOperator:
         self.gram_band = displacement_gram(
             sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope)
 
-    def _fill(self, flat, terms):
-        """The one generator skeleton: the stiff load, each channel's tip load
-        and block rows from ``terms(channel, u_l, v_l, z)``, the tip-mass solve."""
+    def generator(self, flat: np.ndarray) -> np.ndarray:
+        """Full nonlinear generator, on one packed vector or a block of them:
+        the linear part plus the nonlinear part."""
+        return self.linear(flat) + self.nonlinear(flat)
+
+    def linear(self, flat: np.ndarray) -> np.ndarray:
+        """Linearized generator: laws and blocks replaced by their origin
+        slopes, on one packed vector or a block of them."""
         load = _band_mv(self.sys.stiffness_band, flat[self._u], -1.0)
         out = np.empty_like(flat)
         out[self._u] = flat[self._v]
@@ -291,44 +278,29 @@ class ClosedLoopOperator:
         # block's entry or tip load a column
         entries, tip_loads = flat.T, load.T
         for ch in self.channels:
-            tip_load, out[..., ch.z] = terms(ch, entries[ch.tip], entries[self.n + ch.tip], flat[..., ch.z])
-            tip_loads[ch.tip] -= tip_load
+            lin, sd = ch.lin, ch.sd
+            u_l, v_l, z = entries[ch.tip], entries[self.n + ch.tip], flat[..., ch.z]
+            tip_loads[ch.tip] -= z @ lin.C + sd.damper_slope * v_l + sd.spring_slope * u_l
+            out[..., ch.z] = z @ lin.A.T + np.multiply.outer(v_l, lin.B)
         out[self._v] = solve_mass_tip(self.sys, tip_loads).T
-        return out, load
+        return out
 
-    def generator(self, flat: np.ndarray):
-        """Full nonlinear generator, on one packed vector or a block of them."""
-        return self._fill(flat, _Channel.load_and_rate)
-
-    def linear(self, flat: np.ndarray):
-        """Linearized generator: laws and blocks replaced by their origin
-        slopes, on one packed vector or a block of them."""
-        return self._fill(flat, _Channel.linear_load_and_rate)
-
-    def nonlinear(self, flat: np.ndarray):
-        """Remainder part of the generator; its load is zero off the tip DOFs."""
+    def nonlinear(self, flat: np.ndarray) -> np.ndarray:
+        """Remainder part of the generator, on one packed vector or a block of
+        them; it is zero in the displacement rows."""
         rem = self.remainder
-        f = rem.value(rem.q_of(flat))
-        load = np.zeros(flat.shape[:-1] + (self.n,))
-        for ch in self.channels:
-            load[..., ch.tip] = f[..., ch.index]
-        return np.vecdot(f[..., None, :], rem.placement), load
+        return np.vecdot(rem.value(rem.q_of(flat))[..., None, :], rem.placement)
 
-    def inner(self, a: np.ndarray, b: np.ndarray, a_load: np.ndarray | None = None) -> float:
-        """Energy inner product of packed vectors, or of each pair of rows:
-        banded displacement Gram, tip mass, the block-diagonal storage
-        Hessians P1, P2. With ``a_load`` (mass_tip @ a_v) the velocity term
-        is a_load . b_v, without re-applying the mass."""
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+        """Energy inner product of packed vectors (a float), or of each pair
+        of rows (an array): banded displacement Gram, tip mass, the
+        block-diagonal storage Hessians P1, P2."""
         u, v, z = self._u, self._v, self._z
-        val = _band_dot(self.gram_band, a[u], b[u])
-        if a_load is None:
-            val += _band_dot(self.sys.mass_tip_band, a[v], b[v])
-        else:
-            val += np.vecdot(a_load, b[v])
+        val = _band_dot(self.gram_band, a[u], b[u]) + _band_dot(self.sys.mass_tip_band, a[v], b[v])
         return val + np.vecdot(a[z] @ self.storage_gram, b[z])
 
-    def qnorm(self, flat: np.ndarray):
-        """Energy norm of a packed vector (a float), or of each row."""
+    def qnorm(self, flat: np.ndarray) -> float | np.ndarray:
+        """Energy norm of a packed vector (a float), or of each row (an array)."""
         sq = self.inner(flat, flat)
         return float(np.sqrt(max(sq, 0.0))) if flat.ndim == 1 else np.sqrt(np.maximum(sq, 0.0))
 
@@ -369,14 +341,13 @@ class RemainderMap:
         f = np.empty((len(rows), self.p))
         for ch in self.channels:
             u_l, v_l, z = rows[:, ch.index], rows[:, 2 + ch.index], rows[:, ch.zq]
-            output, damper, spring, drift, gain = ch.laws_at_rows(u_l, v_l, z)
-            sd, lin = ch.sd, ch.lin
+            blk, sd, lin = ch.block, ch.sd, ch.lin
             f[:, ch.index] = -(
-                (output - np.vecdot(z, lin.C))
-                + (damper - sd.damper_slope * v_l)
-                + (spring - sd.spring_slope * u_l)
+                (blk.output(z) - np.vecdot(z, lin.C))
+                + (sd.damper.eval(v_l) - sd.damper_slope * v_l)
+                + (sd.spring.eval(u_l) - sd.spring_slope * u_l)
             )
-            f[:, ch.zf] = (drift - np.vecdot(z[:, None, :], lin.A)) + (gain - lin.B) * v_l[:, None]
+            f[:, ch.zf] = (blk.drift(z) - np.vecdot(z[:, None, :], lin.A)) + (blk.input_gain(z) - lin.B) * v_l[:, None]
         return f.reshape(np.shape(q)[:-1] + (self.p,))
 
     def jacobian_fd(self, q: np.ndarray, scale: float) -> np.ndarray:
@@ -417,18 +388,18 @@ _BASIS_CHUNK = 256
 
 
 def _generator_matrix(op: ClosedLoopOperator) -> np.ndarray:
-    """Dense G with G @ y = op.linear(y)[0]: row k of its transpose is the
+    """Dense G with G @ y = op.linear(y): row k of its transpose is the
     operator at the k-th unit vector, filled a chunk of unit vectors at a time."""
     size = op.channels[-1].z.stop
     g_t = np.empty((size, size))
     for start in range(0, size, _BASIS_CHUNK):
         stop = min(start + _BASIS_CHUNK, size)
-        g_t[start:stop] = op.linear(np.eye(stop - start, size, start))[0]
+        g_t[start:stop] = op.linear(np.eye(stop - start, size, start))
     return g_t.T
 
 
 def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
-    """Dense matrix G with G @ y = ClosedLoopOperator.linear(y)[0], read off
+    """Dense matrix G with G @ y = ClosedLoopOperator.linear(y), read off
     the operator at the unit vectors."""
     return _generator_matrix(ClosedLoopOperator(sys, config))
 

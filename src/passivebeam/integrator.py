@@ -11,6 +11,7 @@ Newton runs on the few remainder loads alone, and a step costs O(n).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -65,12 +66,12 @@ class IntegratorSettings:
         steps = self.t_end / self.dt
         if not abs(steps - np.rint(steps)) <= 1e-9 * steps:
             raise ValueError(f"t_end = {self.t_end!r} is not a whole number of steps dt = {self.dt!r}")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not (0.0 < self.newton_tol < np.inf):
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol!r}")
+        for name in ("newton_max_iter", "record_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     @property
     def n_steps(self) -> int:
@@ -232,7 +233,7 @@ class MidpointStepper:
 
     def rhs(self, flat: np.ndarray) -> np.ndarray:
         """Generator applied to a packed state."""
-        return self.operator.generator(flat)[0]
+        return self.operator.generator(flat)
 
     def step_flat(self, y: np.ndarray, newton_tol: float, newton_max_iter: int) -> np.ndarray:
         """One implicit midpoint step from a packed state; raises
@@ -272,12 +273,12 @@ class MidpointStepper:
     def nonlinear_norm(self, flat: np.ndarray):
         """Energy norm of the nonlinear remainder at each row of packed states
         (a float for one state, a block of one row)."""
-        return _as_given(flat, self.operator.qnorm(self.operator.nonlinear(np.atleast_2d(flat))[0]))
+        return _as_given(flat, self.operator.qnorm(self.operator.nonlinear(np.atleast_2d(flat))))
 
     def generator_norm(self, flat: np.ndarray):
         """Energy norm of the generator applied to each row of packed states
         (a float for one state, a block of one row)."""
-        return _as_given(flat, self.operator.qnorm(self.operator.generator(np.atleast_2d(flat))[0]))
+        return _as_given(flat, self.operator.qnorm(self.operator.generator(np.atleast_2d(flat))))
 
 
 def simulate(
@@ -391,9 +392,9 @@ def tangent_residual(traj: Trajectory, sys: DiscreteSystem, config: ClosedLoopCo
         raise InsufficientResolution("need at least 3 recorded states (record_every = 1)")
     op = ClosedLoopOperator(sys, config)
     remainder = op.remainder
-    ws = op.generator(traj.packed)[0]
+    ws = op.generator(traj.packed)
     max_w = float(op.qnorm(ws).max())
-    linear = op.linear(ws[1:-1])[0]
+    linear = op.linear(ws[1:-1])
     max_residual = 0.0
     for i in range(1, len(ws) - 1):
         wdot = (ws[i + 1] - ws[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])

@@ -145,8 +145,7 @@ def test_criterion_04_linear_dissipativity_identity(accept_beam, main_config):
     for _ in range(100):
         state = smooth_state(sys_d, main_config, rng)
         flat = pack(state)
-        out, load = op.linear(flat)
-        lhs = op.inner(out, flat, load)
+        lhs = op.inner(op.linear(flat), flat)
         _, _, v_l, vp_l = tip_traces(state, sys_d)
         rhs = (
             float(state.z1 @ (sym1 @ state.z1))
@@ -263,8 +262,8 @@ def test_criterion_11_generator_split(accept_beam, main_config):
     worst = 0.0
     for _ in range(100):
         flat = pack(white_state(sys_d, main_config, rng))
-        full = op.generator(flat)[0]
-        split = op.linear(flat)[0] + op.nonlinear(flat)[0]
+        full = op.generator(flat)
+        split = op.linear(flat) + op.nonlinear(flat)
         worst = max(worst, np.linalg.norm(full - split) / np.linalg.norm(full))
 
     # quadratic-remainder loop: the remainder norm must scale as eps^2
@@ -294,7 +293,7 @@ def test_criterion_11_generator_split(accept_beam, main_config):
     base = pack(white_state(sys_d, quad_config, rng))
     scaled_norm = {}
     for eps in (1e-1, 1e-2, 1e-3):
-        scaled_norm[eps] = qop.qnorm(qop.nonlinear(eps * base)[0]) / eps**2
+        scaled_norm[eps] = qop.qnorm(qop.nonlinear(eps * base)) / eps**2
     decade_a = scaled_norm[1e-2] / scaled_norm[1e-1]
     decade_b = scaled_norm[1e-3] / scaled_norm[1e-2]
     scaling_ok = 0.8 <= decade_a <= 1.25 and 0.8 <= decade_b <= 1.25

@@ -40,6 +40,12 @@ def test_settings_validation():
         pb.IntegratorSettings(dt=0.1, t_end=1.0, record_every=0)
     with pytest.raises(ValueError):
         pb.IntegratorSettings(dt=0.1, t_end=1.0, newton_tol=-1.0)
+    # values that would fail only at the first step or after the whole run
+    for field, bad in (("newton_tol", np.inf), ("newton_tol", np.nan), ("newton_max_iter", 2.5),
+                       ("newton_max_iter", True), ("record_every", 1.5), ("record_every", True)):
+        with pytest.raises(ValueError, match=field):
+            pb.IntegratorSettings(dt=0.1, t_end=1.0, **{field: bad})
+    assert pb.IntegratorSettings(dt=0.1, t_end=1.0, newton_max_iter=np.int64(3)).newton_max_iter == 3
 
 
 def test_settings_reject_t_end_off_the_step_grid():
@@ -220,7 +226,7 @@ def test_reduced_residual_is_the_full_residual(beam, n_elements, make_config):
         # the iterate w = y + d that the step builds from the loads f
         d = 2.0 * (stepper.solve(y) - y) + dt * (stepper._kinv_e @ f)
         mid = y + 0.5 * d
-        full = op.qnorm(d - dt * op.generator(mid)[0])
+        full = op.qnorm(d - dt * op.generator(mid))
         delta = f - rem.value(rem.q_of(mid))
         assert dt * np.sqrt(delta @ stepper.load_gram @ delta) == pytest.approx(full, rel=1e-10)
 
