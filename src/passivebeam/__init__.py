@@ -36,8 +36,6 @@ from .discretization import (
 from .dynamics import (
     ENERGY_INCREASE_ETA,
     EnergyBreakdown,
-    StateVector,
-    assemble_gram,
     eval_H,
     eval_Hdot,
     zero_state,
@@ -67,10 +65,8 @@ __all__ = [
     "ScalarLaw",
     "SpectrumReport",
     "SpringDamperLaw",
-    "StateVector",
     "Trajectory",
     "assemble",
-    "assemble_gram",
     "beam_frequencies",
     "build_mesh",
     "certify_block",

@@ -1,16 +1,17 @@
 """The discrete closed-loop generator, its linear/nonlinear split, and the
 Lyapunov functional with its closed-form rate.
 
-``ClosedLoopOperator`` is the one implementation of the generator, the split
-and the energy inner product; it acts on packed vectors (u, v, z1, z2) and
-on blocks of them, one packed state per row. ``eval_H``/``eval_Hdot`` take
-the same packed states. ``StateVector`` with ``pack``/``unpack`` is the
-boundary type of initial data.
+The state is one packed vector (u, v, z1, z2) of length 2 n_dof + dim z1 +
+dim z2: the displacement and velocity DOFs with the clamped DOFs removed,
+then the two block states. This module alone spells out that layout
+(``zero_state``, ``_rows``, ``_channels``). ``ClosedLoopOperator`` is the one
+implementation of the generator, the split and the energy inner product; it
+acts on one packed vector (N,) and on blocks of them (R, N), one packed state
+per row. ``eval_H``/``eval_Hdot`` take the same packed states.
 
-The state keeps (u, v, z1, z2); the tip momenta are derived quantities,
-xi = J v'(L) and psi = M v(L), so every state satisfies the domain coupling
-by construction. Boundary feedback enters through virtual work at the tip
-DOFs of the velocity equation.
+The tip momenta are derived quantities, xi = J v'(L) and psi = M v(L), so
+every state satisfies the domain coupling by construction. Boundary feedback
+enters through virtual work at the tip DOFs of the velocity equation.
 """
 
 from __future__ import annotations
@@ -33,26 +34,6 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 
 #: per-step energy increase budget, as a fraction of H(y0)
 ENERGY_INCREASE_ETA = 1e-8
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Discrete state (u, v, z1, z2) with clamped DOFs removed.
-
-    The tip momenta are never stored: xi = J * v'(L) and psi = M * v(L) are
-    read off the tip DOFs of the velocity field (``tip_traces``).
-    """
-
-    u_dofs: np.ndarray
-    v_dofs: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u_dofs", "v_dofs", "z1", "z2"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -83,10 +64,15 @@ class EnergyBreakdown:
     )
 
 
+def zero_state(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
+    """The packed zero state (u, v, z1, z2) of (sys, config)."""
+    return np.zeros(2 * sys.n_dof + config.block_rotational.dim + config.block_translational.dim)
+
+
 def _rows(flat, sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
     """One packed state or a block of them as rows, (R, N)."""
     rows = np.atleast_2d(np.asarray(flat, dtype=float))
-    width = 2 * sys.n_dof + config.block_rotational.dim + config.block_translational.dim
+    width = zero_state(sys, config).size
     if rows.ndim != 2 or rows.shape[1] != width:
         raise DimensionMismatch(
             f"packed states have shape {np.shape(flat)}; the system and blocks need {width} entries per state"
@@ -97,41 +83,6 @@ def _rows(flat, sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
 def _as_given(flat, column: np.ndarray):
     """A per-row result, as a float when ``flat`` was a single state."""
     return float(column[0]) if np.ndim(flat) == 1 else column
-
-
-def tip_traces(state: StateVector, sys: DiscreteSystem) -> tuple[float, float, float, float]:
-    """(u(L), u'(L), v(L), v'(L)) read off the Hermite tip DOFs."""
-    iv, isl = sys.tip_value_index, sys.tip_slope_index
-    return (
-        float(state.u_dofs[iv]),
-        float(state.u_dofs[isl]),
-        float(state.v_dofs[iv]),
-        float(state.v_dofs[isl]),
-    )
-
-
-def zero_state(sys: DiscreteSystem, config: ClosedLoopConfig) -> StateVector:
-    return StateVector(
-        u_dofs=np.zeros(sys.n_dof),
-        v_dofs=np.zeros(sys.n_dof),
-        z1=np.zeros(config.block_rotational.dim),
-        z2=np.zeros(config.block_translational.dim),
-    )
-
-
-def pack(state: StateVector) -> np.ndarray:
-    return np.concatenate([state.u_dofs, state.v_dofs, state.z1, state.z2])
-
-
-def unpack(vec: np.ndarray, sys: DiscreteSystem, config: ClosedLoopConfig) -> StateVector:
-    n = sys.n_dof
-    n1 = config.block_rotational.dim
-    return StateVector(
-        u_dofs=vec[:n],
-        v_dofs=vec[n : 2 * n],
-        z1=vec[2 * n : 2 * n + n1],
-        z2=vec[2 * n + n1 :],
-    )
 
 
 def spring_potential(law: ScalarLaw, s):
@@ -404,12 +355,6 @@ def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np
     return _generator_matrix(ClosedLoopOperator(sys, config))
 
 
-def assemble_gram(sys: DiscreteSystem, config: ClosedLoopConfig) -> np.ndarray:
-    """Dense block-diagonal energy Gram matrix Q over (u, v, z1, z2): the
-    ``ClosedLoopOperator`` inner product written out from its bands."""
-    return _gram_matrix(ClosedLoopOperator(sys, config))
-
-
 def _gram_matrix(op: ClosedLoopOperator) -> np.ndarray:
     """Dense Q of ``op``. The displacement block is the operator's
     ``gram_band``, the curvature Gram plus the spring slopes K1, K2 on the tip
@@ -433,9 +378,10 @@ def _gram_matrix(op: ClosedLoopOperator) -> np.ndarray:
 
 
 def linear_system(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``linear_generator_matrix`` and ``assemble_gram`` from one
+    """Dense linear generator G and energy Gram Q from one
     ``ClosedLoopOperator`` (one linearization of each block): G is read off
-    its linear part, Q is its inner product written out densely."""
+    its linear part, Q is its inner product written out densely, block
+    diagonal over (u, v, z1, z2)."""
     op = ClosedLoopOperator(sys, config)
     q = _gram_matrix(op)  # an indefinite Q raises before G is built
     return _generator_matrix(op), q

@@ -24,16 +24,14 @@ from .dynamics import (
     ENERGY_INCREASE_ETA,
     ClosedLoopOperator,
     EnergyBreakdown,
-    StateVector,
     _as_given,
-    _rows,
     eval_H,
     eval_Hdot,
     linear_generator_matrix,
-    pack,
-    unpack,
+    zero_state,
 )
 from .errors import (
+    DimensionMismatch,
     InsufficientResolution,
     LinearSolveFailure,
     NewtonDivergence,
@@ -82,13 +80,12 @@ class IntegratorSettings:
 class Trajectory:
     """Recorded run as arrays over the records: times, packed states (one
     row each), the energy breakdown (one column per ``EnergyBreakdown``
-    field, total first), the closed-form rate and three energy norms.
+    field, total first), the closed-form rate and the energy norms of the
+    nonlinear remainder, of the generator and of the state.
 
     ``h_increase_max`` is the largest energy increase between consecutive
     recorded samples; ``h_flagged`` marks runs that exceeded the per-step
-    budget ENERGY_INCREASE_ETA * H(y0). ``state_norms`` holds the energy norm
-    of each recorded state and ``state_dims`` the sizes (beam DOFs, z1, z2)
-    that split a packed row into a ``StateVector``; ``simulate`` fills both.
+    budget ENERGY_INCREASE_ETA * H(y0).
     """
 
     times: np.ndarray
@@ -97,10 +94,9 @@ class Trajectory:
     hdots: np.ndarray
     nonlinearity_norms: np.ndarray
     tangent_norms: np.ndarray
+    state_norms: np.ndarray
     h_increase_max: float = 0.0
     h_flagged: bool = False
-    state_norms: np.ndarray | None = None
-    state_dims: tuple[int, int, int] | None = None
 
     CSV_COLUMNS = EnergyBreakdown.CSV_COLUMNS + ("hdot", "nonlin_norm", "tangent_norm")
 
@@ -108,29 +104,14 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         self.packed = np.asarray(self.packed, dtype=float)
         self.energy = np.asarray(self.energy, dtype=float)
-        records = [self.times, self.packed, self.energy, self.hdots,
-                   self.nonlinearity_norms, self.tangent_norms]
-        if self.state_norms is not None:
-            records.append(self.state_norms)
+        records = (self.times, self.packed, self.energy, self.hdots,
+                   self.nonlinearity_norms, self.tangent_norms, self.state_norms)
         if len({len(r) for r in records}) != 1:
             raise ValueError("trajectory records must have equal lengths")
         if self.energy.ndim != 2 or self.energy.shape[1] != len(EnergyBreakdown.CSV_COLUMNS) - 1:
             raise ValueError("trajectory energy must have one column per EnergyBreakdown field")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-
-    @property
-    def states(self) -> list[StateVector]:
-        """The recorded states, built from the packed rows on each access."""
-        if self.state_dims is None:
-            raise ValueError("trajectory has no state_dims to unpack its states")
-        n, n1, _ = self.state_dims
-        return [StateVector(*np.split(row, [n, 2 * n, 2 * n + n1])) for row in self.packed]
-
-    @property
-    def energies(self) -> list[EnergyBreakdown]:
-        """The energy breakdown of each record, built on each access."""
-        return [EnergyBreakdown(*row) for row in self.energy.tolist()]
 
     def totals(self) -> np.ndarray:
         return self.energy[:, 0].copy()
@@ -282,21 +263,25 @@ class MidpointStepper:
 
 
 def simulate(
-    y0: StateVector,
+    y0: np.ndarray,
     settings: IntegratorSettings,
     sys: DiscreteSystem,
     config: ClosedLoopConfig,
     raise_on_energy_increase: bool = False,
 ) -> Trajectory:
-    """Advance to t_end, recording every ``record_every`` steps plus the end.
+    """Advance the packed state ``y0`` (u, v, z1, z2) to t_end, recording
+    every ``record_every`` steps plus the end; the last record's time is
+    ``settings.t_end`` itself.
 
-    Records energy breakdowns, the closed-form energy rate, and the energy
-    norms of the nonlinear remainder, of the full tangent and of the state.
-    The recorded states are stored and their diagnostics evaluated
-    RECORD_CHUNK at a time. Runs whose recorded energy increases by more
-    than ENERGY_INCREASE_ETA * H(y0) between samples are flagged, or
-    rejected at the first such record when asked to raise; a step that fails
-    after such a record raises that rejection instead of its own error.
+    Raises DimensionMismatch, before any step, when ``y0`` is not one packed
+    state of (sys, config). Records energy breakdowns, the closed-form
+    energy rate, and the energy norms of the nonlinear remainder, of the
+    full tangent and of the state. The recorded states are stored and their
+    diagnostics evaluated RECORD_CHUNK at a time. Runs whose recorded energy
+    increases by more than ENERGY_INCREASE_ETA * H(y0) between samples are
+    flagged, or rejected at the first such record when asked to raise; a
+    step that fails after such a record raises that rejection instead of its
+    own error.
     """
     stepper = MidpointStepper(sys, config, settings.dt)
     n_steps, every = settings.n_steps, settings.record_every
@@ -304,8 +289,13 @@ def simulate(
     if record_steps[-1] != n_steps:
         record_steps = np.append(record_steps, n_steps)
     times = record_steps * settings.dt
-    flat = pack(y0)
-    packed = np.empty((len(times), _rows(flat, sys, config).shape[1]))
+    times[-1] = settings.t_end  # n_steps * dt can miss it by roundoff: 3 * 0.1
+    flat = np.asarray(y0, dtype=float)
+    width = zero_state(sys, config).size
+    if flat.shape != (width,):
+        raise DimensionMismatch(
+            f"y0 has shape {flat.shape}; simulate takes one packed state of {width} entries")
+    packed = np.empty((len(times), width))
     energy = np.empty((len(times), len(EnergyBreakdown.CSV_COLUMNS) - 1))
     hdots, nl_norms, tan_norms, state_norms = np.empty((4, len(times)))
     count = evaluated = 0  # records stored, records evaluated
@@ -372,10 +362,9 @@ def simulate(
         hdots=hdots,
         nonlinearity_norms=nl_norms,
         tangent_norms=tan_norms,
+        state_norms=state_norms,
         h_increase_max=float(h_increase_max),
         h_flagged=flagged,
-        state_norms=state_norms,
-        state_dims=(sys.n_dof, config.block_rotational.dim, config.block_translational.dim),
     )
 
 
@@ -409,7 +398,7 @@ def tangent_residual(traj: Trajectory, sys: DiscreteSystem, config: ClosedLoopCo
 
 def smooth_initial_state(
     sys: DiscreteSystem, config: ClosedLoopConfig, tip_fraction: float = 0.1
-) -> StateVector:
+) -> np.ndarray:
     """Discretely classical initial data for tangent and bound diagnostics.
 
     Real part of the slowest oscillatory eigenvector of the assembled linear
@@ -427,25 +416,19 @@ def smooth_initial_state(
         raise LinearSolveFailure("linear generator has no oscillatory modes")
     candidates = np.nonzero(oscillatory)[0]
     idx = candidates[np.argmin(np.abs(eigvals.imag[candidates]))]
-    vec = eigvecs[:, idx].real.copy()
-    state = unpack(vec, sys, config)
-    tip = state.u_dofs[sys.tip_value_index]
+    vec = eigvecs[:, idx].real
+    tip = vec[sys.tip_value_index]  # the displacement DOFs lead the packed state
     if tip == 0.0:
         raise LinearSolveFailure("slowest mode has zero tip deflection; cannot scale")
-    scale = tip_fraction * sys.beam.length / tip
-    return StateVector(
-        u_dofs=state.u_dofs * scale,
-        v_dofs=state.v_dofs * scale,
-        z1=state.z1 * scale,
-        z2=state.z2 * scale,
-    )
+    return vec * (tip_fraction * sys.beam.length / tip)
 
 
 def first_mode_initial_state(
     sys: DiscreteSystem, config: ClosedLoopConfig, tip_fraction: float = 0.1
-) -> StateVector:
-    """Interpolant of the first clamped-free mode, scaled to a tip deflection
-    of ``tip_fraction`` times the beam length; zero velocity and block states.
+) -> np.ndarray:
+    """Packed state whose displacement is the interpolant of the first
+    clamped-free mode, scaled to a tip deflection of ``tip_fraction`` times
+    the beam length; zero velocity and block states.
     """
     length = sys.beam.length
     beta = _BETA1_L / length
@@ -461,10 +444,6 @@ def first_mode_initial_state(
         return beta * (np.sinh(bx) + np.sin(bx) - sigma * (np.cosh(bx) - np.cos(bx)))
 
     scale = tip_fraction * length / shape(length)
-    u = interpolate(sys, lambda x: scale * shape(x), lambda x: scale * slope(x))
-    return StateVector(
-        u_dofs=u,
-        v_dofs=np.zeros(sys.n_dof),
-        z1=np.zeros(config.block_rotational.dim),
-        z2=np.zeros(config.block_translational.dim),
-    )
+    y0 = zero_state(sys, config)
+    y0[: sys.n_dof] = interpolate(sys, lambda x: scale * shape(x), lambda x: scale * slope(x))
+    return y0

@@ -119,17 +119,18 @@ def asymmetric_config(beam):
 
 
 def white_state(sys, config, rng, scale=1.0):
-    """Rough random state: independent normal DOFs."""
-    return pb.StateVector(
-        u_dofs=scale * rng.standard_normal(sys.n_dof),
-        v_dofs=scale * rng.standard_normal(sys.n_dof),
-        z1=scale * rng.standard_normal(config.block_rotational.dim),
-        z2=scale * rng.standard_normal(config.block_translational.dim),
-    )
+    """Rough random packed state: independent normal entries."""
+    return scale * rng.standard_normal(pb.zero_state(sys, config).size)
+
+
+def split_state(y, sys, config):
+    """(u, v, z1, z2) of a packed state or of each row of a block of them."""
+    n, n1 = sys.n_dof, config.block_rotational.dim
+    return y[..., :n], y[..., n : 2 * n], y[..., 2 * n : 2 * n + n1], y[..., 2 * n + n1 :]
 
 
 def smooth_state(sys, config, rng, scale=0.5):
-    """Random state interpolating low-order polynomials (clamped at x=0)."""
+    """Random packed state interpolating low-order polynomials (clamped at x=0)."""
     length = sys.beam.length
 
     def poly_pair(coeffs):
@@ -145,9 +146,9 @@ def smooth_state(sys, config, rng, scale=0.5):
 
     u = pb.interpolate(sys, *poly_pair(scale * rng.standard_normal(4)))
     v = pb.interpolate(sys, *poly_pair(scale * rng.standard_normal(4)))
-    return pb.StateVector(
-        u_dofs=u,
-        v_dofs=v,
-        z1=scale * rng.standard_normal(config.block_rotational.dim),
-        z2=scale * rng.standard_normal(config.block_translational.dim),
-    )
+    return np.concatenate([
+        u,
+        v,
+        scale * rng.standard_normal(config.block_rotational.dim),
+        scale * rng.standard_normal(config.block_translational.dim),
+    ])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import passivebeam as pb
-from passivebeam.dynamics import ClosedLoopOperator, pack, tip_traces
+from passivebeam.dynamics import ClosedLoopOperator
 
 from conftest import (
     DEFAULT_BEAM,
@@ -20,6 +20,7 @@ from conftest import (
     kappa_zero_config,
     make_system,
     smooth_state,
+    split_state,
     undamped_config,
     white_state,
 )
@@ -143,13 +144,13 @@ def test_criterion_04_linear_dissipativity_identity(accept_beam, main_config):
     worst_rel = 0.0
     all_nonpositive = True
     for _ in range(100):
-        state = smooth_state(sys_d, main_config, rng)
-        flat = pack(state)
+        flat = smooth_state(sys_d, main_config, rng)
         lhs = op.inner(op.linear(flat), flat)
-        _, _, v_l, vp_l = tip_traces(state, sys_d)
+        _, v, z1, z2 = split_state(flat, sys_d, main_config)
+        v_l, vp_l = v[sys_d.tip_value_index], v[sys_d.tip_slope_index]
         rhs = (
-            float(state.z1 @ (sym1 @ state.z1))
-            + float(state.z2 @ (sym2 @ state.z2))
+            float(z1 @ (sym1 @ z1))
+            + float(z2 @ (sym2 @ z2))
             - d1 * vp_l**2
             - d2 * v_l**2
         )
@@ -261,7 +262,7 @@ def test_criterion_11_generator_split(accept_beam, main_config):
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
-        flat = pack(white_state(sys_d, main_config, rng))
+        flat = white_state(sys_d, main_config, rng)
         full = op.generator(flat)
         split = op.linear(flat) + op.nonlinear(flat)
         worst = max(worst, np.linalg.norm(full - split) / np.linalg.norm(full))
@@ -290,7 +291,7 @@ def test_criterion_11_generator_split(accept_beam, main_config):
         block_translational=quad_block(),
     )
     qop = ClosedLoopOperator(sys_d, quad_config)
-    base = pack(white_state(sys_d, quad_config, rng))
+    base = white_state(sys_d, quad_config, rng)
     scaled_norm = {}
     for eps in (1e-1, 1e-2, 1e-3):
         scaled_norm[eps] = qop.qnorm(qop.nonlinear(eps * base)) / eps**2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import passivebeam as pb
-from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, linear_system, pack
+from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, linear_system
 from passivebeam.errors import EmptyTrajectory
 
 from conftest import (
@@ -39,7 +39,7 @@ def test_linear_matrix_dissipative_in_energy_pairing(sys8, linear):
     op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        flat = pack(smooth_state(sys8, linear, rng))
+        flat = smooth_state(sys8, linear, rng)
         assert op.inner(op.linear(flat), flat) <= 0.0
 
 
@@ -63,7 +63,7 @@ def test_projected_spectrum_purely_imaginary(beam):
 
 def test_damped_spectrum_strictly_stable(sys8, linear):
     g = linear_generator_matrix(sys8, linear)
-    q = pb.assemble_gram(sys8, linear)
+    q = linear_system(sys8, linear)[1]
     report = pb.spectrum(g, q)
     assert report.max_real_part < 0.0
     assert report.n_unstable == 0
@@ -77,7 +77,7 @@ def test_spectrum_real_parts_approach_axis_under_refinement(beam):
         sys_d = make_system(beam, n)
         config = linear_config(beam)
         g = linear_generator_matrix(sys_d, config)
-        q = pb.assemble_gram(sys_d, config)
+        q = linear_system(sys_d, config)[1]
         vals.append(pb.spectrum(g, q).max_real_part)
     assert vals[0] < vals[1] < vals[2] < 0.0
 
@@ -147,6 +147,7 @@ def test_decay_metrics_stable_under_subsampling(beam):
         hdots=traj.hdots[::2],
         nonlinearity_norms=traj.nonlinearity_norms[::2],
         tangent_norms=traj.tangent_norms[::2],
+        state_norms=traj.state_norms[::2],
     )
     full = pb.decay_metrics(traj)
     sub = pb.decay_metrics(thinned)
@@ -163,6 +164,7 @@ def test_decay_metrics_empty_trajectory(beam):
         hdots=np.array([]),
         nonlinearity_norms=np.array([]),
         tangent_norms=np.array([]),
+        state_norms=np.array([]),
     )
     with pytest.raises(EmptyTrajectory):
         pb.decay_metrics(traj)

@@ -115,6 +115,17 @@ def test_simulate_mode_artifacts_and_hashes(tmp_path):
     assert summary["metrics"]["h_flagged"] is False
 
 
+@pytest.mark.parametrize("t_end", [0.3, 0.7])
+def test_simulate_last_row_is_written_at_t_end(tmp_path, t_end):
+    # 3 * 0.1 and 7 * 0.1 are 0.30000000000000004 and 0.7000000000000001
+    cfg = base_config(integrator={"dt": 0.1, "t_end": t_end, "record_every": 3})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.run("simulate", path, out=out) == 0
+    rows = (out / "energy.csv").read_text().strip().splitlines()
+    assert float(rows[-1].split(",")[0]) == t_end
+
+
 def test_simulate_outputs_deterministic(tmp_path):
     path = write_config(tmp_path, base_config())
     out_a = tmp_path / "a"

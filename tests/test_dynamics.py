@@ -15,9 +15,7 @@ from passivebeam.dynamics import (
     RemainderMap,
     linear_generator_matrix,
     linear_system,
-    pack,
     spring_potential,
-    tip_traces,
 )
 from passivebeam.errors import DimensionMismatch
 from passivebeam.integrator import MidpointStepper
@@ -28,6 +26,7 @@ from conftest import (
     linear_config,
     make_system,
     smooth_state,
+    split_state,
     white_state,
 )
 
@@ -52,7 +51,7 @@ def lins_of(config):
 # -- energy ------------------------------------------------------------------
 
 def test_energy_zero_state(sys8, nonlinear):
-    e = pb.eval_H(pack(pb.zero_state(sys8, nonlinear)), sys8, nonlinear)
+    e = pb.eval_H(pb.zero_state(sys8, nonlinear), sys8, nonlinear)
     assert e.total == 0.0
     assert all(
         getattr(e, f) == 0.0
@@ -71,8 +70,8 @@ def test_energy_zero_state(sys8, nonlinear):
 def test_energy_linear_spring_potentials(sys8, linear):
     rng = np.random.default_rng(0)
     state = white_state(sys8, linear, rng)
-    u_l, up_l, _, _ = tip_traces(state, sys8)
-    e = pb.eval_H(pack(state), sys8, linear)
+    u_l, up_l = state[sys8.tip_value_index], state[sys8.tip_slope_index]
+    e = pb.eval_H(state, sys8, linear)
     assert e.spring_potential_rot == pytest.approx(0.5 * up_l**2, rel=1e-12)
     assert e.spring_potential_tr == pytest.approx(0.5 * u_l**2, rel=1e-12)
 
@@ -80,8 +79,9 @@ def test_energy_linear_spring_potentials(sys8, linear):
 def test_energy_parabolic_displacement_example(beam, sys8, linear):
     # u = x^2 on the unit beam with unit springs: strain 2, tip potentials 2 and 1/2
     u = pb.interpolate(sys8, lambda x: x**2, lambda x: 2.0 * x)
-    state = pb.StateVector(u_dofs=u, v_dofs=np.zeros(sys8.n_dof), z1=np.zeros(1), z2=np.zeros(1))
-    e = pb.eval_H(pack(state), sys8, linear)
+    state = pb.zero_state(sys8, linear)
+    state[: sys8.n_dof] = u
+    e = pb.eval_H(state, sys8, linear)
     assert e.beam_strain == pytest.approx(2.0, rel=1e-12)
     assert e.spring_potential_rot == pytest.approx(2.0, rel=1e-12)
     assert e.spring_potential_tr == pytest.approx(0.5, rel=1e-12)
@@ -91,7 +91,7 @@ def test_energy_parabolic_displacement_example(beam, sys8, linear):
 def test_energy_total_is_sum_and_nonnegative(sys8, nonlinear):
     rng = np.random.default_rng(1)
     for _ in range(20):
-        e = pb.eval_H(pack(white_state(sys8, nonlinear, rng)), sys8, nonlinear)
+        e = pb.eval_H(white_state(sys8, nonlinear, rng), sys8, nonlinear)
         parts = (
             e.beam_strain
             + e.beam_kinetic
@@ -158,7 +158,7 @@ def test_slowly_converging_fallback_quadrature_is_bounded():
 def test_energy_dimension_mismatch(sys8, sys4, nonlinear):
     state = pb.zero_state(sys4, nonlinear)
     with pytest.raises(DimensionMismatch):
-        pb.eval_H(pack(state), sys8, nonlinear)
+        pb.eval_H(state, sys8, nonlinear)
 
 
 # -- energy rate ---------------------------------------------------------------
@@ -173,27 +173,29 @@ def test_energy_of_a_block_whose_storage_broadcasts(sys8, linear):
 
 
 def test_hdot_zero_state(sys8, nonlinear):
-    assert pb.eval_Hdot(pack(pb.zero_state(sys8, nonlinear)), sys8, nonlinear) == 0.0
+    assert pb.eval_Hdot(pb.zero_state(sys8, nonlinear), sys8, nonlinear) == 0.0
 
 
 def test_hdot_vanishes_without_tip_velocity_or_block_state(sys8, nonlinear):
     u = pb.interpolate(sys8, lambda x: x**3, lambda x: 3 * x**2)
-    state = pb.StateVector(u_dofs=u, v_dofs=np.zeros(sys8.n_dof), z1=np.zeros(2), z2=np.zeros(2))
-    assert pb.eval_Hdot(pack(state), sys8, nonlinear) == 0.0
+    state = pb.zero_state(sys8, nonlinear)
+    state[: sys8.n_dof] = u
+    assert pb.eval_Hdot(state, sys8, nonlinear) == 0.0
 
 
 def test_hdot_linear_config_hand_value(sys8, linear):
     v = np.zeros(sys8.n_dof)
     v[sys8.tip_value_index] = 1.0
     v[sys8.tip_slope_index] = 2.0
-    state = pb.StateVector(u_dofs=np.zeros(sys8.n_dof), v_dofs=v, z1=np.zeros(1), z2=np.zeros(1))
-    assert pb.eval_Hdot(pack(state), sys8, linear) == pytest.approx(-5.0, rel=1e-14)
+    state = pb.zero_state(sys8, linear)
+    state[sys8.n_dof : 2 * sys8.n_dof] = v
+    assert pb.eval_Hdot(state, sys8, linear) == pytest.approx(-5.0, rel=1e-14)
 
 
 def test_hdot_nonpositive_for_certified_config(sys8, nonlinear):
     rng = np.random.default_rng(2)
     for _ in range(50):
-        assert pb.eval_Hdot(pack(white_state(sys8, nonlinear, rng)), sys8, nonlinear) <= 0.0
+        assert pb.eval_Hdot(white_state(sys8, nonlinear, rng), sys8, nonlinear) <= 0.0
 
 
 def test_directional_derivative_matches_hdot(sys8, beam, nonlinear):
@@ -201,9 +203,8 @@ def test_directional_derivative_matches_hdot(sys8, beam, nonlinear):
         op = ClosedLoopOperator(sys8, config)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            state = smooth_state(sys8, config, rng)
+            flat = smooth_state(sys8, config, rng)
             eps = 1e-6
-            flat = pack(state)
             dflat = op.generator(flat)
             up = pb.eval_H(flat + eps * dflat, sys8, config).total
             down = pb.eval_H(flat - eps * dflat, sys8, config).total
@@ -215,7 +216,7 @@ def test_directional_derivative_matches_hdot(sys8, beam, nonlinear):
 # -- generator and split -------------------------------------------------------
 
 def test_generator_zero_state(sys8, nonlinear):
-    out = ClosedLoopOperator(sys8, nonlinear).generator(pack(pb.zero_state(sys8, nonlinear)))
+    out = ClosedLoopOperator(sys8, nonlinear).generator(pb.zero_state(sys8, nonlinear))
     assert np.abs(out).max() == 0.0
 
 
@@ -229,13 +230,13 @@ def test_generator_reduces_to_bare_beam_with_zeroed_feedback(beam, sys8):
         block_translational=pb.make_block("linear", gain=0.0),
     )
     rng = np.random.default_rng(4)
-    state = white_state(sys8, config, rng)
-    state = pb.StateVector(u_dofs=state.u_dofs, v_dofs=state.v_dofs, z1=np.zeros(1), z2=np.zeros(1))
-    out = ClosedLoopOperator(sys8, config).generator(pack(state))
     n = sys8.n_dof
-    expected = -np.linalg.solve(dense(sys8.mass_tip_band), dense(sys8.stiffness_band) @ state.u_dofs)
+    state = white_state(sys8, config, rng)
+    state[2 * n :] = 0.0
+    out = ClosedLoopOperator(sys8, config).generator(state)
+    expected = -np.linalg.solve(dense(sys8.mass_tip_band), dense(sys8.stiffness_band) @ state[:n])
     assert np.allclose(out[n : 2 * n], expected, rtol=1e-13, atol=1e-13)
-    assert np.array_equal(out[:n], state.v_dofs)
+    assert np.array_equal(out[:n], state[n : 2 * n])
 
 
 @pytest.mark.parametrize("make_config", [default_config, linear_config, asymmetric_config])
@@ -251,7 +252,7 @@ def test_generator_matches_dense_oracle_per_channel(sys8, beam, make_config):
     states, oracle = [], []
     for _ in range(20):
         state = white_state(sys8, config, rng)
-        u, v, z1, z2 = state.u_dofs, state.v_dofs, state.z1, state.z2
+        u, v, z1, z2 = split_state(state, sys8, config)
         load = -(dense(sys8.stiffness_band) @ u)
         load[isl] -= float(b1.output(z1)) + float(rot.damper.eval(v[isl])) + float(rot.spring.eval(u[isl]))
         load[iv] -= float(b2.output(z2)) + float(tr.damper.eval(v[iv])) + float(tr.spring.eval(u[iv]))
@@ -261,9 +262,9 @@ def test_generator_matches_dense_oracle_per_channel(sys8, beam, make_config):
             b1.drift(z1) + b1.input_gain(z1) * v[isl],
             b2.drift(z2) + b2.input_gain(z2) * v[iv],
         ])
-        got = op.generator(pack(state))
+        got = op.generator(state)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-        states.append(pack(state))
+        states.append(state)
         oracle.append(expected)
     # the same states as one block of 20 rows
     got, oracle = op.generator(np.array(states)), np.array(oracle)
@@ -298,7 +299,7 @@ def test_linear_config_generator_equals_linear_part(sys8, linear):
     op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        flat = pack(white_state(sys8, linear, rng))
+        flat = white_state(sys8, linear, rng)
         full = op.generator(flat)
         lin = op.linear(flat)
         assert np.allclose(full, lin, rtol=1e-12, atol=1e-12)
@@ -307,7 +308,7 @@ def test_linear_config_generator_equals_linear_part(sys8, linear):
 def test_nonlinear_part_vanishes_for_linear_config(sys8, linear):
     op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(6)
-    out = op.nonlinear(pack(white_state(sys8, linear, rng)))
+    out = op.nonlinear(white_state(sys8, linear, rng))
     assert np.abs(out).max() <= 1e-14
 
 
@@ -316,7 +317,7 @@ def test_split_exactness(sys4, beam):
     op = ClosedLoopOperator(sys4, config)
     rng = np.random.default_rng(7)
     for _ in range(100):
-        flat = pack(white_state(sys4, config, rng))
+        flat = white_state(sys4, config, rng)
         assert np.array_equal(op.generator(flat), op.linear(flat) + op.nonlinear(flat))
 
 
@@ -325,14 +326,14 @@ def test_split_exactness_medium_mesh(sys8, beam, nonlinear):
         op = ClosedLoopOperator(sys8, config)
         rng = np.random.default_rng(8)
         for _ in range(25):
-            flat = pack(white_state(sys8, config, rng))
+            flat = white_state(sys8, config, rng)
             assert np.array_equal(op.generator(flat), op.linear(flat) + op.nonlinear(flat))
 
 
 def test_nonlinear_part_interior_load_is_zero(sys8, nonlinear):
     op = ClosedLoopOperator(sys8, nonlinear)
     rng = np.random.default_rng(9)
-    out = op.nonlinear(pack(white_state(sys8, nonlinear, rng)))
+    out = op.nonlinear(white_state(sys8, nonlinear, rng))
     assert np.abs(out[: sys8.n_dof]).max() == 0.0
 
 
@@ -345,13 +346,13 @@ def test_dissipation_pairing_identity_and_sign(sys8, linear):
     d2 = linear.sd_translational.damper_slope
     rng = np.random.default_rng(10)
     for _ in range(100):
-        state = smooth_state(sys8, linear, rng)
-        flat = pack(state)
+        flat = smooth_state(sys8, linear, rng)
         lhs = op.inner(op.linear(flat), flat)
-        _, _, v_l, vp_l = tip_traces(state, sys8)
+        _, v, z1, z2 = split_state(flat, sys8, linear)
+        v_l, vp_l = v[sys8.tip_value_index], v[sys8.tip_slope_index]
         rhs = (
-            float(state.z1 @ (sym1 @ state.z1))
-            + float(state.z2 @ (sym2 @ state.z2))
+            float(z1 @ (sym1 @ z1))
+            + float(z2 @ (sym2 @ z2))
             - d1 * vp_l**2
             - d2 * v_l**2
         )
@@ -362,8 +363,7 @@ def test_dissipation_pairing_identity_and_sign(sys8, linear):
 def test_remainder_map_consistent_with_nonlinear_part(sys8, nonlinear):
     remainder = RemainderMap(sys8, nonlinear)
     rng = np.random.default_rng(11)
-    state = white_state(sys8, nonlinear, rng)
-    flat = pack(state)
+    flat = white_state(sys8, nonlinear, rng)
     placed = remainder.placement @ remainder.value(remainder.q_of(flat))
     direct = ClosedLoopOperator(sys8, nonlinear).nonlinear(flat)
     assert np.allclose(placed, direct, rtol=1e-13, atol=1e-14)
@@ -385,8 +385,8 @@ def test_linear_config_generator_matches_assembled_matrix(sys8, linear):
     rng = np.random.default_rng(14)
     for _ in range(10):
         state = white_state(sys8, linear, rng)
-        by_matrix = g @ pack(state)
-        by_operator = op.generator(pack(state))
+        by_matrix = g @ state
+        by_operator = op.generator(state)
         assert np.allclose(by_matrix, by_operator, rtol=1e-11, atol=1e-11 * np.abs(by_matrix).max())
 
 
@@ -394,11 +394,11 @@ def test_linear_config_generator_matches_assembled_matrix(sys8, linear):
 def test_banded_energy_norm_matches_dense_gram(sys8, beam, make_config):
     config = make_config(beam)
     op = ClosedLoopOperator(sys8, config)
-    gram = pb.assemble_gram(sys8, config)
+    gram = linear_system(sys8, config)[1]
     rng = np.random.default_rng(15)
     for sample in (white_state, smooth_state):
         for _ in range(10):
-            x = pack(sample(sys8, config, rng))
+            x = sample(sys8, config, rng)
             dense = x @ gram @ x
             assert abs(op.qnorm(x) ** 2 - dense) <= 1e-12 * dense
 
@@ -406,7 +406,7 @@ def test_banded_energy_norm_matches_dense_gram(sys8, beam, make_config):
 def test_nonlinear_remainder_scales_quadratically(sys8, nonlinear):
     op = ClosedLoopOperator(sys8, nonlinear)
     rng = np.random.default_rng(13)
-    base = pack(white_state(sys8, nonlinear, rng))
+    base = white_state(sys8, nonlinear, rng)
     norms = {}
     for eps in (1e-1, 1e-2, 1e-3):
         norms[eps] = op.qnorm(op.nonlinear(eps * base))
@@ -479,7 +479,7 @@ def record_columns(rows, sys_n, config, stepper):
 def dense_record_columns(state, sys_n, config):
     """The same columns from dense matrices, a dense Cholesky of mass_tip and
     the laws and blocks called directly, one state at a time."""
-    u, v, z1, z2 = state.u_dofs, state.v_dofs, state.z1, state.z2
+    u, v, z1, z2 = split_state(state, sys_n, config)
     beam, isl, iv = sys_n.beam, sys_n.tip_slope_index, sys_n.tip_value_index
     rot, tr = config.sd_rotational, config.sd_translational
     b1, b2 = config.block_rotational, config.block_translational
@@ -523,7 +523,7 @@ def dense_record_columns(state, sys_n, config):
     hdot = (b1.drift(z1) @ b1.storage_grad(z1) + b2.drift(z2) @ b2.storage_grad(z2)
             - float(rot.damper.eval(v[isl])) * v[isl] - float(tr.damper.eval(v[iv])) * v[iv])
     return dict(zip(RECORD_COLUMNS, (
-        sum(parts), *parts, hdot, norm(remainder), norm(full), norm(pack(state)))))
+        sum(parts), *parts, hdot, norm(remainder), norm(full), norm(state))))
 
 
 @pytest.mark.parametrize("make_config", [default_config, asymmetric_config])
@@ -531,11 +531,10 @@ def test_record_columns_of_a_block_match_single_rows_and_a_dense_oracle(sys8, be
     config = make_config(beam)
     stepper = MidpointStepper(sys8, config, 1e-3)
     rng = np.random.default_rng(17)
-    states = [white_state(sys8, config, rng) for _ in range(20)]
-    rows = np.array([pack(state) for state in states])
+    rows = np.array([white_state(sys8, config, rng) for _ in range(20)])
     block = record_columns(rows, sys8, config, stepper)
     singles = [record_columns(row, sys8, config, stepper) for row in rows]
-    oracle = [dense_record_columns(state, sys8, config) for state in states]
+    oracle = [dense_record_columns(row, sys8, config) for row in rows]
     for name in RECORD_COLUMNS:
         column = block[name]
         assert column.shape == (len(rows),), name
@@ -553,4 +552,4 @@ def test_linear_system_linearizes_each_block_once(sys8, beam, monkeypatch):
     g, q = linear_system(sys8, config)
     assert calls == [config.block_rotational, config.block_translational]
     assert np.array_equal(g, linear_generator_matrix(sys8, config))
-    assert np.array_equal(q, pb.assemble_gram(sys8, config))
+    assert np.array_equal(q, linear_system(sys8, config)[1])

@@ -9,8 +9,9 @@ import scipy.linalg.lapack
 
 import passivebeam as pb
 from passivebeam import integrator
-from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, linear_system, pack, tip_traces
+from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, linear_system
 from passivebeam.errors import (
+    DimensionMismatch,
     EmptyTrajectory,
     InsufficientResolution,
     LinearSolveFailure,
@@ -19,7 +20,15 @@ from passivebeam.errors import (
 )
 from passivebeam.integrator import MidpointStepper
 
-from conftest import asymmetric_config, default_config, linear_config, make_system, undamped_config, white_state
+from conftest import (
+    asymmetric_config,
+    default_config,
+    linear_config,
+    make_system,
+    split_state,
+    undamped_config,
+    white_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +68,14 @@ def test_settings_reject_t_end_off_the_step_grid():
 def test_zero_state_is_fixed_point(sys6, beam):
     config = default_config(beam)
     zero = pb.zero_state(sys6, config)
-    stepped = MidpointStepper(sys6, config, 1e-2).step_flat(pack(zero), 1e-10, 25)
+    stepped = MidpointStepper(sys6, config, 1e-2).step_flat(zero, 1e-10, 25)
     assert np.abs(stepped).max() == 0.0
 
 
 def test_undamped_step_preserves_energy_norm(sys6, beam):
     config = undamped_config(beam)
     stepper = MidpointStepper(sys6, config, 1e-3)
-    y0 = pack(pb.first_mode_initial_state(sys6, config))
+    y0 = pb.first_mode_initial_state(sys6, config)
     state = y0
     n0 = qnorm(y0, sys6, config)
     for _ in range(100):
@@ -79,7 +88,7 @@ def test_damped_linear_step_contracts(sys6, beam):
     stepper = MidpointStepper(sys6, config, 1e-3)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        state = pack(white_state(sys6, config, rng))
+        state = white_state(sys6, config, rng)
         stepped = stepper.step_flat(state, newton_tol=1e-12, newton_max_iter=25)
         before = qnorm(state, sys6, config)
         after = qnorm(stepped, sys6, config)
@@ -88,7 +97,7 @@ def test_damped_linear_step_contracts(sys6, beam):
 
 def test_time_reversal_of_undamped_flow(sys6, beam):
     config = undamped_config(beam)
-    y0 = pack(pb.first_mode_initial_state(sys6, config))
+    y0 = pb.first_mode_initial_state(sys6, config)
     tol = 1e-12
     forward = MidpointStepper(sys6, config, 1e-3).step_flat(y0, tol, 25)
     back = MidpointStepper(sys6, config, -1e-3).step_flat(forward, tol, 25)
@@ -101,14 +110,14 @@ def test_newton_divergence_reported(sys6, beam):
     rng = np.random.default_rng(1)
     state = white_state(sys6, config, rng, scale=5.0)
     with pytest.raises(NewtonDivergence):
-        MidpointStepper(sys6, config, 1e-3).step_flat(pack(state), 1e-10, 1)
+        MidpointStepper(sys6, config, 1e-3).step_flat(state, 1e-10, 1)
 
 
 def test_cap_hit_while_falling_advises_smaller_step(sys6, beam):
     config = default_config(beam)
     state = white_state(sys6, config, np.random.default_rng(1), scale=5.0)
     with pytest.raises(NewtonDivergence, match="still falling.*halve dt"):
-        MidpointStepper(sys6, config, 1e-3).step_flat(pack(state), 1e-10, 3)
+        MidpointStepper(sys6, config, 1e-3).step_flat(state, 1e-10, 3)
 
 
 def count_value_calls(stepper):
@@ -125,7 +134,7 @@ def test_tiny_tolerance_step_converges(beam):
     sys64 = make_system(beam, 64)
     config = default_config(beam)
     stepper = MidpointStepper(sys64, config, 1e-3)
-    y0 = pack(pb.first_mode_initial_state(sys64, config))
+    y0 = pb.first_mode_initial_state(sys64, config)
     calls = count_value_calls(stepper)
     stepped = stepper.step_flat(y0, 1e-30, 25)
     assert len(calls) <= 6
@@ -147,7 +156,7 @@ def test_simulate_keeps_newton_residual(sys6, beam):
 def test_non_finite_state_stops_newton_at_once(sys6, beam):
     config = default_config(beam)
     stepper = MidpointStepper(sys6, config, 1e-3)
-    flat = pack(pb.first_mode_initial_state(sys6, config))
+    flat = pb.first_mode_initial_state(sys6, config)
     flat[3] = np.nan
     calls = count_value_calls(stepper)
     with pytest.raises(NewtonDivergence, match="not finite") as info:
@@ -164,7 +173,7 @@ def test_schur_solve_inverts_midpoint_matrix(beam, n_elements, dt):
     stepper = MidpointStepper(sys_n, config, dt)
     g = linear_generator_matrix(sys_n, config)
     rng = np.random.default_rng(3)
-    r = pack(white_state(sys_n, config, rng))
+    r = white_state(sys_n, config, rng)
     x = stepper.solve(r)
     defect = x - 0.5 * dt * (g @ x) - r
     assert stepper.qnorm(defect) <= 1e-12 * stepper.qnorm(r)
@@ -181,7 +190,7 @@ def test_tip_mass_is_factored_once_per_system(beam, monkeypatch):
     assert calls == ["dpbtrf"]
     config = default_config(beam)
     y0 = pb.first_mode_initial_state(sys_n, config)
-    MidpointStepper(sys_n, config, 1e-3).step_flat(pack(y0), 1e-10, 25)
+    MidpointStepper(sys_n, config, 1e-3).step_flat(y0, 1e-10, 25)
     pb.simulate(y0, pb.IntegratorSettings(dt=1e-3, t_end=5e-3), sys_n, config)
     linear_system(sys_n, config)
     assert calls == ["dpbtrf"]
@@ -221,7 +230,7 @@ def test_reduced_residual_is_the_full_residual(beam, n_elements, make_config):
     assert np.abs(stepper.load_gram - gram).max() <= 1e-10 * np.abs(gram).max()
     rng = np.random.default_rng(4)
     for _ in range(10):
-        y = pack(white_state(sys_n, config, rng))
+        y = white_state(sys_n, config, rng)
         f = rng.standard_normal(rem.p)
         # the iterate w = y + d that the step builds from the loads f
         d = 2.0 * (stepper.solve(y) - y) + dt * (stepper._kinv_e @ f)
@@ -252,7 +261,7 @@ def stiff_spring_run(beam):
 
 def test_simulate_rejects_a_step_over_the_energy_budget(beam):
     sys16, config, y0, settings = stiff_spring_run(beam)
-    budget = pb.ENERGY_INCREASE_ETA * pb.eval_H(pack(y0), sys16, config).total
+    budget = pb.ENERGY_INCREASE_ETA * pb.eval_H(y0, sys16, config).total
     with pytest.raises(StepRejected, match="at t=0.356") as info:
         pb.simulate(y0, settings, sys16, config, raise_on_energy_increase=True)
     assert info.value.time == pytest.approx(0.356, rel=1e-12)
@@ -360,7 +369,7 @@ def test_record_chunk_and_block_certification_call_each_callback_once(sys6, beam
     config = default_config(beam)
     stepper = MidpointStepper(sys6, config, 1e-3)
     rng = np.random.default_rng(2)
-    rows = np.array([pack(white_state(sys6, config, rng, scale=0.5)) for _ in range(256)])
+    rows = np.array([white_state(sys6, config, rng, scale=0.5) for _ in range(256)])
     laws = [law for sd in (config.sd_rotational, config.sd_translational) for law in (sd.damper, sd.spring)]
     calls = count_callback_calls(*laws, config.block_rotational, config.block_translational)
     pb.eval_H(rows, sys6, config)
@@ -408,7 +417,7 @@ def test_simulate_record_layout(sys6, beam):
     config = default_config(beam)
     settings = pb.IntegratorSettings(dt=1e-3, t_end=0.05, record_every=10)
     traj = pb.simulate(pb.first_mode_initial_state(sys6, config), settings, sys6, config)
-    assert len(traj.times) == len(traj.states) == len(traj.energies)
+    assert len(traj.times) == len(traj.packed) == len(traj.energy)
     assert len(traj.hdots) == len(traj.nonlinearity_norms) == len(traj.tangent_norms)
     assert np.all(np.diff(traj.times) > 0.0)
     assert traj.times[0] == 0.0
@@ -416,11 +425,31 @@ def test_simulate_record_layout(sys6, beam):
     assert np.allclose(np.diff(traj.times), 0.01)
 
 
+@pytest.mark.parametrize("t_end", [0.3, 0.7])
+def test_simulate_last_record_is_at_t_end(sys6, beam, t_end):
+    # 3 * 0.1 and 7 * 0.1 are 0.30000000000000004 and 0.7000000000000001
+    config = default_config(beam)
+    settings = pb.IntegratorSettings(dt=0.1, t_end=t_end, record_every=3)
+    traj = pb.simulate(pb.first_mode_initial_state(sys6, config), settings, sys6, config)
+    assert traj.times[-1] == t_end
+    assert np.allclose(traj.times[:-1], 0.3 * np.arange(len(traj.times) - 1), rtol=0.0, atol=1e-15)
+
+
+def test_simulate_takes_one_packed_state(sys6, beam, monkeypatch):
+    config = default_config(beam)
+    y0 = pb.first_mode_initial_state(sys6, config)
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=2e-3)
+    monkeypatch.setattr(MidpointStepper, "step_flat", lambda *args: pytest.fail("simulate stepped"))
+    for bad in (y0[None, :], np.stack([y0, y0]), y0[:-1], np.append(y0, 0.0)):
+        with pytest.raises(DimensionMismatch, match=f"one packed state of {len(y0)} entries"):
+            pb.simulate(bad, settings, sys6, config)
+
+
 def test_simulate_records_state_energy_norms(sys6, beam):
     config = default_config(beam)
     settings = pb.IntegratorSettings(dt=1e-3, t_end=0.05, record_every=10)
     traj = pb.simulate(pb.first_mode_initial_state(sys6, config), settings, sys6, config)
-    expected = [qnorm(pack(state), sys6, config) for state in traj.states]
+    expected = [qnorm(row, sys6, config) for row in traj.packed]
     assert np.allclose(traj.state_norms, expected, rtol=1e-12, atol=0.0)
 
 
@@ -433,15 +462,16 @@ def test_simulate_energy_monotone_and_rates_negative(sys6, beam):
     assert not traj.h_flagged
     assert np.all(traj.hdots <= 0.0)
     # strict decay whenever the dissipating coordinates are active
-    for state, hdot in zip(traj.states[1:], traj.hdots[1:]):
+    for row, hdot in zip(traj.packed[1:], traj.hdots[1:]):
+        _, v, z1, z2 = split_state(row, sys6, config)
         active = np.linalg.norm(
             np.concatenate(
                 [
-                    state.z1,
-                    state.z2,
+                    z1,
+                    z2,
                     [
-                        beam.tip_inertia * state.v_dofs[sys6.tip_slope_index],
-                        beam.tip_mass * state.v_dofs[sys6.tip_value_index],
+                        beam.tip_inertia * v[sys6.tip_slope_index],
+                        beam.tip_mass * v[sys6.tip_value_index],
                     ],
                 ]
             )
@@ -482,11 +512,11 @@ def test_tangent_residual_linear_second_order(beam):
 def test_initial_states_scaled_to_tip_deflection(sys6, beam):
     config = default_config(beam)
     for builder in (pb.first_mode_initial_state, pb.smooth_initial_state):
-        y0 = builder(sys6, config, tip_fraction=0.1)
-        assert y0.u_dofs[sys6.tip_value_index] == pytest.approx(0.1 * beam.length)
-    y0 = pb.first_mode_initial_state(sys6, config)
-    assert np.abs(y0.v_dofs).max() == 0.0
-    assert np.abs(y0.z1).max() == 0.0 and np.abs(y0.z2).max() == 0.0
+        u = split_state(builder(sys6, config, tip_fraction=0.1), sys6, config)[0]
+        assert u[sys6.tip_value_index] == pytest.approx(0.1 * beam.length)
+    _, v, z1, z2 = split_state(pb.first_mode_initial_state(sys6, config), sys6, config)
+    assert np.abs(v).max() == 0.0
+    assert np.abs(z1).max() == 0.0 and np.abs(z2).max() == 0.0
 
 
 def test_tip_momentum_accessors(sys6, beam):
@@ -494,9 +524,9 @@ def test_tip_momentum_accessors(sys6, beam):
     config = default_config(beam)
     rng = np.random.default_rng(2)
     state = white_state(sys6, config, rng)
-    _, _, v_l, vp_l = tip_traces(state, sys6)
-    assert vp_l == state.v_dofs[sys6.tip_slope_index]
-    assert v_l == state.v_dofs[sys6.tip_value_index]
+    v = split_state(state, sys6, config)[1]
+    vp_l, v_l = v[sys6.tip_slope_index], v[sys6.tip_value_index]
+    assert (vp_l, v_l) == (state[sys6.n_dof + sys6.tip_slope_index], state[sys6.n_dof + sys6.tip_value_index])
     xi, psi = beam.tip_inertia * vp_l, beam.tip_mass * v_l
     tip = xi**2 / (2.0 * beam.tip_inertia) + psi**2 / (2.0 * beam.tip_mass)
-    assert pb.eval_H(pack(state), sys6, config).tip_kinetic == tip
+    assert pb.eval_H(state, sys6, config).tip_kinetic == tip
