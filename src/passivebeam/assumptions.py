@@ -165,8 +165,8 @@ def certify_spring_damper(
     if samples < 100:
         raise ValueError("samples must be >= 100")
     pts = _law_samples(radius, samples, seed)
-    d0, dslope = float(law.damper.eval(0.0)), float(law.damper.deriv(0.0))
-    k0, kslope = float(law.spring.eval(0.0)), float(law.spring.deriv(0.0))
+    d0, dslope = float(law.damper.eval(0.0)), law.damper_slope
+    k0, kslope = float(law.spring.eval(0.0)), law.spring_slope
     checks = [
         _check("damper-vanishes-at-zero", abs(d0) <= STRICT_MARGIN, 0.0, d0),
         _sampled("damper-derivative-nonnegative", pts, law.damper.deriv(pts),
@@ -190,9 +190,12 @@ def certify_block(
     KYP output identity, definiteness of the storage Hessian, invertibility
     of the drift Jacobian, and negative semidefiniteness of P A are sampled;
     radial growth is certified only up to the radius, against ``h_threshold``.
+    A block of more than ``len(_PRIMES)`` states (Halton bases) is refused.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
+    if block.dim > len(_PRIMES):
+        raise ValueError(f"block dimension {block.dim} exceeds the certification limit of {len(_PRIMES)}")
     if samples < 100 * block.dim:
         raise ValueError(f"samples must be >= {100 * block.dim} for dim {block.dim}")
     pts = _ball_points(block.dim, radius, _BLOCK_GRID_POINTS, samples, seed)

@@ -107,7 +107,6 @@ class RunConfig:
             self.seed = _count(seed_override if seed_override is not None else raw.get("seed", 0), "seed", 0)
             self.output_dir = Path(out_override if out_override is not None else raw.get("output_dir", "out"))
         self.mode = mode
-        self.raw = raw
 
         with _section(raw, "beam", _BEAM_KEYS, _BEAM_KEYS) as section:
             self.beam = BeamParams(**{k: float(_number(section[k], f"beam.{k}")) for k in _BEAM_KEYS})
@@ -258,15 +257,18 @@ class ArtifactWriter:
 
 def _certify(cfg: RunConfig, writer: ArtifactWriter, loop: ClosedLoopConfig) -> bool:
     """Certify the four channels and write certification.json; on a failure
-    also write the summary of exit status 2."""
+    also write the summary of exit status 2. An uncertifiable block exits 1."""
     radius, samples, threshold = (cfg.certify[k] for k in ("radius", "samples", "h_threshold"))
     reports = {name: assumptions.certify_spring_damper(getattr(loop, name), radius, samples, seed=cfg.seed)
                for name in ("sd_rotational", "sd_translational")}
     for name in ("block_rotational", "block_translational"):
         block = getattr(loop, name)
-        reports[name] = assumptions.certify_block(
-            block, radius, max(samples, 100 * block.dim), h_threshold=threshold, seed=cfg.seed
-        )
+        try:
+            reports[name] = assumptions.certify_block(
+                block, radius, max(samples, 100 * block.dim), h_threshold=threshold, seed=cfg.seed
+            )
+        except ValueError as exc:
+            raise ConfigParseError(f"cannot certify {name}: {exc}") from exc
     passed = all(r.passed for r in reports.values())
     payload = {name: rep.as_dict() for name, rep in reports.items()}
     payload["passed"] = passed

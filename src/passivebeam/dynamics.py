@@ -189,10 +189,10 @@ class ClosedLoopOperator:
     Built once per (system, config), with the linearizations of the config's
     blocks; it does not depend on a time step. It reads the system's band
     matrices and tip-mass factor, so every operation costs O(n). The linear
-    part applies the stiff load, the laws' and blocks' origin slopes at each
-    channel's tip DOF and block rows, and the tip-mass solve; the nonlinear
-    part is ``RemainderMap.value`` placed by ``RemainderMap.placement``, and
-    the full generator is their sum, so the split is exact by construction.
+    part is the bare beam plus one rank-p term, G = G_beam + P L E_q^T (the
+    placement P, slopes L and traces E_q^T = ``q_of`` of ``RemainderMap``);
+    the nonlinear part is ``RemainderMap.value`` placed by the same P, and the
+    full generator is their sum, so the split is exact by construction.
     On a block the laws and blocks are called once over all rows, the
     tip-mass solve takes the rows as right-hand sides and the band products
     of ``inner`` run a diagonal at a time; a row gets the same bits in a
@@ -220,20 +220,17 @@ class ClosedLoopOperator:
         return self.linear(flat) + self.nonlinear(flat)
 
     def linear(self, flat: np.ndarray) -> np.ndarray:
-        """Linearized generator: laws and blocks replaced by their origin
-        slopes, on one packed vector or a block of them."""
-        load = _band_mv(self.sys.stiffness_band, flat[self._u], -1.0)
+        """Linearized generator G = G_beam + P L E_q^T, on one packed vector
+        or a block of them: the stiff load, plus the slope loads L q(y) at the
+        tip DOFs before the one tip-mass solve; the block rows are L q(y)."""
+        rem = self.remainder
+        loads = rem.q_of(flat) @ rem.slopes.T
+        tip_loads = _band_mv(self.sys.stiffness_band, flat[self._u], -1.0)
+        tip_loads[..., rem.q_indices[:2]] += loads[..., :2]  # at the tip DOFs
         out = np.empty_like(flat)
         out[self._u] = flat[self._v]
-        # transposed, one state's entry is a number (not a 0-d array) and a
-        # block's entry or tip load a column
-        entries, tip_loads = flat.T, load.T
-        for ch in self.channels:
-            lin, sd = ch.lin, ch.sd
-            u_l, v_l, z = entries[ch.tip], entries[self.n + ch.tip], flat[..., ch.z]
-            tip_loads[ch.tip] -= z @ lin.C + sd.damper_slope * v_l + sd.spring_slope * u_l
-            out[..., ch.z] = z @ lin.A.T + np.multiply.outer(v_l, lin.B)
-        out[self._v] = solve_mass_tip(self.sys, tip_loads).T
+        out[self._v] = solve_mass_tip(self.sys, tip_loads.T).T
+        out[self._z] = loads[..., 2:]
         return out
 
     def nonlinear(self, flat: np.ndarray) -> np.ndarray:
@@ -269,6 +266,10 @@ class RemainderMap:
     a constant placement of F. The placement matrix spreads the two tip loads
     through the tip-mass solve (two columns of mass_tip^-1) and injects the
     block rows directly.
+
+    The same placement carries the linear feedback G_beam + P L E_q^T: the
+    p x m ``slopes`` L are the feedback's origin slopes in q; a
+    channel's tip-load row holds -k, -d and -C, its block rows B and A.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
@@ -284,6 +285,13 @@ class RemainderMap:
         placement[n : 2 * n, :2] = solve_mass_tip(sys, sys.tip_unit_columns())
         placement[2 * n :, 2:] = np.eye(self.p - 2)
         self.placement = placement
+        self.slopes = slopes = np.zeros((self.p, self.m))
+        for ch in self.channels:
+            i, sd, lin = ch.index, ch.sd, ch.lin
+            slopes[i, [i, 2 + i]] = -sd.spring_slope, -sd.damper_slope
+            slopes[i, ch.zq] = -lin.C
+            slopes[ch.zf, 2 + i] = lin.B
+            slopes[ch.zf, ch.zq] = lin.A
 
     def value(self, q: np.ndarray) -> np.ndarray:
         """F(q): remainder tip loads followed by remainder block drifts, at

@@ -2,9 +2,9 @@
 
 The midpoint rule conserves the quadratic energy of the undamped linear
 subsystem exactly, so conservation and monotonicity checks measure model
-structure rather than scheme drift. The linear part is solved exactly
-through its banded Schur complement on the velocity (the displacement and
-block states are eliminated), factored once per stepper. The nonlinearity
+structure rather than scheme drift. The linear part is solved exactly: the
+bare beam through one banded Cholesky factor of its velocity matrix per
+stepper, the rank-p feedback term by Woodbury. The nonlinearity
 reaches the beam only through the tip traces and the block states, so
 Newton runs on the few remainder loads alone, and a step costs O(n).
 """
@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .beam_model import ClosedLoopConfig
-from .discretization import _BANDWIDTH, DiscreteSystem, _band_mv, interpolate
+from .discretization import DiscreteSystem, _band_mv, interpolate
 from .dynamics import (
     ENERGY_INCREASE_ETA,
     ClosedLoopOperator,
@@ -130,10 +130,11 @@ class MidpointStepper:
     the stepper once and reuse it; ``simulate`` does.
 
     Holds the closed-loop operator of (system, config) and the exact solve
-    S = (I - dt/2 G)^-1 for the linear generator G. I - dt/2 G is never
-    formed: eliminating the displacement and the block states leaves one
-    banded velocity matrix (the Schur complement), factored once, so a solve
-    and an energy norm cost O(n).
+    S = (I - dt/2 G)^-1 for the linear generator G = G_beam + P L E_q^T. I -
+    dt/2 G is never formed: the bare beam's midpoint matrix B = I - dt/2
+    G_beam reduces to one banded SPD velocity matrix, factored once, and the
+    rank-p feedback term is inverted by Woodbury through U = B^-1 P and a
+    p x p capacitance, so a solve and an energy norm cost O(n).
 
     With the generator split G y + P F(q(y)) (placement P, remainder loads
     F of the p-vector q), a step is w = y + a + dt S P f: a = 2 (S y - y) is
@@ -148,65 +149,40 @@ class MidpointStepper:
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.dt = float(dt)
         self.operator = op = ClosedLoopOperator(sys, config)
-        self.remainder = op.remainder
-        n = op.n
-
-        # Schur complement on the velocity, h = dt/2:
-        # S = M_tip + h^2 K_q + h d_i + h^2 c_i (I - h A_i)^-1 b_i (tip diagonal)
+        self.remainder = rem = op.remainder
+        # B = I - h G_beam, h = dt/2, leaves M_tip + h^2 K: SPD for every real dt
         h = 0.5 * self.dt
-        s_band = op.sys.mass_tip_band + h * h * op.gram_band
-        self._blocks = []
-        for ch in op.channels:
-            lin = ch.lin
-            try:
-                resolvent = np.linalg.inv(np.eye(len(lin.B)) - h * lin.A)
-            except np.linalg.LinAlgError as exc:
-                raise LinearSolveFailure("block resolvent (I - dt/2 A) is singular") from exc
-            # x_z = resolvent r_z + gain x_v[tip]; the tip load row sees h c x_z
-            gain = h * (resolvent @ lin.B)
-            s_band[_BANDWIDTH, ch.tip] += h * ch.sd.damper_slope + h * float(lin.C @ gain)
-            self._blocks.append((ch.z, ch.tip, resolvent, gain, h * lin.C))
-        kl = ku = _BANDWIDTH
-        general = np.zeros((2 * kl + ku + 1, n))
-        general[kl : kl + ku + 1] = s_band
-        for k in range(1, kl + 1):
-            general[kl + ku + k, : n - k] = s_band[ku - k, k:]
-        self._schur_lu, self._schur_piv, info = scipy.linalg.lapack.dgbtrf(general, kl, ku)
+        self._velocity_factor, info = scipy.linalg.lapack.dpbtrf(sys.mass_tip_band + h * h * sys.stiffness_band)
         if info != 0:
-            raise LinearSolveFailure("midpoint velocity system could not be factored")
-
-        placement = self.remainder.placement
-        self._kinv_e = np.column_stack([self.solve(col) for col in placement.T])
-        self._sel_kinv_e = self._kinv_e[self.remainder.q_indices]
+            raise LinearSolveFailure("midpoint velocity matrix could not be factored")
+        # Woodbury for I - h G = B - h P L E_q^T: U = B^-1 P, capacitance (I - h L U_q)^-1
+        self._beam_placement = np.column_stack([self._beam_solve(col) for col in rem.placement.T])
+        try:
+            self._capacitance = np.linalg.inv(np.eye(rem.p) - h * (rem.slopes @ self._beam_placement[rem.q_indices]))
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveFailure("midpoint capacitance matrix (I - dt/2 L U_q) is singular") from exc
+        # S P = U (I - h L U_q)^-1
+        self._kinv_e = self._beam_placement @ self._capacitance
+        self._sel_kinv_e = self._kinv_e[rem.q_indices]
         # P^T Q P: e^T M_tip^-1 e for the tip loads, P1, P2 for the block rows
-        self.load_gram = scipy.linalg.block_diag(placement[[n + ch.tip for ch in op.channels], :2], op.storage_gram)
+        self.load_gram = scipy.linalg.block_diag(rem.placement[rem.q_indices[2:4], :2], op.storage_gram)
 
-    # -- flat-vector operations ---------------------------------------------
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Exact solution x of (I - dt/2 G) x = r, G the linear generator.
-
-        With h = dt/2, the Schur velocity system gives x_v; then
-        x_u = r_u + h x_v and x_zi = (I - h A_i)^-1 (r_zi + h b_i x_v[tip_i]).
-        """
-        op = self.operator
-        n = op.n
-        h = 0.5 * self.dt
-        out = np.empty(len(r))
-        b = _band_mv(op.sys.mass_tip_band, r[n : 2 * n])
-        b -= _band_mv(op.gram_band, r[:n], h)
-        for z_slice, tip, resolvent, _, hc in self._blocks:
-            out[z_slice] = resolvent @ r[z_slice]
-            b[tip] -= float(hc @ out[z_slice])
-        x_v, info = scipy.linalg.lapack.dgbtrs(
-            self._schur_lu, _BANDWIDTH, _BANDWIDTH, b, self._schur_piv
-        )
-        if info != 0:
-            raise LinearSolveFailure("midpoint velocity solve failed")
-        out[:n] = r[:n] + h * x_v
-        out[n : 2 * n] = x_v
-        for z_slice, tip, _, gain, _ in self._blocks:
-            out[z_slice] += gain * x_v[tip]
+    def _beam_solve(self, r: np.ndarray) -> np.ndarray:
+        """B^-1 r for the bare beam's midpoint matrix B = I - dt/2 G_beam:
+        x_v from the velocity factor, x_u = r_u + h x_v, x_z = r_z."""
+        n, h, sys = self.operator.n, 0.5 * self.dt, self.operator.sys
+        out = r.copy()
+        b = _band_mv(sys.mass_tip_band, r[n : 2 * n]) - _band_mv(sys.stiffness_band, r[:n], h)
+        out[n : 2 * n] = x_v = scipy.linalg.lapack.dpbtrs(self._velocity_factor, b)[0]
+        out[:n] += h * x_v
         return out
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Exact solution x of (I - dt/2 G) x = r, G the linear generator, by
+        Woodbury: x = B^-1 r + U (capacitance (dt/2) L q(B^-1 r))."""
+        rem = self.remainder
+        x = self._beam_solve(r)
+        return x + self._beam_placement @ (self._capacitance @ (0.5 * self.dt * (rem.slopes @ rem.q_of(x))))
 
     def qnorm(self, flat: np.ndarray) -> float:
         """Energy norm of a packed state vector."""

@@ -75,6 +75,21 @@ def linear_config(beam, damper_slope=1.0, spring_slope=1.0):
     )
 
 
+def stiff_linear_config(beam):
+    """Stiff linear laws and a fast dim-3 linear block on both channels."""
+    sd = lambda: pb.SpringDamperLaw(
+        damper=pb.make_law("linear", slope=1e4), spring=pb.make_law("linear", slope=1e3)
+    )
+    block = lambda: pb.make_block("linear", dim=3, rate=50.0, gain=30.0)
+    return pb.ClosedLoopConfig(
+        beam=beam,
+        sd_rotational=sd(),
+        sd_translational=sd(),
+        block_rotational=block(),
+        block_translational=block(),
+    )
+
+
 def undamped_config(beam, spring_slope=1.0):
     """Zero dampers, linear springs, input-decoupled blocks: the projected flow."""
     sd = lambda: pb.SpringDamperLaw(

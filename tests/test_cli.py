@@ -145,6 +145,17 @@ def test_simulate_gates_on_certification(tmp_path):
     assert not (out / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["certify", "simulate", "spectrum"])
+def test_block_beyond_certification_limit_exits_1(tmp_path, capsys, mode):
+    cfg = base_config()
+    cfg["rotational"]["block"] = {"name": "linear", "params": {"dim": 11}}
+    path = write_config(tmp_path, cfg)
+    assert cli.run(mode, path, out=tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "block_rotational" in err and "dimension 11" in err and "limit of 10" in err
+    assert not (tmp_path / "out" / "certification.json").exists()
+
+
 def test_spectrum_mode(tmp_path):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"

@@ -306,10 +306,12 @@ def test_linear_config_generator_equals_linear_part(sys8, linear):
 
 
 def test_nonlinear_part_vanishes_for_linear_config(sys8, linear):
+    # each term is a linear law minus its own slope term: exactly zero
     op = ClosedLoopOperator(sys8, linear)
     rng = np.random.default_rng(6)
-    out = op.nonlinear(white_state(sys8, linear, rng))
-    assert np.abs(out).max() <= 1e-14
+    assert np.all(op.nonlinear(white_state(sys8, linear, rng)) == 0.0)
+    block = np.array([white_state(sys8, linear, rng) for _ in range(50)])
+    assert np.all(op.nonlinear(block) == 0.0)
 
 
 def test_split_exactness(sys4, beam):

@@ -26,6 +26,7 @@ from conftest import (
     linear_config,
     make_system,
     split_state,
+    stiff_linear_config,
     undamped_config,
     white_state,
 )
@@ -166,10 +167,15 @@ def test_non_finite_state_stops_newton_at_once(sys6, beam):
 
 
 @pytest.mark.parametrize("n_elements", [6, 64])
-@pytest.mark.parametrize("dt", [1e-3, -1e-3])
-def test_schur_solve_inverts_midpoint_matrix(beam, n_elements, dt):
+@pytest.mark.parametrize("dt, make_config", [
+    pytest.param(dt, make_config, id=f"{prefix}{dt}")
+    for prefix, make_config in (("", default_config), ("asymmetric-", asymmetric_config),
+                                ("stiff-", stiff_linear_config))
+    for dt in (1e-3, -1e-3)
+])
+def test_schur_solve_inverts_midpoint_matrix(beam, n_elements, dt, make_config):
     sys_n = make_system(beam, n_elements)
-    config = default_config(beam)
+    config = make_config(beam)
     stepper = MidpointStepper(sys_n, config, dt)
     g = linear_generator_matrix(sys_n, config)
     rng = np.random.default_rng(3)
@@ -179,21 +185,38 @@ def test_schur_solve_inverts_midpoint_matrix(beam, n_elements, dt):
     assert stepper.qnorm(defect) <= 1e-12 * stepper.qnorm(r)
 
 
+def test_singular_midpoint_matrix_raises(sys6, beam):
+    # a decoupled block z' = -z makes I - dt/2 G singular at dt = -2
+    with pytest.raises(LinearSolveFailure, match="singular"):
+        MidpointStepper(sys6, undamped_config(beam), -2.0)
+
+
 def test_tip_mass_is_factored_once_per_system(beam, monkeypatch):
+    # (routine, band) of every banded Cholesky factorization
     calls = []
     for owner, name in ((scipy.linalg.lapack, "dpbtrf"), (scipy.linalg, "cholesky_banded")):
         def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
-            calls.append(_name)
+            calls.append((_name, args[0]))
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
+
+    def routines():
+        return [name for name, _ in calls]
+
     sys_n = make_system(beam, 6)
-    assert calls == ["dpbtrf"]
+    assert routines() == ["dpbtrf"] and calls[0][1] is sys_n.mass_tip_band
     config = default_config(beam)
     y0 = pb.first_mode_initial_state(sys_n, config)
-    MidpointStepper(sys_n, config, 1e-3).step_flat(y0, 1e-10, 25)
+    stepper = MidpointStepper(sys_n, config, 1e-3)
+    assert routines() == ["dpbtrf"] * 2
+    stepper.step_flat(y0, 1e-10, 25)
+    assert routines() == ["dpbtrf"] * 2
     pb.simulate(y0, pb.IntegratorSettings(dt=1e-3, t_end=5e-3), sys_n, config)
+    assert routines() == ["dpbtrf"] * 3
     linear_system(sys_n, config)
-    assert calls == ["dpbtrf"]
+    assert routines() == ["dpbtrf"] * 3
+    # the steppers factor their midpoint matrix, never the tip mass again
+    assert not any(np.array_equal(band, sys_n.mass_tip_band) for _, band in calls[1:])
 
 
 @pytest.mark.parametrize("n_elements", [256, 512])
