@@ -1,11 +1,8 @@
-"""Linear-operator diagnostics and trajectory decay metrics.
-
-Covers the spectrum of the dense linear generator (``dynamics.linear_system``
-reads it off the banded operator), the skew-adjointness defect of the
-projected operator (beam with tip inertia, linear tip springs and optional
-linear tip dampers, no blocks) formed from the banded beam matrices, beam
-frequency helpers, and the decay and integrability metrics read off recorded
-trajectories.
+"""Linear-operator diagnostics and trajectory decay metrics: the spectrum
+of the linear generator as the roots of its rank-p secular determinant, the
+skew-adjointness defect of the projected operator (beam, tip inertia, linear
+tip springs and dampers, no blocks) from the banded beam matrices, beam
+frequencies, and the decay and integrability metrics of recorded runs.
 """
 
 from __future__ import annotations
@@ -15,29 +12,177 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .beam_model import ClosedLoopConfig
 from .discretization import DiscreteSystem, _band_mv, dense, displacement_gram, solve_mass_tip
-from .errors import EigenSolverFailure, EmptyTrajectory
+from .dynamics import RemainderMap
+from .errors import EigenSolverFailure, EmptyTrajectory, NotPositiveDefinite
 
 UNSTABLE_TOL = 1e-8
+#: Ehrlich-Aberth sweeps after which a root still moving is a failure
+MAX_SWEEPS = 100
+#: roots evaluated together: bounds the (roots x modes) and pair-sum temporaries
+_ROOT_CHUNK = 64
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of a generator, sorted by real part (descending)."""
+    """Eigenvalues of a generator, sorted by real part (descending), and the
+    Ehrlich-Aberth sweeps that found them."""
 
     eigenvalues: np.ndarray
     max_real_part: float
     n_unstable: int
+    sweeps: int
 
-    def csv_rows(self):
-        return [(float(ev.real), float(ev.imag)) for ev in self.eigenvalues]
+    @classmethod
+    def of(cls, eigenvalues: np.ndarray, sweeps: int) -> SpectrumReport:
+        eigs = eigenvalues[np.argsort(-eigenvalues.real)]
+        return cls(eigs, float(eigs.real.max()), int(np.sum(eigs.real > UNSTABLE_TOL)), sweeps)
 
     def as_dict(self) -> dict:
         return {
             "max_real_part": self.max_real_part,
             "n_unstable": self.n_unstable,
             "count": int(len(self.eigenvalues)),
+            "sweeps": self.sweeps,
         }
+
+
+def require_positive_gram(gram_band: np.ndarray) -> np.ndarray:
+    """``gram_band`` if the banded displacement Gram (``displacement_gram``)
+    has a positive lowest eigenvalue; raises NotPositiveDefinite otherwise."""
+    if not scipy.linalg.eigvals_banded(gram_band, select="i", select_range=(0, 0))[0] > 0.0:
+        raise NotPositiveDefinite(
+            "energy Gram matrix is not positive definite; check spring slopes and storage Hessians")
+    return gram_band
+
+
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a^-1 b) for each pair of matrices of two stacks; inf where a is singular."""
+    try:
+        return np.trace(np.linalg.solve(a, b), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_traces(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
+
+
+class SecularFunction:
+    """det(lambda - G) for the linear generator G = G_beam + P L E_q^T of
+    ``RemainderMap`` in its rank-p secular form, lambda^dim z prod_k
+    (lambda^2 + omega_k^2) det(I - L R(lambda)), R = E_q^T (lambda -
+    G_beam)^-1 P, at O(n) per root. R needs only the tip receptance T(lambda)
+    = sum_k w_k w_k^T / (lambda^2 + omega_k^2) of the bare beam's modes K
+    phi_k = omega_k^2 M_tip phi_k, w_k the tip rows of phi_k: its tip-load
+    columns are (T; lambda T; 0), its block columns (0; 0; I / lambda).
+
+    The modes come from the pencil (K, M_tip), accurate at the fast end, or
+    with ``slow_end`` from (M_tip, K) as in ``beam_frequencies``, accurate at
+    the slow end (at n=64 the slowest eigenvector is off by 5e-9 and 9e-11,
+    against a 25-digit solution).
+    """
+
+    def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, slow_end: bool = False):
+        rem = RemainderMap(sys, config)
+        self.trace = np.trace(rem.slopes @ rem.placement[rem.q_indices])  # tr G
+        # a block state that feeds no other state and is fed by none is an exact
+        # root, its own diagonal slope; it leaves the secular function
+        off = rem.slopes.copy()
+        off[np.arange(2, rem.p), np.arange(4, rem.m)] = 0.0
+        alone = np.flatnonzero(~off[:, 4:].any(axis=0) & ~off[2:].any(axis=1))
+        self.exact, self.coupled = np.diag(rem.slopes[2:, 4:])[alone], np.delete(np.arange(rem.p - 2), alone)
+        self.slopes = np.delete(np.delete(rem.slopes, 2 + alone, axis=0), 4 + alone, axis=1)
+        self.dim_z = len(self.coupled)
+        pencil = (dense(sys.stiffness_band), dense(sys.mass_tip_band))
+        try:
+            values, modes = scipy.linalg.eigh(*(pencil[::-1] if slow_end else pencil))
+        except scipy.linalg.LinAlgError as exc:
+            raise EigenSolverFailure(f"modes of the bare beam failed: {exc}") from exc
+        if slow_end:  # 1 / omega_k^2 and K-orthonormal modes, slowest first
+            values, modes = 1.0 / values[::-1], (modes / np.sqrt(values))[:, ::-1]
+        self.omega, self.modes = np.sqrt(values), modes
+        self.tips = self.modes[[sys.tip_slope_index, sys.tip_value_index]]  # w_k as columns
+        self._outer = (self.tips[:, None] * self.tips[None, :]).reshape(4, -1).T  # w_k w_k^T as rows
+
+    def _pieces(self, lam: np.ndarray):
+        """At each root of ``lam``: 1 / (lambda^2 + omega_k^2) per mode (factored, to
+        keep its relative accuracy next to a pole), I - L R and L R'."""
+        s = 1.0 / ((lam[:, None] - 1j * self.omega) * (lam[:, None] + 1j * self.omega))
+        t = (s @ self._outer).reshape(-1, 2, 2)
+        t_prime = (-2.0 * lam)[:, None, None] * ((s * s) @ self._outer).reshape(-1, 2, 2)
+        l_u, l_v, l_z = self.slopes[:, :2], self.slopes[:, 2:4], self.slopes[:, 4:]
+        lam3 = lam[:, None, None]
+        tip = l_u + lam3 * l_v
+        lr = np.concatenate([tip @ t, l_z / lam3], axis=2)
+        lr_prime = np.concatenate([tip @ t_prime + l_v @ t, -l_z / lam3**2], axis=2)
+        return s, np.eye(len(self.slopes)) - lr, lr_prime
+
+    def log_derivative(self, lam: np.ndarray) -> np.ndarray:
+        """det(lambda - G)'/det(lambda - G) at each root of ``lam``: dim z /
+        lambda + sum_k 2 lambda / (lambda^2 + omega_k^2) - tr((I - L R)^-1 L
+        R'). Infinite where the root is exact: I - L R is singular, or lambda
+        sits on a pole (0 or a +-i omega_k the feedback does not move)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, matrix, lr_prime = self._pieces(lam)
+            value = self.dim_z / lam + 2.0 * lam * s.sum(axis=1) - _traces(matrix, lr_prime)
+        return np.where((lam == 0.0) | np.isinf(s).any(axis=1), np.inf, value)
+
+    def roots(self) -> tuple[np.ndarray, int]:
+        """All 2 n_dof + dim z eigenvalues of G and the sweeps taken: the
+        exact roots of the decoupled block states, and the others by
+        Ehrlich-Aberth iteration from +-i omega_k - 1e-7 omega_k and from the
+        eigenvalues of L's block-block part, each moved by its own offset. A
+        sweep moves each unconverged root by 1 / (log_derivative - sum_j 1 /
+        (lambda_i - lambda_j)) until that is at most 1e-14 |lambda| (or
+        |lambda| at most 1e-14 of it: a root at 0). Raises EigenSolverFailure
+        on a non-finite root, after MAX_SWEEPS sweeps, or when the roots miss
+        tr G by more than 1e-10 max |lambda| (more starts than an m-fold root
+        holds can settle on it together)."""
+        block = np.linalg.eigvals(self.slopes[2:, 4:])
+        offsets = 1e-2 * (1.0 + np.abs(block)) * np.exp(1j * (0.5 + np.arange(self.dim_z)))
+        beam = -1e-7 * self.omega + 1j * self.omega
+        roots = np.concatenate([beam, beam.conj(), block + offsets])
+        active = np.arange(len(roots))
+        for sweep in range(1, MAX_SWEEPS + 1):
+            moving = []
+            for start in range(0, len(active), _ROOT_CHUNK):
+                chunk = active[start : start + _ROOT_CHUNK]
+                lam, gaps = roots[chunk], roots[chunk, None] - roots
+                gaps[np.arange(len(chunk)), chunk] = np.inf  # no pair term of a root with itself
+                delta = 1.0 / (self.log_derivative(lam) - (1.0 / gaps).sum(axis=1))
+                roots[chunk] = lam - delta
+                step, root = np.abs(delta), np.abs(roots[chunk])
+                moving.append(~((step <= 1e-14 * root) | (root <= 1e-14 * step)))
+            if not np.all(np.isfinite(roots)):
+                raise EigenSolverFailure(f"{np.sum(~np.isfinite(roots))} of {len(roots)} eigenvalues are not finite")
+            active = active[np.concatenate(moving)]
+            if not len(active):
+                roots = np.concatenate([roots, self.exact])
+                if not abs(roots.sum() - self.trace) <= 1e-10 * np.abs(roots).max():
+                    raise EigenSolverFailure(f"the eigenvalues miss the trace of G by {abs(roots.sum() - self.trace):.3e}")
+                return roots, sweep
+        raise EigenSolverFailure(
+            f"{len(active)} of {len(roots)} eigenvalues did not converge in {MAX_SWEEPS} Ehrlich-Aberth sweeps")
+
+    def eigenvector(self, lam: complex) -> np.ndarray:
+        """The eigenvector (lambda - G_beam)^-1 P c of the root ``lam``, c the null vector of I - L R:
+        u = sum_k phi_k w_k^T c_tip / (lambda^2 + omega_k^2), v = lambda u, z = c_z / lambda."""
+        s, matrix, _ = self._pieces(np.array([lam]))
+        c = np.linalg.svd(matrix[0])[2][-1].conj()
+        u = self.modes @ (s[0] * (c[:2] @ self.tips))
+        z = np.zeros(len(self.coupled) + len(self.exact), complex)
+        z[self.coupled] = c[2:] / lam
+        return np.concatenate([u, lam * u, z])
+
+
+def spectrum(sys: DiscreteSystem, config: ClosedLoopConfig) -> SpectrumReport:
+    """Every eigenvalue of the linear generator of (sys, config), as the
+    roots of its ``SecularFunction``; nothing of size N x N is formed. Raises
+    NotPositiveDefinite, before any eigensolve, when the energy Gram is
+    indefinite, and EigenSolverFailure when the roots do not converge."""
+    require_positive_gram(displacement_gram(
+        sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope))
+    return SpectrumReport.of(*SecularFunction(sys, config).roots())
 
 
 @dataclass(frozen=True)
@@ -64,35 +209,6 @@ class DecayReport:
         }
 
 
-def spectrum(g: np.ndarray, q: np.ndarray) -> SpectrumReport:
-    """Eigenvalues of a generator, computed in energy coordinates.
-
-    The Cholesky factor of the Gram matrix supplies a similarity transform
-    that keeps structural properties (skewness, dissipativity) visible to the
-    eigensolver; eigenvalues are unchanged.
-    """
-    g = np.asarray(g, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if g.shape[0] != g.shape[1] or g.shape != q.shape:
-        raise ValueError("G must be square and match Q")
-    try:
-        r = scipy.linalg.cholesky(q)
-        # (R G R^{-1})^T, which has the same eigenvalues; solved and
-        # diagonalized in place, in the column order LAPACK works in
-        grg_t = scipy.linalg.solve_triangular(r.T, (r @ g).T, lower=True, overwrite_b=True)
-        eigs = scipy.linalg.eigvals(grg_t, overwrite_a=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigenSolverFailure(f"eigenvalue computation failed: {exc}") from exc
-    order = np.argsort(-eigs.real)
-    eigs = eigs[order]
-    max_real = float(eigs.real.max())
-    return SpectrumReport(
-        eigenvalues=eigs,
-        max_real_part=max_real,
-        n_unstable=int(np.sum(eigs.real > UNSTABLE_TOL)),
-    )
-
-
 def skew_check(
     sys: DiscreteSystem,
     spring_constants: tuple[float, float],
@@ -106,10 +222,11 @@ def skew_check(
     pieces: its upper-right block is K_q, its velocity rows are
     -M_tip mass_tip^-1 [K_q | D]. Roundoff-small without dampers; with them
     the exact defect is 2 ||D||_F / ||Q G||_F, which falls as the mesh
-    refines (4.2e-4 at n=4, 1.8e-10 at n=256 for dampers (1, 0)).
+    refines (4.2e-4 at n=4, 1.8e-10 at n=256 for dampers (1, 0)). An
+    indefinite Q, which is no inner product, raises NotPositiveDefinite.
     """
     n = sys.n_dof
-    k_q = dense(displacement_gram(sys, *spring_constants))
+    k_q = dense(require_positive_gram(displacement_gram(sys, *spring_constants)))
     damping = np.diag(sys.tip_unit_columns() @ damper_constants)
     velocity_rows = _band_mv(sys.mass_tip_band, solve_mass_tip(sys, np.hstack([k_q, damping])).T, -1.0).T
     qg = np.vstack([np.hstack([np.zeros((n, n)), k_q]), velocity_rows])

@@ -330,8 +330,9 @@ def _mode_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     if not _certify(cfg, writer, loop):
         return 2
     sys_d = cfg.system()
-    report = analysis.spectrum(*dynamics.linear_system(sys_d, loop))
-    writer.write_csv("spectrum.csv", ("re", "im"), _csv_lines(report.csv_rows()))
+    report = analysis.spectrum(sys_d, loop)
+    eigs = report.eigenvalues
+    writer.write_csv("spectrum.csv", ("re", "im"), _csv_lines(np.column_stack([eigs.real, eigs.imag])))
     writer.summary(cfg.mode, cfg.seed, 0, report.as_dict())
     return 0
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .beam_model import (
     BlockLinearization,
@@ -29,8 +28,8 @@ from .beam_model import (
     SpringDamperLaw,
     linearize_block,
 )
-from .discretization import DiscreteSystem, _band_dot, _band_mv, dense, displacement_gram, solve_mass_tip
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .discretization import DiscreteSystem, _band_dot, _band_mv, displacement_gram, solve_mass_tip
+from .errors import DimensionMismatch
 
 #: per-step energy increase budget, as a fraction of H(y0)
 ENERGY_INCREASE_ETA = 1e-8
@@ -361,35 +360,3 @@ def linear_generator_matrix(sys: DiscreteSystem, config: ClosedLoopConfig) -> np
     """Dense matrix G with G @ y = ClosedLoopOperator.linear(y), read off
     the operator at the unit vectors."""
     return _generator_matrix(ClosedLoopOperator(sys, config))
-
-
-def _gram_matrix(op: ClosedLoopOperator) -> np.ndarray:
-    """Dense Q of ``op``. The displacement block is the operator's
-    ``gram_band``, the curvature Gram plus the spring slopes K1, K2 on the tip
-    DOFs; the velocity block is the tip mass, the rho-mass plus the payload
-    terms, so the tip momenta contribute J v'(L)^2 + M v(L)^2; the block
-    states are weighted with the storage Hessians P1, P2. Definiteness is
-    checked per block: the lowest eigenvalue of the banded displacement block
-    here, while ``DiscreteSystem`` factors the tip mass and
-    ``BlockLinearization`` rejects a P that is not positive definite.
-    """
-    if not scipy.linalg.eigvals_banded(op.gram_band, select="i", select_range=(0, 0))[0] > 0.0:
-        raise NotPositiveDefinite(
-            "energy Gram matrix is not positive definite; check spring slopes and storage Hessians"
-        )
-    n = op.n
-    q = np.zeros((op.channels[-1].z.stop,) * 2)
-    q[:n, :n] = dense(op.gram_band)
-    q[n : 2 * n, n : 2 * n] = dense(op.sys.mass_tip_band)
-    q[2 * n :, 2 * n :] = op.storage_gram
-    return q
-
-
-def linear_system(sys: DiscreteSystem, config: ClosedLoopConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Dense linear generator G and energy Gram Q from one
-    ``ClosedLoopOperator`` (one linearization of each block): G is read off
-    its linear part, Q is its inner product written out densely, block
-    diagonal over (u, v, z1, z2)."""
-    op = ClosedLoopOperator(sys, config)
-    q = _gram_matrix(op)  # an indefinite Q raises before G is built
-    return _generator_matrix(op), q

@@ -63,7 +63,7 @@ class EmptyTrajectory(PassiveBeamError):
 
 
 class EigenSolverFailure(PassiveBeamError):
-    """Dense eigenvalue computation did not converge."""
+    """An eigenvalue computation did not converge or failed its check."""
 
 
 class ConfigParseError(PassiveBeamError):

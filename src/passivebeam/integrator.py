@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
+from .analysis import SecularFunction
 from .beam_model import ClosedLoopConfig
 from .discretization import DiscreteSystem, _band_mv, interpolate
 from .dynamics import (
@@ -27,7 +28,6 @@ from .dynamics import (
     _as_given,
     eval_H,
     eval_Hdot,
-    linear_generator_matrix,
     zero_state,
 )
 from .errors import (
@@ -126,8 +126,8 @@ class MidpointStepper:
     """Precomputed implicit-midpoint machinery for one (system, config, dt).
 
     ``step_flat(y, newton_tol, newton_max_iter)`` is the one step: it maps a
-    packed state to the packed state dt later (dt may be negative). Build
-    the stepper once and reuse it; ``simulate`` does.
+    packed state to the packed state dt later (dt finite, maybe negative).
+    Build the stepper once and reuse it; ``simulate`` does.
 
     Holds the closed-loop operator of (system, config) and the exact solve
     S = (I - dt/2 G)^-1 for the linear generator G = G_beam + P L E_q^T. I -
@@ -148,6 +148,8 @@ class MidpointStepper:
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.dt = float(dt)
+        if not np.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {dt!r}")
         self.operator = op = ClosedLoopOperator(sys, config)
         self.remainder = rem = op.remainder
         # B = I - h G_beam, h = dt/2, leaves M_tip + h^2 K: SPD for every real dt
@@ -377,22 +379,19 @@ def smooth_initial_state(
 ) -> np.ndarray:
     """Discretely classical initial data for tangent and bound diagnostics.
 
-    Real part of the slowest oscillatory eigenvector of the assembled linear
-    generator, scaled to the requested tip deflection. Unlike the analytic
-    mode interpolant, this excites no unresolved stiff discrete modes, which
-    is the discrete counterpart of twice-differentiable-compatible data.
-    """
-    g = linear_generator_matrix(sys, config)
-    try:
-        eigvals, eigvecs = scipy.linalg.eig(g)
-    except scipy.linalg.LinAlgError as exc:
-        raise LinearSolveFailure("eigendecomposition of the linear generator failed") from exc
-    oscillatory = np.abs(eigvals.imag) > 1e-8
-    if not np.any(oscillatory):
+    Real part of the slowest oscillatory eigenvector of the linear generator
+    (the root of least |Im| above 1e-8 of ``analysis.SecularFunction``, modes
+    accurate at the slow end) in LAPACK dgeev's phase (largest component
+    real), scaled to the requested tip deflection. Unlike the analytic mode
+    interpolant, this excites no unresolved stiff discrete modes: the discrete
+    counterpart of twice-differentiable-compatible data."""
+    secular = SecularFunction(sys, config, slow_end=True)
+    roots = secular.roots()[0]
+    oscillatory = roots[np.abs(roots.imag) > 1e-8]
+    if not len(oscillatory):
         raise LinearSolveFailure("linear generator has no oscillatory modes")
-    candidates = np.nonzero(oscillatory)[0]
-    idx = candidates[np.argmin(np.abs(eigvals.imag[candidates]))]
-    vec = eigvecs[:, idx].real
+    vec = secular.eigenvector(oscillatory[np.argmin(np.abs(oscillatory.imag))])
+    vec = (vec * np.conj(vec[np.argmax(np.abs(vec))])).real  # the largest component made real
     tip = vec[sys.tip_value_index]  # the displacement DOFs lead the packed state
     if tip == 0.0:
         raise LinearSolveFailure("slowest mode has zero tip deflection; cannot scale")

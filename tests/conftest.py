@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 import passivebeam as pb
+from passivebeam.analysis import require_positive_gram
 from passivebeam.discretization import dense, displacement_gram
+from passivebeam.dynamics import ClosedLoopOperator, _generator_matrix
 
 DEFAULT_BEAM = dict(rho=1.0, lambda_rigidity=1.0, length=1.0, tip_inertia=0.1, tip_mass=0.1)
 
@@ -45,6 +47,33 @@ def dense_projected_system(sys, spring_constants, damper_constants=(0.0, 0.0)):
     g[n:, n + sys.tip_slope_index] = -damper_constants[0] * tips[:, 0]
     g[n:, n + sys.tip_value_index] = -damper_constants[1] * tips[:, 1]
     return g, scipy.linalg.block_diag(q_u, dense(sys.mass_tip_band))
+
+
+def linear_system(sys, config):
+    """Dense linear generator G and energy Gram Q from one
+    ``ClosedLoopOperator`` (one linearization of each block): G is read off
+    its linear part, Q is its inner product written out densely, block
+    diagonal over (u, v, z1, z2). The displacement block is the operator's
+    ``gram_band`` (curvature Gram plus the spring slopes), the velocity block
+    the tip mass, the block states are weighted with the storage Hessians. An
+    indefinite Q raises NotPositiveDefinite before G is built."""
+    op = ClosedLoopOperator(sys, config)
+    n = op.n
+    q = np.zeros((op.channels[-1].z.stop,) * 2)
+    q[:n, :n] = dense(require_positive_gram(op.gram_band))
+    q[n : 2 * n, n : 2 * n] = dense(sys.mass_tip_band)
+    q[2 * n :, 2 * n :] = op.storage_gram
+    return _generator_matrix(op), q
+
+
+def dense_spectrum(g, q):
+    """Eigenvalues of a dense generator G in the energy coordinates of its
+    Gram Q (the Cholesky factor R of Q gives the similar matrix R G R^-1), as
+    a ``SpectrumReport`` of 0 sweeps: the dense oracle of ``pb.spectrum``."""
+    r = scipy.linalg.cholesky(q)
+    # (R G R^{-1})^T, which has the same eigenvalues
+    grg_t = scipy.linalg.solve_triangular(r.T, (r @ g).T, lower=True)
+    return pb.SpectrumReport.of(scipy.linalg.eigvals(grg_t), 0)
 
 
 def default_config(beam):

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import passivebeam as pb
-from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix, linear_system
-from passivebeam.errors import EmptyTrajectory
+from passivebeam import analysis
+from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix
+from passivebeam.errors import EigenSolverFailure, EmptyTrajectory, NotPositiveDefinite
 
 from conftest import (
+    asymmetric_config,
     default_config,
     dense_projected_system,
+    dense_spectrum,
     linear_config,
+    linear_system,
     make_system,
     smooth_state,
     undamped_config,
@@ -55,16 +60,14 @@ def test_projected_spectrum_purely_imaginary(beam):
     for n in (8, 16):
         sys_d = make_system(beam, n)
         gp, qp = dense_projected_system(sys_d, (1.0, 1.0))
-        report = pb.spectrum(gp, qp)
+        report = dense_spectrum(gp, qp)
         rel = np.abs(report.eigenvalues.real) / np.abs(report.eigenvalues)
         assert rel.max() <= 1e-8
         assert report.n_unstable == 0
 
 
 def test_damped_spectrum_strictly_stable(sys8, linear):
-    g = linear_generator_matrix(sys8, linear)
-    q = linear_system(sys8, linear)[1]
-    report = pb.spectrum(g, q)
+    report = pb.spectrum(sys8, linear)
     assert report.max_real_part < 0.0
     assert report.n_unstable == 0
     reals = report.eigenvalues.real
@@ -75,19 +78,81 @@ def test_spectrum_real_parts_approach_axis_under_refinement(beam):
     vals = []
     for n in (16, 32, 64):
         sys_d = make_system(beam, n)
-        config = linear_config(beam)
-        g = linear_generator_matrix(sys_d, config)
-        q = linear_system(sys_d, config)[1]
-        vals.append(pb.spectrum(g, q).max_real_part)
+        vals.append(pb.spectrum(sys_d, linear_config(beam)).max_real_part)
     assert vals[0] < vals[1] < vals[2] < 0.0
 
 
 def test_spectrum_symmetric_under_conjugation(beam):
     sys_d = make_system(beam, 8)
     gp, qp = dense_projected_system(sys_d, (1.0, 1.0))
-    eigs = pb.spectrum(gp, qp).eigenvalues
+    eigs = dense_spectrum(gp, qp).eigenvalues
     imag = np.sort(eigs.imag)
     assert np.allclose(imag, -imag[::-1], atol=1e-9 * np.abs(imag).max())
+
+
+def nearest_neighbour_error(a, b):
+    """Largest |a_i - b_j| over the one-to-one assignment of a to b that
+    minimizes the summed distance; a and b must have the same count."""
+    assert len(a) == len(b)
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+def wide_block_config(beam):
+    """Linear laws and two dim-10 linear blocks: 18 of the 20 block states
+    feed no other state, so -2 is an 18-fold eigenvalue."""
+    sd = pb.SpringDamperLaw(damper=pb.make_law("linear", slope=0.5), spring=pb.make_law("linear", slope=2.0))
+    return pb.ClosedLoopConfig(beam, sd, sd, *(pb.make_block("linear", dim=10, rate=2.0) for _ in range(2)))
+
+
+@pytest.mark.parametrize("n_elements, make_config", [
+    *((n, make) for n in (16, 64) for make in (default_config, linear_config, asymmetric_config, undamped_config)),
+    (16, wide_block_config),
+    (256, default_config),
+])
+def test_secular_spectrum_matches_dense_oracle(beam, n_elements, make_config):
+    sys_n = make_system(beam, n_elements)
+    config = make_config(beam)
+    report = pb.spectrum(sys_n, config)
+    g, q = linear_system(sys_n, config)
+    expected = dense_spectrum(g, q).eigenvalues
+    eigs = report.eigenvalues
+    scale = np.abs(expected).max()
+    assert len(eigs) == len(g) == report.as_dict()["count"]
+    assert nearest_neighbour_error(eigs, expected) <= 1e-9 * scale
+    assert abs(eigs.sum() - np.trace(g)) <= 1e-10 * scale
+    # a real generator: the roots are closed under conjugation
+    assert nearest_neighbour_error(eigs, eigs.conj()) <= 1e-12 * scale
+    assert np.all(np.diff(eigs.real) <= 0.0)  # sorted descending
+    assert report.n_unstable == 0 and 0 < report.sweeps <= analysis.MAX_SWEEPS
+
+
+def test_secular_spectrum_is_deterministic(beam):
+    sys_n = make_system(beam, 32)
+    config = asymmetric_config(beam)
+    first, second = pb.spectrum(sys_n, config), pb.spectrum(sys_n, config)
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.sweeps == second.sweeps
+
+
+def test_secular_spectrum_raises_past_the_sweep_cap(sys8, beam, monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_SWEEPS", 1)
+    with pytest.raises(EigenSolverFailure, match=r"of \d+ eigenvalues did not converge in 1 "):
+        pb.spectrum(sys8, default_config(beam))
+
+
+def test_secular_roots_are_checked_against_the_trace(sys8, beam):
+    secular = analysis.SecularFunction(sys8, default_config(beam))
+    secular.trace += 1.0
+    with pytest.raises(EigenSolverFailure, match="miss the trace"):
+        secular.roots()
+
+
+@pytest.mark.parametrize("slope", [-1e5, -100.0])
+def test_secular_spectrum_rejects_an_indefinite_gram(sys8, beam, slope):
+    with pytest.raises(NotPositiveDefinite):
+        pb.spectrum(sys8, linear_config(beam, spring_slope=slope))
 
 
 def test_skew_defect_small_undamped_and_large_damped(beam):

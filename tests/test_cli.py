@@ -176,6 +176,19 @@ def test_skew_mode(tmp_path):
     assert summary["metrics"]["skew_defect"] <= 1e-12
 
 
+@pytest.mark.parametrize("slope", [-100.0, -1.0])
+def test_skew_mode_rejects_an_indefinite_gram(tmp_path, slope):
+    cfg = base_config(mesh={"n_elements": 256})
+    for channel in ("rotational", "translational"):
+        cfg[channel]["spring"] = {"name": "linear", "params": {"slope": slope}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.run("skew", path, out=out) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_status"] == 3
+    assert summary["metrics"]["operation"] == "NotPositiveDefinite"
+
+
 def test_convergence_mode(tmp_path):
     cfg = base_config()
     cfg["convergence"] = {"meshes": [4, 8, 16]}

@@ -8,10 +8,9 @@ import sympy
 
 import passivebeam as pb
 from passivebeam.discretization import dense, displacement_gram, element_matrices
-from passivebeam.dynamics import linear_system
 from passivebeam.errors import DimensionMismatch, InvalidElementCount, NotPositiveDefinite
 
-from conftest import linear_config, make_system, white_state
+from conftest import linear_config, linear_system, make_system, white_state
 
 
 def test_build_mesh_examples(beam):

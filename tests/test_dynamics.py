@@ -14,7 +14,6 @@ from passivebeam.dynamics import (
     EnergyBreakdown,
     RemainderMap,
     linear_generator_matrix,
-    linear_system,
     spring_potential,
 )
 from passivebeam.errors import DimensionMismatch
@@ -24,6 +23,7 @@ from conftest import (
     asymmetric_config,
     default_config,
     linear_config,
+    linear_system,
     make_system,
     smooth_state,
     split_state,
