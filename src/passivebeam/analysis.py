@@ -15,10 +15,11 @@ import scipy.linalg
 from .beam_model import ClosedLoopConfig
 from .discretization import DiscreteSystem, _band_mv, dense, displacement_gram, solve_mass_tip
 from .dynamics import RemainderMap
-from .errors import EigenSolverFailure, EmptyTrajectory, NotPositiveDefinite
+from .errors import EigenSolverFailure, EmptyTrajectory, NonFiniteResult, NotPositiveDefinite
 
 UNSTABLE_TOL = 1e-8
-#: Ehrlich-Aberth sweeps after which a root still moving is a failure
+#: sweeps after which an iteration still moving is a failure: Ehrlich-Aberth
+#: roots of the spectrum, subspace iteration of the beam frequencies
 MAX_SWEEPS = 100
 #: roots evaluated together: bounds the (roots x modes) and pair-sum temporaries
 _ROOT_CHUNK = 64
@@ -214,24 +215,26 @@ def skew_check(
     spring_constants: tuple[float, float],
     damper_constants: tuple[float, float] = (0.0, 0.0),
 ) -> float:
-    """Relative skew-adjointness defect of the projected generator G over
-    (u, v): beam, tip inertia, linear tip springs K, linear tip dampers D,
-    no blocks, in the energy Gram Q = diag(K_q, M_tip).
-
-    Returns ||G^T Q + Q G||_F / ||Q G||_F with Q G formed from the banded
-    pieces: its upper-right block is K_q, its velocity rows are
-    -M_tip mass_tip^-1 [K_q | D]. Roundoff-small without dampers; with them
-    the exact defect is 2 ||D||_F / ||Q G||_F, which falls as the mesh
-    refines (4.2e-4 at n=4, 1.8e-10 at n=256 for dampers (1, 0)). An
-    indefinite Q, which is no inner product, raises NotPositiveDefinite.
-    """
-    n = sys.n_dof
+    """Relative skew-adjointness defect ||G^T Q + Q G||_F / ||Q G||_F of the
+    projected generator G over (u, v): beam, tip inertia, linear tip springs
+    K and dampers D, no blocks, in the energy Gram Q = diag(K_q, M_tip). Q G
+    = [[0, K_q], [V_K, V_D]] (V_K = -M_tip mass_tip^-1 K_q, V_D the same of D,
+    nonzero in the two tip columns only) is summed block by block, never
+    formed. Roundoff-small without dampers; with them exactly 2 ||D||_F / ||Q
+    G||_F (1.8e-10 at n=256 for dampers (1, 0)). Raises NotPositiveDefinite
+    for an indefinite Q and NonFiniteResult for a defect that is not finite."""
     k_q = dense(require_positive_gram(displacement_gram(sys, *spring_constants)))
-    damping = np.diag(sys.tip_unit_columns() @ damper_constants)
-    velocity_rows = _band_mv(sys.mass_tip_band, solve_mass_tip(sys, np.hstack([k_q, damping])).T, -1.0).T
-    qg = np.vstack([np.hstack([np.zeros((n, n)), k_q]), velocity_rows])
-    defect = np.linalg.norm(qg + qg.T, ord="fro")
-    return float(defect / np.linalg.norm(qg, ord="fro"))
+    v_k, v_d = (_band_mv(sys.mass_tip_band, solve_mass_tip(sys, columns).T, -1.0)  # V_K^T; V_D's tip columns as rows
+                for columns in (k_q, sys.tip_unit_columns() * damper_constants))
+    tip_block = v_d[:, [sys.tip_slope_index, sys.tip_value_index]]  # V_D[tips, tips]^T
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = np.vdot(k_q, k_q) + np.vdot(v_k, v_k) + np.vdot(v_d, v_d)
+        v_k += k_q  # K_q + V_K^T: K_q is symmetric
+        # ||V_D + V_D^T||^2 = 2 ||V_D||^2 + 2 sum_ij V_D[i, j] V_D[j, i]
+        defect = np.sqrt(2.0 * (np.vdot(v_k, v_k) + np.vdot(v_d, v_d) + np.vdot(tip_block, tip_block.T)) / norm2)
+    if not np.isfinite(defect):
+        raise NonFiniteResult(f"the skew-adjointness defect is {defect}: the generator's blocks overflow")
+    return float(defect)
 
 
 def decay_metrics(traj) -> DecayReport:
@@ -273,18 +276,31 @@ def decay_metrics(traj) -> DecayReport:
 
 
 def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
-    """Angular frequencies of the bare beam from the generalized eigenproblem
-    of the (rigidity-weighted) stiffness against the (rho-weighted) mass.
-
-    The pencil is inverted (mass against stiffness), so the lowest
-    frequencies come from the best-conditioned end of the spectrum.
-    """
-    try:
-        mu = scipy.linalg.eigh(dense(sys.mass_band), dense(sys.stiffness_band), eigvals_only=True)
-        omega2 = 1.0 / np.clip(mu[::-1], 1e-300, None)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenSolverFailure(f"generalized eigensolve failed: {exc}") from exc
-    return np.sqrt(omega2[:count])
+    """The ``count`` lowest angular frequencies of the bare beam, K phi =
+    omega^2 M phi, by subspace iteration on the inverted pencil (M, K), best
+    conditioned at the slow end (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 14): ``count`` + 4 vectors X (at most n_dof, fixed random start) go to
+    Y = K^-1 M X by the banded Cholesky factor of K, then Rayleigh-Ritz on
+    (Y^T M Y, Y^T K Y = Y^T M X) gives Ritz values 1 / omega^2, until each
+    wanted one moves by at most 1e-15 of the largest. Raises EigenSolverFailure
+    on a non-finite band, an indefinite stiffness, or after MAX_SWEEPS sweeps."""
+    factor, info = scipy.linalg.lapack.dpbtrf(sys.stiffness_band)
+    if info != 0 or not (np.isfinite(factor).all() and np.isfinite(sys.mass_band).all()):
+        raise EigenSolverFailure(f"the bare beam's bands are not finite or its stiffness is not positive definite (dpbtrf info {info})")
+    x = np.random.default_rng(0).standard_normal((min(count + 4, sys.n_dof), sys.n_dof))  # X as rows
+    previous = np.inf
+    for _ in range(MAX_SWEEPS):
+        mx = _band_mv(sys.mass_band, x)
+        y = scipy.linalg.lapack.dpbtrs(factor, mx.T)[0].T
+        try:  # ValueError: a projection that is not finite
+            mu, ritz = scipy.linalg.eigh(y @ _band_mv(sys.mass_band, y).T, y @ mx.T)
+        except (ValueError, scipy.linalg.LinAlgError) as exc:
+            raise EigenSolverFailure(f"Rayleigh-Ritz step of the bare beam failed: {exc}") from exc
+        mu, x = mu[::-1], ritz[:, ::-1].T @ y  # largest 1 / omega^2 first
+        if np.all(np.abs(mu[:count] - previous) <= 1e-15 * mu[0]):  # eigh errs relative to the largest
+            return 1.0 / np.sqrt(mu[:count])
+        previous = mu[:count]
+    raise EigenSolverFailure(f"bare-beam frequencies did not converge in {MAX_SWEEPS} subspace iteration sweeps")
 
 
 def clamped_free_wavenumbers(length: float, count: int = 3) -> np.ndarray:

@@ -66,6 +66,10 @@ class EigenSolverFailure(PassiveBeamError):
     """An eigenvalue computation did not converge or failed its check."""
 
 
+class NonFiniteResult(PassiveBeamError):
+    """A computed diagnostic is infinite or NaN; the message names it."""
+
+
 class ConfigParseError(PassiveBeamError):
     """Run configuration could not be parsed or failed schema validation."""
 

@@ -381,18 +381,21 @@ def smooth_initial_state(
 
     Real part of the slowest oscillatory eigenvector of the linear generator
     (the root of least |Im| above 1e-8 of ``analysis.SecularFunction``, modes
-    accurate at the slow end) in LAPACK dgeev's phase (largest component
-    real), scaled to the requested tip deflection. Unlike the analytic mode
-    interpolant, this excites no unresolved stiff discrete modes: the discrete
-    counterpart of twice-differentiable-compatible data."""
+    accurate at the slow end) in the phase that makes its tip deflection
+    real, scaled to the requested tip deflection. (A conservative mode's
+    velocity is i omega times its displacement, so a phase fixed on another
+    component can leave the displacement imaginary and its real part
+    roundoff.) Unlike the analytic mode interpolant, this excites no
+    unresolved stiff discrete modes: the discrete counterpart of
+    twice-differentiable-compatible data."""
     secular = SecularFunction(sys, config, slow_end=True)
     roots = secular.roots()[0]
     oscillatory = roots[np.abs(roots.imag) > 1e-8]
     if not len(oscillatory):
         raise LinearSolveFailure("linear generator has no oscillatory modes")
     vec = secular.eigenvector(oscillatory[np.argmin(np.abs(oscillatory.imag))])
-    vec = (vec * np.conj(vec[np.argmax(np.abs(vec))])).real  # the largest component made real
-    tip = vec[sys.tip_value_index]  # the displacement DOFs lead the packed state
+    vec = (vec * np.conj(vec[sys.tip_value_index])).real  # the displacement DOFs lead the packed state
+    tip = vec[sys.tip_value_index]
     if tip == 0.0:
         raise LinearSolveFailure("slowest mode has zero tip deflection; cannot scale")
     return vec * (tip_fraction * sys.beam.length / tip)

@@ -49,6 +49,14 @@ def dense_projected_system(sys, spring_constants, damper_constants=(0.0, 0.0)):
     return g, scipy.linalg.block_diag(q_u, dense(sys.mass_tip_band))
 
 
+def dense_beam_frequencies(sys, count=5):
+    """The ``count`` lowest bare-beam frequencies from the dense generalized
+    eigenproblem of the inverted pencil (mass against stiffness): the dense
+    oracle of ``pb.beam_frequencies``."""
+    mu = scipy.linalg.eigh(dense(sys.mass_band), dense(sys.stiffness_band), eigvals_only=True)
+    return np.sqrt(1.0 / mu[::-1][:count])
+
+
 def linear_system(sys, config):
     """Dense linear generator G and energy Gram Q from one
     ``ClosedLoopOperator`` (one linearization of each block): G is read off

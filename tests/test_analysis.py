@@ -1,6 +1,8 @@
 """Operator diagnostics: assembled generator, spectrum, skewness, decay."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from passivebeam.errors import EigenSolverFailure, EmptyTrajectory, NotPositiveD
 from conftest import (
     asymmetric_config,
     default_config,
+    dense_beam_frequencies,
     dense_projected_system,
     dense_spectrum,
     linear_config,
@@ -256,6 +259,37 @@ def test_fundamental_frequency_against_transcendental_root(beam):
     assert package_beta == pytest.approx(beta1, abs=1e-11)
 
 
+# subspace iteration against the dense eigh: 4.4e-11 at n=64 and 9.2e-10 at
+# n=256, where both carry the n^4 eps floor of the stiffness (1e-7 against
+# the exact frequency); n=1 has fewer DOFs than count + 4 vectors
+@pytest.mark.parametrize("n_elements, rtol", [(1, 1e-10), (8, 1e-10), (32, 1e-10), (64, 1e-10), (256, 1e-8)])
+@pytest.mark.parametrize("count", [1, 5])
+def test_beam_frequencies_match_dense_oracle(beam, n_elements, rtol, count):
+    sys_n = make_system(beam, n_elements)
+    omega = pb.beam_frequencies(sys_n, count=count)
+    expected = dense_beam_frequencies(sys_n, count=count)
+    assert omega.shape == expected.shape == (min(count, sys_n.n_dof),)
+    assert np.abs(omega - expected).max() <= rtol * expected.min()
+
+
+def test_beam_frequencies_raise_past_the_sweep_cap(sys8, monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_SWEEPS", 1)
+    with pytest.raises(EigenSolverFailure, match="did not converge in 1 subspace"):
+        pb.beam_frequencies(sys8, count=1)
+
+
+@pytest.mark.parametrize("band, value, message", [
+    ("mass_band", np.nan, "not finite"),
+    ("stiffness_band", np.inf, "not finite"),
+    ("stiffness_band", -1.0, "not positive definite"),
+])
+def test_beam_frequencies_reject_bad_bands(sys8, band, value, message):
+    bad = getattr(sys8, band).copy()
+    bad[-1, 0] = value
+    with pytest.raises(EigenSolverFailure, match=message):
+        pb.beam_frequencies(dataclasses.replace(sys8, **{band: bad}), count=1)
+
+
 def test_clamped_free_wavenumbers_are_roots():
     betas = pb.clamped_free_wavenumbers(1.0, count=3)
     for b in betas:
@@ -278,6 +312,21 @@ def test_projected_system_matches_dense_tip_mass_solve(beam, n_elements, dampers
     assert np.array_equal(g[:n, : 2 * n], expected_g[:n])
     assert np.abs(g[n : 2 * n, : 2 * n] - expected_g[n:]).max() <= 1e-13 * np.abs(expected_g[n:]).max()
     assert np.array_equal(q[: 2 * n, : 2 * n], expected_q)
+
+
+def test_skew_check_forms_no_full_generator_block(beam):
+    # at n=256 one n_dof x n_dof block is 2.1 MB: K_q, V_K and the band
+    # product's temporaries take four; a dense Q G alone would take four more
+    sys_n = make_system(beam, 256)
+    block = 8 * sys_n.n_dof**2
+    pb.skew_check(sys_n, (1.5, 2.5), (0.7, 1.3))
+    tracemalloc.start()
+    try:
+        pb.skew_check(sys_n, (1.5, 2.5), (0.7, 1.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * block
 
 
 def dense_skew_defect(g, q):

@@ -189,6 +189,30 @@ def test_skew_mode_rejects_an_indefinite_gram(tmp_path, slope):
     assert summary["metrics"]["operation"] == "NotPositiveDefinite"
 
 
+def test_skew_mode_non_finite_defect_exits_3(tmp_path):
+    cfg = base_config(mesh={"n_elements": 8})
+    cfg["beam"]["lambda_rigidity"] = 1e300
+    out = tmp_path / "out"
+    assert cli.run("skew", write_config(tmp_path, cfg), out=out) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metrics"]["operation"] == "NonFiniteResult"
+    assert "skew-adjointness defect" in summary["metrics"]["error"]
+
+
+# the element matrices of an element of length 5e299 overflow in assemble
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_convergence_mode_non_finite_bands_exit_3(tmp_path):
+    cfg = base_config()
+    cfg["beam"]["length"] = 1e300
+    cfg["convergence"] = {"meshes": [4, 8]}
+    out = tmp_path / "out"
+    assert cli.run("convergence", write_config(tmp_path, cfg), out=out) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metrics"]["operation"] == "EigenSolverFailure"
+    assert "not finite" in summary["metrics"]["error"]
+
+
 def test_convergence_mode(tmp_path):
     cfg = base_config()
     cfg["convergence"] = {"meshes": [4, 8, 16]}

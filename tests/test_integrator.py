@@ -544,10 +544,12 @@ def test_tangent_residual_linear_second_order(beam):
 
 def dense_smooth_initial_state(sys_n, config, tip_fraction=0.1):
     """Real part of the slowest oscillatory eigenvector of the dense
-    generator as LAPACK's dgeev returns it, scaled to the tip deflection."""
+    generator in the phase that makes its tip deflection real, scaled to the
+    tip deflection."""
     eigvals, eigvecs = scipy.linalg.eig(linear_generator_matrix(sys_n, config))
     candidates = np.flatnonzero(np.abs(eigvals.imag) > 1e-8)
-    vec = eigvecs[:, candidates[np.argmin(np.abs(eigvals.imag[candidates]))]].real
+    vec = eigvecs[:, candidates[np.argmin(np.abs(eigvals.imag[candidates]))]]
+    vec = (vec * np.conj(vec[sys_n.tip_value_index])).real
     return vec * (tip_fraction * sys_n.beam.length / vec[sys_n.tip_value_index])
 
 
@@ -563,6 +565,17 @@ def test_smooth_initial_state_matches_the_dense_eigenvector(beam, n_elements, rt
     expected = dense_smooth_initial_state(sys_n, config)
     state = pb.smooth_initial_state(sys_n, config)
     assert np.linalg.norm(state - expected) <= rtol * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n_elements", [2, 8])
+def test_smooth_initial_state_of_a_conservative_mode(beam, n_elements):
+    # a conservative mode's velocity is i omega times its displacement: a
+    # phase fixed on the largest component left the displacement imaginary
+    sys_n = make_system(beam, n_elements)
+    state = pb.smooth_initial_state(sys_n, undamped_config(beam), tip_fraction=0.1)
+    assert np.all(np.isfinite(state))
+    assert state[sys_n.tip_value_index] == pytest.approx(0.1 * beam.length, rel=1e-14)
+    assert np.abs(state).max() <= 1.0
 
 
 def test_initial_states_scaled_to_tip_deflection(sys6, beam):
