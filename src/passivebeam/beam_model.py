@@ -30,7 +30,8 @@ def _per_point(f: Callable, point_ndim: int, shape: tuple) -> Callable:
     axes) goes to ``f`` as it is, a batch of them one point per call."""
     def stand_in(x):
         if np.ndim(x) == point_ndim:
-            return f(x)
+            # a 0-d array goes as a scalar, as each point of a batch does
+            return f(x[()] if isinstance(x, np.ndarray) and x.ndim == 0 else x)
         x = np.asarray(x, dtype=float)
         lead, point = x.shape[: x.ndim - point_ndim], x.shape[x.ndim - point_ndim :]
         return _per_point_values(f, x.reshape((-1,) + point), shape).reshape(lead + shape)
@@ -465,6 +466,7 @@ def _make_linear_block(dim: int = 1, rate: float = 1.0, gain: float = 1.0) -> Pa
 
 
 _ROTATE_STABLE = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+_EYE2 = np.eye(2)
 
 
 def _make_cubic_drift_block(strength: float = 1.0) -> PassiveBlock:
@@ -479,7 +481,7 @@ def _make_cubic_drift_block(strength: float = 1.0) -> PassiveBlock:
 
     def drift_jac(z):
         z = np.asarray(z, dtype=float)
-        return A - strength * (float(z @ z) * np.eye(2) + 2.0 * np.outer(z, z))
+        return A - strength * ((z @ z) * _EYE2 + 2.0 * (z[:, None] * z))
 
     return PassiveBlock(
         dim=2,

@@ -14,7 +14,7 @@ import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .beam_model import BeamParams
-from .errors import DimensionMismatch, InvalidElementCount, NotPositiveDefinite
+from .errors import DimensionMismatch, InvalidElementCount, NonFiniteResult, NotPositiveDefinite
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,14 @@ class DiscreteSystem:
             band = np.asfortranarray(getattr(self, name), dtype=float)
             if band.shape != shape:
                 raise DimensionMismatch(f"{name} has shape {band.shape}; the mesh needs band storage {shape}")
+            if not np.isfinite(band).all():
+                raise NonFiniteResult(f"{name} is not finite; check the beam parameters and the mesh")
             object.__setattr__(self, name, band)
         mass_tip = self.mass_band.copy(order="F")
         mass_tip[_BANDWIDTH, self.tip_value_index] += self.beam.tip_mass
         mass_tip[_BANDWIDTH, self.tip_slope_index] += self.beam.tip_inertia
+        if not np.isfinite(mass_tip).all():
+            raise NonFiniteResult("mass_tip_band is not finite; check the tip mass and inertia")
         factor, info = scipy.linalg.lapack.dpbtrf(mass_tip)
         if info != 0:
             raise NotPositiveDefinite("tip mass matrix is not positive definite")
@@ -160,7 +164,6 @@ def assemble(beam: BeamParams, mesh: Mesh) -> DiscreteSystem:
     """
     n_el = mesh.n_elements
     lengths, which = np.unique(np.diff(mesh.nodes), return_inverse=True)
-    pairs = np.array([element_matrices(h, beam.rho, beam.lambda_rigidity) for h in lengths])[which]
     a, b = np.triu_indices(4)
     # element entry (a, b) of element e sits at global (2e + a - 2, 2e + b - 2)
     # after the clamp, which is band row _BANDWIDTH + a - b
@@ -169,8 +172,11 @@ def assemble(beam: BeamParams, mesh: Mesh) -> DiscreteSystem:
     index = (np.broadcast_to(_BANDWIDTH + a - b, cols.shape)[kept], cols[kept])
     mass = np.zeros((_BANDWIDTH + 1, 2 * n_el), order="F")  # LAPACK layout: no copy per call
     stiff = np.zeros_like(mass)
-    np.add.at(mass, index, pairs[:, 0, a, b][kept])
-    np.add.at(stiff, index, pairs[:, 1, a, b][kept])
+    # extreme parameters overflow here; DiscreteSystem rejects the bands by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = np.array([element_matrices(h, beam.rho, beam.lambda_rigidity) for h in lengths])[which]
+        np.add.at(mass, index, pairs[:, 0, a, b][kept])
+        np.add.at(stiff, index, pairs[:, 1, a, b][kept])
     return DiscreteSystem(beam=beam, mesh=mesh, mass_band=mass, stiffness_band=stiff)
 
 

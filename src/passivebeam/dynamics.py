@@ -16,6 +16,7 @@ enters through virtual work at the tip DOFs of the velocity equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,7 +250,7 @@ class ClosedLoopOperator:
     def qnorm(self, flat: np.ndarray) -> float | np.ndarray:
         """Energy norm of a packed vector (a float), or of each row (an array)."""
         sq = self.inner(flat, flat)
-        return float(np.sqrt(max(sq, 0.0))) if flat.ndim == 1 else np.sqrt(np.maximum(sq, 0.0))
+        return math.sqrt(max(sq, 0.0)) if flat.ndim == 1 else np.sqrt(np.maximum(sq, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,7 @@ class RemainderMap:
         placement[n : 2 * n, :2] = solve_mass_tip(sys, sys.tip_unit_columns())
         placement[2 * n :, 2:] = np.eye(self.p - 2)
         self.placement = placement
+        self._zero_jacobian = np.zeros((self.p, self.m))
         self.slopes = slopes = np.zeros((self.p, self.m))
         for ch in self.channels:
             i, sd, lin = ch.index, ch.sd, ch.lin
@@ -294,19 +296,24 @@ class RemainderMap:
 
     def value(self, q: np.ndarray) -> np.ndarray:
         """F(q): remainder tip loads followed by remainder block drifts, at
-        one q or at each row of a block of them."""
-        rows = np.atleast_2d(q)
-        f = np.empty((len(rows), self.p))
+        one q or at each row of a block of them (a C-contiguous block). The
+        channels are evaluated on the columns of q, so one q and a block take
+        the same path, and a row gets the same bits in a block as alone."""
+        qt = q.T
+        ft = np.empty((self.p,) + qt.shape[1:])
         for ch in self.channels:
-            u_l, v_l, z = rows[:, ch.index], rows[:, 2 + ch.index], rows[:, ch.zq]
-            blk, sd, lin = ch.block, ch.sd, ch.lin
-            f[:, ch.index] = -(
+            i, blk, sd, lin = ch.index, ch.block, ch.sd, ch.lin
+            u_l, v_l, z = qt[i], qt[2 + i], qt[ch.zq].T
+            # the laws take the traces of one q as 0-d arrays, not as scalars:
+            # numpy rounds a scalar's power (s**3 of the cubic law) unlike an array's
+            ft[i] = -(
                 (blk.output(z) - np.vecdot(z, lin.C))
-                + (sd.damper.eval(v_l) - sd.damper_slope * v_l)
-                + (sd.spring.eval(u_l) - sd.spring_slope * u_l)
+                + (sd.damper.eval(qt[2 + i, ...]) - sd.damper_slope * v_l)
+                + (sd.spring.eval(qt[i, ...]) - sd.spring_slope * u_l)
             )
-            f[:, ch.zf] = (blk.drift(z) - np.vecdot(z[:, None, :], lin.A)) + (blk.input_gain(z) - lin.B) * v_l[:, None]
-        return f.reshape(np.shape(q)[:-1] + (self.p,))
+            drift = blk.drift(z) - np.vecdot(z[..., None, :], lin.A)
+            ft[ch.zf] = (drift + (blk.input_gain(z) - lin.B) * v_l[..., None]).T
+        return np.ascontiguousarray(ft.T)
 
     def jacobian_fd(self, q: np.ndarray, scale: float) -> np.ndarray:
         """Forward-difference Jacobian of F, column by column, with step
@@ -321,19 +328,19 @@ class RemainderMap:
         return jac
 
     def jacobian_analytic(self, q: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of F from the supplied law and block derivatives."""
-        jac = np.zeros((self.p, self.m))
+        """Exact Jacobian of F at one q from the supplied law and block
+        derivatives."""
+        jac = self._zero_jacobian.copy()
         for ch in self.channels:
-            i, zq, zf = ch.index, ch.zq, ch.zf
+            i, zq, zf, blk, sd, lin = ch.index, ch.zq, ch.zf, ch.block, ch.sd, ch.lin
             u_l, v_l, z = q[i], q[2 + i], q[zq]
-            blk, sd, lin = ch.block, ch.sd, ch.lin
             # tip load row
-            jac[i, i] = -(float(sd.spring.deriv(u_l)) - sd.spring_slope)
-            jac[i, 2 + i] = -(float(sd.damper.deriv(v_l)) - sd.damper_slope)
-            jac[i, zq] = -(np.asarray(blk.output_grad(z)) - lin.C)
+            jac[i, i] = -(sd.spring.deriv(u_l) - sd.spring_slope)
+            jac[i, 2 + i] = -(sd.damper.deriv(v_l) - sd.damper_slope)
+            jac[i, zq] = -(blk.output_grad(z) - lin.C)
             # block rows
-            jac[zf, 2 + i] = np.asarray(blk.input_gain(z)) - lin.B
-            jac[zf, zq] = (np.asarray(blk.drift_jac(z)) - lin.A) + v_l * np.asarray(blk.input_jac(z))
+            jac[zf, 2 + i] = blk.input_gain(z) - lin.B
+            jac[zf, zq] = (blk.drift_jac(z) - lin.A) + v_l * np.asarray(blk.input_jac(z))
         return jac
 
     def q_of(self, flat_state: np.ndarray) -> np.ndarray:

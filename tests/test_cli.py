@@ -199,18 +199,44 @@ def test_skew_mode_non_finite_defect_exits_3(tmp_path):
     assert "skew-adjointness defect" in summary["metrics"]["error"]
 
 
-# the element matrices of an element of length 5e299 overflow in assemble
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def run_failing(tmp_path, mode, cfg) -> dict:
+    """Run ``mode`` on ``cfg``, expecting exit 3; the summary's metrics."""
+    out = tmp_path / "out"
+    assert cli.run(mode, write_config(tmp_path, cfg), out=out) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_status"] == 3
+    return summary["metrics"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_non_finite_records_exit_3(tmp_path):
+    # a spring this stiff overflows the recorded tangent norms, not the steps
+    cfg = base_config(mesh={"n_elements": 8}, integrator={"dt": 0.001, "t_end": 0.01})
+    cfg["translational"]["spring"] = {"name": "linear", "params": {"slope": 1e300}}
+    metrics = run_failing(tmp_path, "simulate", cfg)
+    assert metrics["operation"] == "NonFiniteResult"
+    assert "recorded tangent norm is not finite" in metrics["error"]
+
+
+# the element matrices of an element of length 2.5e299 overflow in assemble
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["simulate", "spectrum", "skew"])
+def test_non_finite_bands_exit_3(tmp_path, mode):
+    cfg = base_config(mesh={"n_elements": 4})
+    cfg["beam"]["length"] = 1e300
+    metrics = run_failing(tmp_path, mode, cfg)
+    assert metrics["operation"] == "NonFiniteResult"
+    assert "mass_band is not finite" in metrics["error"]
+
+
+@pytest.mark.filterwarnings("error")
 def test_convergence_mode_non_finite_bands_exit_3(tmp_path):
     cfg = base_config()
     cfg["beam"]["length"] = 1e300
     cfg["convergence"] = {"meshes": [4, 8]}
-    out = tmp_path / "out"
-    assert cli.run("convergence", write_config(tmp_path, cfg), out=out) == 3
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["metrics"]["operation"] == "EigenSolverFailure"
-    assert "not finite" in summary["metrics"]["error"]
+    metrics = run_failing(tmp_path, "convergence", cfg)
+    assert metrics["operation"] == "NonFiniteResult"
+    assert "mass_band is not finite" in metrics["error"]
 
 
 def test_convergence_mode(tmp_path):

@@ -8,7 +8,7 @@ import sympy
 
 import passivebeam as pb
 from passivebeam.discretization import dense, displacement_gram, element_matrices
-from passivebeam.errors import DimensionMismatch, InvalidElementCount, NotPositiveDefinite
+from passivebeam.errors import DimensionMismatch, InvalidElementCount, NonFiniteResult, NotPositiveDefinite
 
 from conftest import linear_config, linear_system, make_system, white_state
 
@@ -23,6 +23,26 @@ def test_build_mesh_examples(beam):
 def test_build_mesh_rejects_zero_elements(beam):
     with pytest.raises(InvalidElementCount):
         pb.build_mesh(beam, 0)
+
+
+@pytest.mark.parametrize("band, value", [("mass_band", np.nan), ("stiffness_band", np.inf)])
+def test_discrete_system_rejects_non_finite_bands(sys8, band, value):
+    bad = getattr(sys8, band).copy()
+    bad[-1, 0] = value
+    with pytest.raises(NonFiniteResult, match=f"{band} is not finite"):
+        dataclasses.replace(sys8, **{band: bad})
+
+
+def test_discrete_system_rejects_a_non_finite_tip_mass(sys8):
+    with pytest.raises(NonFiniteResult, match="mass_tip_band is not finite"):
+        dataclasses.replace(sys8, beam=dataclasses.replace(sys8.beam, tip_mass=np.inf))
+
+
+@pytest.mark.filterwarnings("error")
+def test_assemble_leaves_overflow_to_the_system_check(beam):
+    huge = dataclasses.replace(beam, length=1e300)
+    with pytest.raises(NonFiniteResult, match="mass_band is not finite"):
+        pb.assemble(huge, pb.build_mesh(huge, 4))
 
 
 def test_unit_element_stiffness_matrix():

@@ -27,6 +27,8 @@ from conftest import (
     make_system,
     smooth_state,
     split_state,
+    stiff_linear_config,
+    undamped_config,
     white_state,
 )
 
@@ -369,6 +371,52 @@ def test_remainder_map_consistent_with_nonlinear_part(sys8, nonlinear):
     placed = remainder.placement @ remainder.value(remainder.q_of(flat))
     direct = ClosedLoopOperator(sys8, nonlinear).nonlinear(flat)
     assert np.allclose(placed, direct, rtol=1e-13, atol=1e-14)
+
+
+_COUPLING = np.array([[-1.3, 0.7, 0.2], [-0.4, -2.1, 0.5], [0.3, -0.6, -1.7]])
+_GAIN = np.array([0.9, -0.35, 0.15])
+_OUTPUT = np.array([0.45, 1.1, -0.7])
+
+
+def coupled_block_config(beam):
+    """A dim-3 block with a full drift coupling, a state-dependent input gain
+    and a nonlinear output on the rotational channel; the default
+    translational channel."""
+    block = pb.PassiveBlock(
+        dim=3,
+        drift=lambda z: np.vecdot(np.asarray(z)[..., None, :], _COUPLING) - 0.3 * np.asarray(z) ** 3,
+        input_gain=lambda z: _GAIN + 0.2 * np.sin(z),
+        output=lambda z: np.vecdot(z, _OUTPUT) + 0.1 * np.asarray(z)[..., 0] ** 3,
+        storage=lambda z: 0.5 * np.vecdot(z, z),
+        storage_grad=lambda z: np.asarray(z, dtype=float).copy(),
+        drift_jac=lambda z: _COUPLING - 0.9 * np.diag(np.asarray(z) ** 2),
+        input_jac=lambda z: 0.2 * np.diag(np.cos(z)),
+        output_grad=lambda z: _OUTPUT + np.array([0.3 * z[0] ** 2, 0.0, 0.0]),
+    )
+    default = default_config(beam)
+    return dataclasses.replace(default, block_rotational=block)
+
+
+def per_point_spring_config(beam):
+    """The default config with a translational spring that evaluates one
+    point at a time (it branches on the sign of s), so it runs per point."""
+    spring = pb.ScalarLaw(eval=lambda s: s + s**3 if s >= 0.0 else s,
+                          deriv=lambda s: 1.0 + 3.0 * s**2 if s >= 0.0 else 1.0)
+    default = default_config(beam)
+    return dataclasses.replace(default, sd_translational=dataclasses.replace(default.sd_translational, spring=spring))
+
+
+@pytest.mark.parametrize("make_config", [
+    default_config, asymmetric_config, stiff_linear_config, undamped_config, coupled_block_config,
+    per_point_spring_config,
+])
+def test_remainder_value_of_a_block_matches_each_row_bitwise(sys8, beam, make_config):
+    remainder = RemainderMap(sys8, make_config(beam))
+    qs = np.random.default_rng(21).standard_normal((400, remainder.m))
+    values = remainder.value(qs)
+    assert values.shape == (400, remainder.p) and values.flags.c_contiguous
+    for q, value in zip(qs, values):
+        assert np.array_equal(remainder.value(q), value)
 
 
 def test_remainder_jacobians_agree(sys8, beam, nonlinear):

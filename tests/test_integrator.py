@@ -192,6 +192,24 @@ def test_singular_midpoint_matrix_raises(sys6, beam):
         MidpointStepper(sys6, undamped_config(beam), -2.0)
 
 
+def test_singular_newton_matrix_raises(sys6, beam, monkeypatch):
+    # a Jacobian with one entry c at (0, 0) leaves the Newton matrix
+    # I - h J U_q with the first row (1 - h c U_q[0, 0], -h c U_q[0, 1:]) and
+    # zeros below it in the first column; h c U_q[0, 0] = 1 exactly (h a power
+    # of two, c a floating-point neighbour of 1 / (h U_q[0, 0])) zeroes the column
+    config = default_config(beam)
+    stepper = MidpointStepper(sys6, config, 2.0**-10)
+    rem, h = stepper.remainder, 2.0**-11
+    u00 = stepper._sel_kinv_e[0, 0]
+    c = 1.0 / (h * u00)
+    jac = np.zeros((rem.p, rem.m))
+    jac[0, 0] = next(x for x in c + np.spacing(c) * np.arange(-4, 5) if h * (x * u00) == 1.0)
+    monkeypatch.setattr(rem, "jacobian_analytic", lambda q: jac.copy())
+    y0 = pb.first_mode_initial_state(sys6, config)
+    with pytest.raises(LinearSolveFailure, match="Newton matrix of the remainder loads is singular"):
+        stepper.step_flat(y0, 1e-10, 25)
+
+
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
 def test_stepper_rejects_a_non_finite_step(sys6, beam, dt):
     with pytest.raises(ValueError, match="dt must be finite"):
