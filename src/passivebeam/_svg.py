@@ -108,7 +108,7 @@ def line_plot_svg(
     )
     for i, (label, pts) in enumerate(cleaned):
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}" for x, y in pts)
+        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in (to_px(x, y) for x, y in pts))
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _TOP + 16 + 16 * i
         out.append(

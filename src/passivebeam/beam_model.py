@@ -39,16 +39,17 @@ def _per_point(f: Callable, point_ndim: int, shape: tuple) -> Callable:
 
 
 def _settle_callback(owner, name: str, points: np.ndarray, per_point: np.ndarray, point_ndim: int):
-    """Keep callback ``name`` of ``owner`` when one call on all ``points``
-    agrees with their ``per_point`` values to rtol 1e-13 (a law's result must
-    have exactly their shape, a block's must broadcast to it); otherwise
-    replace it by a per-point stand-in."""
+    """Keep callback ``name`` of ``owner`` when one call on all ``points``,
+    under one more leading axis, agrees with their ``per_point`` values to
+    rtol 1e-13 (a law's result must have exactly their shape, a block's must
+    broadcast to it); otherwise replace it by a per-point stand-in."""
     f = getattr(owner, name)
+    expected = per_point[None]
     try:
-        batched = np.asarray(f(points), dtype=float)
-        if batched.shape != per_point.shape and point_ndim:
-            batched = np.broadcast_to(batched, per_point.shape)
-        if batched.shape == per_point.shape and np.all(np.abs(batched - per_point) <= 1e-13 * np.abs(per_point)):
+        batched = np.asarray(f(points[None]), dtype=float)
+        if batched.shape != expected.shape and point_ndim:
+            batched = np.broadcast_to(batched, expected.shape)
+        if batched.shape == expected.shape and np.all(np.abs(batched - expected) <= 1e-13 * np.abs(expected)):
             return
     except Exception:  # whatever a callback raises on a batch, evaluate it per point
         pass
@@ -164,9 +165,10 @@ class ScalarLaw:
     construction installs the adaptive Simpson rule of ``eval``
     (``_adaptive_potential``), so ``potential`` is never None and the energy
     and the certificate integrate a spring the same way. Callers evaluate a
-    callback elementwise on an array in one call; construction checks that
-    once on the grid (the input's shape, rtol 1e-13) and runs a callback that
-    fails it per point. The registry laws are elementwise.
+    callback elementwise on an array of any shape in one call; construction
+    checks that once on the grid under a leading axis (the input's shape,
+    rtol 1e-13) and runs a callback that fails it per point. The registry
+    laws are elementwise.
     """
 
     eval: Callable
@@ -241,11 +243,14 @@ class PassiveBlock:
     centered differences at construction; a(0), c(0) and V(0) must vanish
     exactly.
 
-    Callbacks take one state of shape (dim,); callers also pass a batch
-    (P, dim) to ``drift``, ``input_gain``, ``output``, ``storage`` and
-    ``storage_grad``. Construction checks that once on its sample points (the
-    result broadcasts to P per-point results, rtol 1e-13) and runs a callback
-    that fails it per point. The registry blocks broadcast.
+    Callbacks take one state of shape (dim,); callers also pass every
+    callback a batch of states with any leading axes, (..., dim): sample
+    sets (P, dim), and the states of the channels that share the block,
+    (g, dim) or (R, g, dim) for R packed states. Construction checks that
+    once on its sample points under a leading axis (the result broadcasts
+    to the per-point results, rtol 1e-13) and runs a callback that fails it
+    per point. The registry blocks broadcast; a result may be a shared
+    read-only array, so callers never write into one.
     """
 
     dim: int
@@ -273,7 +278,8 @@ class PassiveBlock:
     def _check_derivatives(self):
         """Each supplied derivative against centered differences of its
         callback at the sample points (the origin, 0.3 e_i and -0.2 e_i, and
-        0.15 (1, ..., 1)); each batched callback is settled on the same points."""
+        0.15 (1, ..., 1)); each callback is settled on the points it was
+        evaluated at, a derivative on the sample points."""
         dim, axes = self.dim, np.eye(self.dim)
         points = np.concatenate([
             np.zeros((1, dim)), np.stack([0.3 * axes, -0.2 * axes], axis=1).reshape(-1, dim), np.full((1, dim), 0.15)
@@ -288,12 +294,11 @@ class PassiveBlock:
         ):
             values = _per_point_values(getattr(self, name), stencil, shape)
             plus, minus = values.reshape((2, len(points), dim) + shape)
-            supplied = np.array([np.atleast_2d(getattr(self, label)(z)) for z in points], dtype=float)
-            approx = np.moveaxis((plus - minus) / (2.0 * _DERIV_STEP), 1, -1).reshape(supplied.shape)
+            supplied = _per_point_values(getattr(self, label), points, shape + (dim,))
+            approx = np.moveaxis((plus - minus) / (2.0 * _DERIV_STEP), 1, -1)
             _require_close(f"PassiveBlock.{label} disagrees with centered differences", "z", points, supplied, approx)
             _settle_callback(self, name, stencil, values, 1)
-        # the last derivatives checked are storage_grad's values at the points
-        _settle_callback(self, "storage_grad", points, supplied.reshape(len(points), dim), 1)
+            _settle_callback(self, label, points, supplied, 1)
 
 
 @dataclass(frozen=True)
@@ -376,6 +381,10 @@ def _make_linear_law(slope: float = 1.0) -> ScalarLaw:
     )
 
 
+# The derivatives square by a product: the Jacobian takes one channel's trace
+# as a scalar, several as an array, and numpy's scalar power rounds unlike its
+# array power, where a product rounds alike.
+
 def _make_cubic_law(slope: float = 1.0, cubic: float = 1.0) -> ScalarLaw:
     def potential(s):
         s2 = np.square(s)
@@ -383,7 +392,7 @@ def _make_cubic_law(slope: float = 1.0, cubic: float = 1.0) -> ScalarLaw:
 
     return ScalarLaw(
         eval=lambda s: slope * s + cubic * s**3,
-        deriv=lambda s: slope + 3.0 * cubic * s**2,
+        deriv=lambda s: slope + 3.0 * cubic * (s * s),
         potential=potential,
     )
 
@@ -401,11 +410,11 @@ def _make_tanh_law(gain: float = 2.0) -> ScalarLaw:
         large = x + np.log1p(np.exp(-2.0 * x)) - _LOG2
         return np.where(x <= 1.0, small, large) / gain if gain != 0.0 else np.zeros_like(x)
 
-    return ScalarLaw(
-        eval=lambda s: np.tanh(gain * s),
-        deriv=lambda s: gain * (1.0 - np.tanh(gain * s) ** 2),
-        potential=potential,
-    )
+    def deriv(s):
+        t = np.tanh(gain * s)
+        return gain * (1.0 - t * t)
+
+    return ScalarLaw(eval=lambda s: np.tanh(gain * s), deriv=deriv, potential=potential)
 
 
 def _make_zero_law() -> ScalarLaw:
@@ -445,35 +454,44 @@ def make_law(name: str, **params) -> ScalarLaw:
     return builder(**params)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a constant a block callback returns on every call."""
+    a.flags.writeable = False
+    return a
+
+
 def _make_linear_block(dim: int = 1, rate: float = 1.0, gain: float = 1.0) -> PassiveBlock:
     """Stable linear block a = -rate*z, b = gain*e1, c = gain*z1, V = |z|^2/2."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     B = np.zeros(dim)
     B[0] = gain
+    B, A, zero = _read_only(B), _read_only(-rate * np.eye(dim)), _read_only(np.zeros((dim, dim)))
 
     return PassiveBlock(
         dim=dim,
         drift=lambda z: -rate * np.asarray(z, dtype=float),
-        input_gain=lambda z: B.copy(),
+        input_gain=lambda z: B,
         output=lambda z: np.asarray(z, dtype=float) @ B,
         storage=lambda z: 0.5 * np.vecdot(z, z),
         storage_grad=lambda z: np.asarray(z, dtype=float).copy(),
-        drift_jac=lambda z: -rate * np.eye(dim),
-        input_jac=lambda z: np.zeros((dim, dim)),
-        output_grad=lambda z: B.copy(),
+        drift_jac=lambda z: A,
+        input_jac=lambda z: zero,
+        output_grad=lambda z: B,
     )
 
 
-_ROTATE_STABLE = np.array([[-1.0, 1.0], [-1.0, -1.0]])
-_EYE2 = np.eye(2)
+_ROTATE_STABLE = _read_only(np.array([[-1.0, 1.0], [-1.0, -1.0]]))
+_EYE2 = _read_only(np.eye(2))
+_ZERO2 = _read_only(np.zeros((2, 2)))
+_INPUT2 = _read_only(np.array([0.0, 1.0]))
 
 
 def _make_cubic_drift_block(strength: float = 1.0) -> PassiveBlock:
     """Two-state block with drift A z - strength * z |z|^2 and unit storage."""
     A = _ROTATE_STABLE
     A_T = A.T
-    B = np.array([0.0, 1.0])
+    B = _INPUT2
 
     def drift(z):
         z = np.asarray(z, dtype=float)
@@ -481,18 +499,18 @@ def _make_cubic_drift_block(strength: float = 1.0) -> PassiveBlock:
 
     def drift_jac(z):
         z = np.asarray(z, dtype=float)
-        return A - strength * ((z @ z) * _EYE2 + 2.0 * (z[:, None] * z))
+        return A - strength * (np.vecdot(z, z)[..., None, None] * _EYE2 + 2.0 * (z[..., :, None] * z[..., None, :]))
 
     return PassiveBlock(
         dim=2,
         drift=drift,
-        input_gain=lambda z: B.copy(),
+        input_gain=lambda z: B,
         output=lambda z: np.asarray(z, dtype=float)[..., 1],
         storage=lambda z: 0.5 * np.vecdot(z, z),
         storage_grad=lambda z: np.asarray(z, dtype=float).copy(),
         drift_jac=drift_jac,
-        input_jac=lambda z: np.zeros((2, 2)),
-        output_grad=lambda z: B.copy(),
+        input_jac=lambda z: _ZERO2,
+        output_grad=lambda z: B,
     )
 
 
@@ -503,36 +521,37 @@ def _make_saturating_block() -> PassiveBlock:
     """
     A = _ROTATE_STABLE
     A_T = A.T
-    B = np.array([0.0, 1.0])
+    B = _INPUT2
 
     def sech2(z):
-        return 1.0 - np.tanh(z) ** 2
+        return 1.0 - np.tanh(np.asarray(z, dtype=float)) ** 2
 
     return PassiveBlock(
         dim=2,
         drift=lambda z: np.tanh(np.asarray(z, dtype=float)) @ A_T,
-        input_gain=lambda z: B.copy(),
+        input_gain=lambda z: B,
         output=lambda z: np.tanh(np.asarray(z, dtype=float)[..., 1]),
         storage=lambda z: np.sum(np.log(np.cosh(np.asarray(z, dtype=float))), axis=-1),
         storage_grad=lambda z: np.tanh(np.asarray(z, dtype=float)),
-        drift_jac=lambda z: A @ np.diag(sech2(np.asarray(z, dtype=float))),
-        input_jac=lambda z: np.zeros((2, 2)),
-        output_grad=lambda z: np.array([0.0, sech2(np.asarray(z, dtype=float)[1])]),
+        drift_jac=lambda z: A * sech2(z)[..., None, :],
+        input_jac=lambda z: _ZERO2,
+        output_grad=lambda z: sech2(z) * B,
     )
 
 
 def _make_anti_stable_block() -> PassiveBlock:
     """Deliberately broken block: drift +z pumps energy into the storage."""
+    one, eye, zero = _read_only(np.ones(1)), _read_only(np.eye(1)), _read_only(np.zeros((1, 1)))
     return PassiveBlock(
         dim=1,
         drift=lambda z: np.asarray(z, dtype=float).copy(),
-        input_gain=lambda z: np.ones(1),
+        input_gain=lambda z: one,
         output=lambda z: np.asarray(z, dtype=float)[..., 0],
         storage=lambda z: 0.5 * np.vecdot(z, z),
         storage_grad=lambda z: np.asarray(z, dtype=float).copy(),
-        drift_jac=lambda z: np.eye(1),
-        input_jac=lambda z: np.zeros((1, 1)),
-        output_grad=lambda z: np.ones(1),
+        drift_jac=lambda z: eye,
+        input_jac=lambda z: zero,
+        output_grad=lambda z: one,
     )
 
 

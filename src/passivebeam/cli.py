@@ -55,6 +55,12 @@ _INITIAL_KEYS = {"kind", "tip_fraction"}
 _CERTIFY_KEYS = {"radius", "samples", "h_threshold"}
 _CONVERGENCE_KEYS = {"meshes"}
 
+#: upper limits: elements of a mesh (``mesh.n_elements`` and each of
+#: ``convergence.meshes``), ``certify.samples``, and steps t_end / dt
+MAX_ELEMENTS = 4096
+MAX_SAMPLES = 100_000
+MAX_STEPS = 10_000_000
+
 
 def _number(value, where: str, expect: str = "a number", ok=lambda v: True):
     """``value`` if it is a finite JSON number that satisfies ``ok``."""
@@ -64,9 +70,12 @@ def _number(value, where: str, expect: str = "a number", ok=lambda v: True):
     return value
 
 
-def _count(value, where: str, least: int) -> int:
-    """``value`` as an int if it is a whole JSON number >= ``least``."""
-    return int(_number(value, where, f"an integer >= {least}", lambda v: float(v).is_integer() and v >= least))
+def _count(value, where: str, least: int, most: int | None = None) -> int:
+    """``value`` as an int if it is a whole JSON number >= ``least`` (and
+    <= ``most``, when given)."""
+    expect = f"an integer >= {least}" + ("" if most is None else f" and <= {most}")
+    return int(_number(value, where, expect,
+                       lambda v: float(v).is_integer() and v >= least and (most is None or v <= most)))
 
 
 @contextlib.contextmanager
@@ -114,7 +123,7 @@ class RunConfig:
         self.n_elements = None
         if "mesh" in raw:
             with _section(raw, "mesh", _MESH_KEYS, _MESH_KEYS) as section:
-                self.n_elements = _count(section["n_elements"], "mesh.n_elements", 1)
+                self.n_elements = _count(section["n_elements"], "mesh.n_elements", 1, MAX_ELEMENTS)
 
         self.channels = {}
         for channel in ("rotational", "translational"):
@@ -129,9 +138,15 @@ class RunConfig:
         self.integrator = None
         if "integrator" in raw:
             with _section(raw, "integrator", _INTEGRATOR_KEYS, ["dt", "t_end"]) as section:
+                dt = float(_number(section["dt"], "integrator.dt"))
+                t_end = float(_number(section["t_end"], "integrator.t_end"))
+                if dt > 0.0 and t_end / dt > MAX_STEPS:
+                    raise ConfigParseError(
+                        f"integrator.t_end must be at most {MAX_STEPS} steps of integrator.dt, "
+                        f"got t_end / dt = {t_end / dt:.6g}")
                 self.integrator = integrator.IntegratorSettings(
-                    dt=float(_number(section["dt"], "integrator.dt")),
-                    t_end=float(_number(section["t_end"], "integrator.t_end")),
+                    dt=dt,
+                    t_end=t_end,
                     newton_tol=float(_number(section.get("newton_tol", 1e-10), "integrator.newton_tol")),
                     newton_max_iter=_count(section.get("newton_max_iter", 25), "integrator.newton_max_iter", 1),
                     record_every=_count(section.get("record_every", 1), "integrator.record_every", 1),
@@ -151,7 +166,7 @@ class RunConfig:
                 certify.update(section)
         self.certify = {
             "radius": float(_number(certify["radius"], "certify.radius", "a number > 0", lambda v: v > 0)),
-            "samples": _count(certify["samples"], "certify.samples", 100),
+            "samples": _count(certify["samples"], "certify.samples", 100, MAX_SAMPLES),
             "h_threshold": float(_number(certify["h_threshold"], "certify.h_threshold")),
         }
 
@@ -161,7 +176,7 @@ class RunConfig:
                 meshes = section["meshes"]
                 if not isinstance(meshes, list) or not meshes:
                     raise ConfigParseError(f"convergence.meshes must be a non-empty list, got {meshes!r}")
-                self.meshes = [_count(m, "convergence.meshes", 1) for m in meshes]
+                self.meshes = [_count(m, "convergence.meshes", 1, MAX_ELEMENTS) for m in meshes]
                 if len(set(self.meshes)) != len(self.meshes):
                     raise ConfigParseError(f"convergence.meshes must be distinct, got {meshes!r}")
 
@@ -171,22 +186,40 @@ class RunConfig:
             if getattr(self, attr) in (None, {}):
                 raise ConfigParseError(f"mode {self.mode!r} requires the {attr!r} section")
 
-    def build_channel(self, channel: str):
+    def build_channel(self, channel: str, built: dict | None = None):
+        """The spring-damper law and block of ``channel``. ``built`` maps
+        each spec already built, (kind, name, params), to its object, which
+        is then handed out again; specs built here are added to it."""
+        built = {} if built is None else built
         try:
             names = self.channels[channel]
         except KeyError:
             raise ConfigParseError(f"mode {self.mode!r} requires the {channel!r} section") from None
+
+        def build(kind, part, make):
+            name, params = names[part]
+            key = (kind, name, json.dumps(params, sort_keys=True))
+            if key not in built:
+                built[key] = make(name, **params)
+            return built[key]
+
         try:
-            damper = make_law(names["damper"][0], **names["damper"][1])
-            spring = make_law(names["spring"][0], **names["spring"][1])
-            block = make_block(names["block"][0], **names["block"][1])
+            damper, spring = build("law", "damper", make_law), build("law", "spring", make_law)
+            block = build("block", "block", make_block)
+            key = ("spring-damper", id(damper), id(spring))  # both laws are held in built
+            if key not in built:
+                built[key] = SpringDamperLaw(damper=damper, spring=spring)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigParseError(f"bad {channel} channel: {exc}") from exc
-        return SpringDamperLaw(damper=damper, spring=spring), block
+        return built[key], block
 
     def closed_loop(self) -> ClosedLoopConfig:
-        sd1, blk1 = self.build_channel("rotational")
-        sd2, blk2 = self.build_channel("translational")
+        """The closed loop of the two channels. Equal specs, the same name
+        and params, build one object within this call, which both channels
+        share; the loop then evaluates them together."""
+        built = {}
+        sd1, blk1 = self.build_channel("rotational", built)
+        sd2, blk2 = self.build_channel("translational", built)
         return ClosedLoopConfig(
             beam=self.beam,
             sd_rotational=sd1,
@@ -257,18 +290,24 @@ class ArtifactWriter:
 
 def _certify(cfg: RunConfig, writer: ArtifactWriter, loop: ClosedLoopConfig) -> bool:
     """Certify the four channels and write certification.json; on a failure
-    also write the summary of exit status 2. An uncertifiable block exits 1."""
+    also write the summary of exit status 2. An object that two channels
+    share is certified once and its report written under both names. An
+    uncertifiable block exits 1."""
     radius, samples, threshold = (cfg.certify[k] for k in ("radius", "samples", "h_threshold"))
-    reports = {name: assumptions.certify_spring_damper(getattr(loop, name), radius, samples, seed=cfg.seed)
-               for name in ("sd_rotational", "sd_translational")}
-    for name in ("block_rotational", "block_translational"):
-        block = getattr(loop, name)
-        try:
-            reports[name] = assumptions.certify_block(
-                block, radius, max(samples, 100 * block.dim), h_threshold=threshold, seed=cfg.seed
-            )
-        except ValueError as exc:
-            raise ConfigParseError(f"cannot certify {name}: {exc}") from exc
+    reports, done = {}, {}  # done: id of each object certified -> its report
+    for name in ("sd_rotational", "sd_translational", "block_rotational", "block_translational"):
+        part = getattr(loop, name)
+        if id(part) not in done:
+            if name.startswith("sd_"):
+                done[id(part)] = assumptions.certify_spring_damper(part, radius, samples, seed=cfg.seed)
+            else:
+                try:
+                    done[id(part)] = assumptions.certify_block(
+                        part, radius, max(samples, 100 * part.dim), h_threshold=threshold, seed=cfg.seed
+                    )
+                except ValueError as exc:
+                    raise ConfigParseError(f"cannot certify {name}: {exc}") from exc
+        reports[name] = done[id(part)]
     passed = all(r.passed for r in reports.values())
     payload = {name: rep.as_dict() for name, rep in reports.items()}
     payload["passed"] = passed

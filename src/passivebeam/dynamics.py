@@ -4,7 +4,7 @@ Lyapunov functional with its closed-form rate.
 The state is one packed vector (u, v, z1, z2) of length 2 n_dof + dim z1 +
 dim z2: the displacement and velocity DOFs with the clamped DOFs removed,
 then the two block states. This module alone spells out that layout
-(``zero_state``, ``_rows``, ``_channels``). ``ClosedLoopOperator`` is the one
+(``zero_state``, ``_rows``, ``_batches``). ``ClosedLoopOperator`` is the one
 implementation of the generator, the split and the energy inner product; it
 acts on one packed vector (N,) and on blocks of them (R, N), one packed state
 per row. ``eval_H``/``eval_Hdot`` take the same packed states.
@@ -112,10 +112,11 @@ def eval_H(flat, sys: DiscreteSystem, config: ClosedLoopConfig) -> EnergyBreakdo
     xi = beam.tip_inertia * v[:, sys.tip_slope_index]
     psi = beam.tip_mass * v[:, sys.tip_value_index]
     tip = xi**2 / (2.0 * beam.tip_inertia) + psi**2 / (2.0 * beam.tip_mass)
-    channels = _channels(sys, config, linearize=False)
-    springs = [spring_potential(ch.sd.spring, rows[:, ch.tip]) for ch in channels]
-    # a block's storage may broadcast over the rows (PassiveBlock)
-    storages = [np.broadcast_to(ch.block.storage(rows[:, ch.z]), len(rows)) for ch in channels]
+    springs, storages = [], []  # one column per channel
+    for b in _batches(sys, config, linearize=False):
+        springs += b.columns(spring_potential(b.sd.spring, rows[:, b.tips]), len(rows))
+        # a block's storage may broadcast over the rows (PassiveBlock)
+        storages += b.columns(b.block.storage(b.states(rows, b.z)), len(rows))
     total = strain + kinetic + tip
     for part in springs + storages:
         total = total + part
@@ -128,10 +129,13 @@ def eval_Hdot(flat, sys: DiscreteSystem, config: ClosedLoopConfig):
     ``eval_H``): block dissipation minus damper power at the tip."""
     rows = _rows(flat, sys, config)
     rate = np.zeros(len(rows))
-    for ch in _channels(sys, config, linearize=False):
-        z, v_l = rows[:, ch.z], rows[:, sys.n_dof + ch.tip]
-        rate += np.vecdot(ch.block.drift(z), ch.block.storage_grad(z))
-        rate -= ch.sd.damper.eval(v_l) * v_l
+    for b in _batches(sys, config, linearize=False):
+        z, v_l = b.states(rows, b.z), rows[:, np.add(b.tips, sys.n_dof)]
+        dissipation = b.columns(np.vecdot(b.block.drift(z), b.block.storage_grad(z)), len(rows))
+        power = b.columns(b.sd.damper.eval(v_l) * v_l, len(rows))
+        for block_rate, damper_power in zip(dissipation, power):  # channel by channel, as always summed
+            rate += block_rate
+            rate -= damper_power
     return _as_given(flat, rate)
 
 
@@ -140,44 +144,80 @@ def eval_Hdot(flat, sys: DiscreteSystem, config: ClosedLoopConfig):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class _Channel:
-    """One feedback channel: a spring-damper law and a passive block acting
-    on one tip DOF, with the block's linearization, and where the channel
-    sits in the packed state, in q and in F.
+class _Batch:
+    """Feedback channels that share one spring-damper law object and one
+    passive block object, evaluated together: each law or block callback
+    takes the traces of all g of them, (..., g), or their block states,
+    (..., g, dim), in one call. A channel alone is a batch of one, indexed
+    by its position instead of a range, so its callbacks take its traces
+    (...) and its states (..., dim): the ``lead`` axes are () for one
+    channel and (g,) for several.
 
     Channel 0 (rotational) acts on the tip slope, channel 1 (translational)
-    on the tip deflection. In the remainder coordinates q[index] is the
-    channel's displacement trace, q[2 + index] its velocity trace and
-    F[index] its remainder tip load. The energy functions build channels
+    on the tip deflection; a batch holds channels ``first`` to ``first +
+    count``, its block states one channel after the other. In the remainder
+    coordinates q[u] are the displacement traces, q[v] the velocity traces
+    and F[u] the remainder tip loads. The energy functions build batches
     without ``lin``.
     """
 
-    index: int
+    first: int
+    count: int
+    lead: tuple
+    shape: tuple  # lead + (dim,)
     sd: SpringDamperLaw
     block: PassiveBlock
     lin: BlockLinearization | None
-    tip: int  # tip DOF of the beam
-    z: slice  # block state in the packed state
-    zq: slice  # block state in q
-    zf: slice  # block drift in F
+    tips: int | list[int]  # tip DOFs of the beam
+    u: int | slice  # displacement traces in q, tip loads in F
+    v: int | slice  # velocity traces in q
+    z: slice  # block states in the packed state
+    zq: slice  # block states in q
+    zf: slice  # block drifts in F
+
+    def states(self, x: np.ndarray, where: slice) -> np.ndarray:
+        """The block states at ``where`` of the last axis of ``x``, (..., dim)
+        after the batch's lead axes."""
+        return x[..., where].reshape(x.shape[:-1] + self.shape)
+
+    def columns(self, x, rows: int) -> list[np.ndarray]:
+        """One column per channel of a per-row result that broadcasts to the
+        batch's (rows,) + lead."""
+        return list(np.broadcast_to(x, (rows,) + self.lead).reshape(rows, self.count).T)
 
 
-def _channels(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = True) -> tuple[_Channel, ...]:
-    """The rotational and translational channels of (sys, config), each with
-    its block linearized at the origin unless ``linearize`` is false."""
+def _batches(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = True) -> tuple[_Batch, ...]:
+    """The rotational and translational channels of (sys, config), as
+    batches of the channels that share their law and block objects, each
+    block linearized at the origin (once, however many batches hold it)
+    unless ``linearize`` is false."""
     n = sys.n_dof
-    channels, offset = [], 0
-    for index, (sd, block, tip) in enumerate((
+    groups = []  # [sd, block, tips]
+    for sd, block, tip in (
         (config.sd_rotational, config.block_rotational, sys.tip_slope_index),
         (config.sd_translational, config.block_translational, sys.tip_value_index),
-    )):
-        end = offset + block.dim
-        channels.append(_Channel(
-            index, sd, block, linearize_block(block) if linearize else None, tip,
+    ):
+        if groups and groups[-1][0] is sd and groups[-1][1] is block:
+            groups[-1][2].append(tip)
+        else:
+            groups.append((sd, block, [tip]))
+    batches, lins, first, offset = [], {}, 0, 0
+    for sd, block, tips in groups:
+        count, end = len(tips), offset + len(tips) * block.dim
+        if linearize and id(block) not in lins:
+            lins[id(block)] = linearize_block(block)
+
+        def span(start):
+            return start if count == 1 else slice(start, start + count)
+
+        lead = () if count == 1 else (count,)
+        batches.append(_Batch(
+            first, count, lead, lead + (block.dim,), sd, block, lins.get(id(block)),
+            tips=tips[0] if count == 1 else tips, u=span(first), v=span(2 + first),
             z=slice(2 * n + offset, 2 * n + end), zq=slice(4 + offset, 4 + end), zf=slice(2 + offset, 2 + end),
         ))
-        offset = end
-    return tuple(channels)
+        first, offset = first + count, end
+    return tuple(batches)
 
 
 class ClosedLoopOperator:
@@ -200,16 +240,15 @@ class ClosedLoopOperator:
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
-        self.remainder = RemainderMap(sys, config)
-        self.channels = self.remainder.channels
+        self.remainder = rem = RemainderMap(sys, config)
         self.n = n = sys.n_dof
         # displacement, velocity and block states of one state or of each row
         self._u, self._v, self._z = np.s_[..., :n], np.s_[..., n : 2 * n], np.s_[..., 2 * n :]
         # storage Hessians P1, P2 on the diagonal (scipy's block_diag costs 50 us)
-        self.storage_gram = np.zeros((self.channels[-1].z.stop - 2 * n,) * 2)
-        for ch in self.channels:
-            block = slice(ch.z.start - 2 * n, ch.z.stop - 2 * n)
-            self.storage_gram[block, block] = ch.lin.P
+        self.storage_gram = np.zeros((rem.size - 2 * n,) * 2)
+        for b, k in rem.channels():
+            start = b.z.start - 2 * n + k * b.block.dim
+            self.storage_gram[start : start + b.block.dim, start : start + b.block.dim] = b.lin.P
         self.sys = sys
         self.gram_band = displacement_gram(
             sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope)
@@ -270,50 +309,81 @@ class RemainderMap:
     The same placement carries the linear feedback G_beam + P L E_q^T: the
     p x m ``slopes`` L are the feedback's origin slopes in q; a
     channel's tip-load row holds -k, -d and -C, its block rows B and A.
+
+    ``value``, ``jacobian_analytic`` and the energy functions call each law
+    and block callback once per batch (``_batches``): channels that share
+    their law and block objects are evaluated in one call, so the README
+    channels take one call per callback where distinct objects take two.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
-        self.channels = _channels(sys, config)
+        self.batches = _batches(sys, config)
         n = sys.n_dof
-        total = self.channels[-1].z.stop
-        self.m = total - 2 * n + 4
+        self.size = total = self.batches[-1].z.stop
+        self.m = m = total - 2 * n + 4
         self.p = total - 2 * n + 2
         # flat indices of q inside the packed state
-        tips = [ch.tip for ch in self.channels]
-        self.q_indices = np.concatenate([tips, np.add(tips, n), np.arange(2 * n, total)]).astype(int)
+        tips = np.hstack([b.tips for b in self.batches])
+        self.q_indices = np.concatenate([tips, tips + n, np.arange(2 * n, total)]).astype(int)
         placement = np.zeros((total, self.p))
         placement[n : 2 * n, :2] = solve_mass_tip(sys, sys.tip_unit_columns())
         placement[2 * n :, 2:] = np.eye(self.p - 2)
         self.placement = placement
-        self._zero_jacobian = np.zeros((self.p, self.m))
-        self.slopes = slopes = np.zeros((self.p, self.m))
-        for ch in self.channels:
-            i, sd, lin = ch.index, ch.sd, ch.lin
+        self.slopes = slopes = np.zeros((self.p, m))
+        for b, k in self.channels():
+            i, sd, lin, dim = b.first + k, b.sd, b.lin, b.block.dim
+            zq = slice(b.zq.start + k * dim, b.zq.start + (k + 1) * dim)
+            zf = slice(b.zf.start + k * dim, b.zf.start + (k + 1) * dim)
             slopes[i, [i, 2 + i]] = -sd.spring_slope, -sd.damper_slope
-            slopes[i, ch.zq] = -lin.C
-            slopes[ch.zf, 2 + i] = lin.B
-            slopes[ch.zf, ch.zq] = lin.A
+            slopes[i, zq] = -lin.C
+            slopes[zf, 2 + i] = lin.B
+            slopes[zf, zq] = lin.A
+        # the Jacobian is written into one buffer through fixed views of its
+        # entries, one set per batch; every entry a view misses stays zero
+        self._jacobian = np.zeros((self.p, m))
+
+        def entries(row, col, shape, steps):
+            # entry (row, col), then (row, column) steps per axis of the view
+            flat = self._jacobian.reshape(-1)[row * m + col :]
+            strides = [(dr * m + dc) * flat.itemsize for dr, dc in steps]
+            return np.lib.stride_tricks.as_strided(flat, shape, strides)
+
+        self._jacobian_views = []
+        for b in self.batches:
+            g, dim, c, zq, zf = b.count, b.block.dim, b.first, b.zq.start, b.zf.start
+            self._jacobian_views.append((
+                entries(c, c, (g,), [(1, 1)]),  # spring slopes
+                entries(c, 2 + c, (g,), [(1, 1)]),  # damper slopes
+                entries(c, zq, (g, dim), [(1, dim), (0, 1)]),  # output gradients
+                entries(zf, 2 + c, (g, dim), [(dim, 1), (1, 0)]),  # input gains
+                entries(zf, zq, (g, dim, dim), [(dim, dim), (1, 0), (0, 1)]),  # drift Jacobians
+            ))
+
+    def channels(self):
+        """(batch, k) for channel k of each batch, in channel order."""
+        return [(b, k) for b in self.batches for k in range(b.count)]
 
     def value(self, q: np.ndarray) -> np.ndarray:
         """F(q): remainder tip loads followed by remainder block drifts, at
-        one q or at each row of a block of them (a C-contiguous block). The
-        channels are evaluated on the columns of q, so one q and a block take
-        the same path, and a row gets the same bits in a block as alone."""
+        one q or at each row of a block of them (a C-contiguous block). Each
+        batch's callbacks take its traces and block states of all rows in one
+        call, so one q and a block take the same path, and a row gets the
+        same bits in a block as alone."""
         qt = q.T
-        ft = np.empty((self.p,) + qt.shape[1:])
-        for ch in self.channels:
-            i, blk, sd, lin = ch.index, ch.block, ch.sd, ch.lin
-            u_l, v_l, z = qt[i], qt[2 + i], qt[ch.zq].T
-            # the laws take the traces of one q as 0-d arrays, not as scalars:
-            # numpy rounds a scalar's power (s**3 of the cubic law) unlike an array's
-            ft[i] = -(
+        f = np.empty(q.shape[:-1] + (self.p,))
+        for b in self.batches:
+            blk, sd, lin = b.block, b.sd, b.lin
+            u_l, v_l, z = qt[b.u].T, qt[b.v].T, b.states(q, b.zq)
+            # the laws take the traces as arrays, 0-d for one channel of one q, not as
+            # scalars: numpy rounds a scalar's power (s**3 of the cubic law) unlike an array's
+            f[..., b.u] = -(
                 (blk.output(z) - np.vecdot(z, lin.C))
-                + (sd.damper.eval(qt[2 + i, ...]) - sd.damper_slope * v_l)
-                + (sd.spring.eval(qt[i, ...]) - sd.spring_slope * u_l)
+                + (sd.damper.eval(qt[b.v, ...].T) - sd.damper_slope * v_l)
+                + (sd.spring.eval(qt[b.u, ...].T) - sd.spring_slope * u_l)
             )
             drift = blk.drift(z) - np.vecdot(z[..., None, :], lin.A)
-            ft[ch.zf] = (drift + (blk.input_gain(z) - lin.B) * v_l[..., None]).T
-        return np.ascontiguousarray(ft.T)
+            f[..., b.zf] = (drift + (blk.input_gain(z) - lin.B) * v_l[..., None]).reshape(q.shape[:-1] + (-1,))
+        return f
 
     def jacobian_fd(self, q: np.ndarray, scale: float) -> np.ndarray:
         """Forward-difference Jacobian of F, column by column, with step
@@ -329,19 +399,18 @@ class RemainderMap:
 
     def jacobian_analytic(self, q: np.ndarray) -> np.ndarray:
         """Exact Jacobian of F at one q from the supplied law and block
-        derivatives."""
-        jac = self._zero_jacobian.copy()
-        for ch in self.channels:
-            i, zq, zf, blk, sd, lin = ch.index, ch.zq, ch.zf, ch.block, ch.sd, ch.lin
-            u_l, v_l, z = q[i], q[2 + i], q[zq]
-            # tip load row
-            jac[i, i] = -(sd.spring.deriv(u_l) - sd.spring_slope)
-            jac[i, 2 + i] = -(sd.damper.deriv(v_l) - sd.damper_slope)
-            jac[i, zq] = -(blk.output_grad(z) - lin.C)
+        derivatives, one call of each per batch."""
+        for b, (spring, damper, output, gain, drift) in zip(self.batches, self._jacobian_views):
+            blk, sd, lin = b.block, b.sd, b.lin
+            u_l, v_l, z = q[b.u], q[b.v], b.states(q, b.zq)
+            # tip load rows
+            spring[...] = -(sd.spring.deriv(u_l) - sd.spring_slope)
+            damper[...] = -(sd.damper.deriv(v_l) - sd.damper_slope)
+            output[...] = -(blk.output_grad(z) - lin.C)
             # block rows
-            jac[zf, 2 + i] = blk.input_gain(z) - lin.B
-            jac[zf, zq] = (blk.drift_jac(z) - lin.A) + v_l * np.asarray(blk.input_jac(z))
-        return jac
+            gain[...] = blk.input_gain(z) - lin.B
+            drift[...] = (blk.drift_jac(z) - lin.A) + v_l[..., None, None] * blk.input_jac(z)
+        return self._jacobian.copy()
 
     def q_of(self, flat_state: np.ndarray) -> np.ndarray:
         return flat_state.take(self.q_indices, axis=-1)
@@ -355,7 +424,7 @@ _BASIS_CHUNK = 256
 def _generator_matrix(op: ClosedLoopOperator) -> np.ndarray:
     """Dense G with G @ y = op.linear(y): row k of its transpose is the
     operator at the k-th unit vector, filled a chunk of unit vectors at a time."""
-    size = op.channels[-1].z.stop
+    size = op.remainder.size
     g_t = np.empty((size, size))
     for start in range(0, size, _BASIS_CHUNK):
         stop = min(start + _BASIS_CHUNK, size)

@@ -67,7 +67,7 @@ def linear_system(sys, config):
     indefinite Q raises NotPositiveDefinite before G is built."""
     op = ClosedLoopOperator(sys, config)
     n = op.n
-    q = np.zeros((op.channels[-1].z.stop,) * 2)
+    q = np.zeros((op.remainder.size,) * 2)
     q[:n, :n] = dense(require_positive_gram(op.gram_band))
     q[n : 2 * n, n : 2 * n] = dense(sys.mass_tip_band)
     q[2 * n :, 2 * n :] = op.storage_gram
