@@ -204,3 +204,65 @@ def smooth_state(sys, config, rng, scale=0.5):
         scale * rng.standard_normal(config.block_rotational.dim),
         scale * rng.standard_normal(config.block_translational.dim),
     ])
+
+
+# ---------------------------------------------------------------------------
+# Per-channel oracle of the batched remainder and energy functions
+# ---------------------------------------------------------------------------
+
+def _oracle_channels(config):
+    """(index, spring-damper law, block, linearization, block states in q,
+    block rows in F) of each channel, one at a time."""
+    channels, offset = [], 0
+    for index, (sd, block) in enumerate(((config.sd_rotational, config.block_rotational),
+                                         (config.sd_translational, config.block_translational))):
+        z = slice(offset, offset + block.dim)
+        channels.append((index, sd, block, pb.linearize_block(block), z))
+        offset += block.dim
+    return channels
+
+
+def per_channel_value(config, q):
+    """F(q) of ``RemainderMap.value``, channel by channel, at one q or at
+    each row of a block: the laws take each trace as an array (0-d for one q)."""
+    f = np.empty(q.shape[:-1] + (q.shape[-1] - 2,))
+    for c, sd, block, lin, z_at in _oracle_channels(config):
+        u, v, z = q[..., c], q[..., 2 + c], q[..., 4 + z_at.start : 4 + z_at.stop]
+        f[..., c] = -(
+            (block.output(z) - np.vecdot(z, lin.C))
+            + (sd.damper.eval(v) - sd.damper_slope * v)
+            + (sd.spring.eval(u) - sd.spring_slope * u)
+        )
+        drift = block.drift(z) - np.vecdot(z[..., None, :], lin.A)
+        f[..., 2 + z_at.start : 2 + z_at.stop] = drift + (block.input_gain(z) - lin.B) * v[..., None]
+    return f
+
+
+def per_channel_jacobian(config, q):
+    """``RemainderMap.jacobian_analytic`` at one q, channel by channel, each
+    trace a scalar."""
+    jac = np.zeros((len(q) - 2, len(q)))
+    for c, sd, block, lin, z_at in _oracle_channels(config):
+        zq, zf = slice(4 + z_at.start, 4 + z_at.stop), slice(2 + z_at.start, 2 + z_at.stop)
+        u, v, z = q[c], q[2 + c], q[zq]
+        jac[c, c] = -(sd.spring.deriv(u) - sd.spring_slope)
+        jac[c, 2 + c] = -(sd.damper.deriv(v) - sd.damper_slope)
+        jac[c, zq] = -(block.output_grad(z) - lin.C)
+        jac[zf, 2 + c] = block.input_gain(z) - lin.B
+        jac[zf, zq] = (block.drift_jac(z) - lin.A) + v * np.asarray(block.input_jac(z))
+    return jac
+
+
+def per_channel_energy(sys, config, rows):
+    """The spring potentials and block storages of ``eval_H`` and the rate
+    of ``eval_Hdot`` at a block of packed states, channel by channel."""
+    n, offset = sys.n_dof, 2 * sys.n_dof
+    springs, storages, rate = [], [], np.zeros(len(rows))
+    for c, sd, block, lin, z_at in _oracle_channels(config):
+        tip = (sys.tip_slope_index, sys.tip_value_index)[c]
+        z, v = rows[:, offset + z_at.start : offset + z_at.stop], rows[:, n + tip]
+        springs.append(pb.dynamics.spring_potential(sd.spring, rows[:, tip]))
+        storages.append(np.broadcast_to(block.storage(z), len(rows)))
+        rate += np.vecdot(block.drift(z), block.storage_grad(z))
+        rate -= sd.damper.eval(v) * v
+    return springs, storages, rate

@@ -155,7 +155,8 @@ def test_preconditions_rejected():
 # Batched evaluation: same reports as per-point evaluation
 # ---------------------------------------------------------------------------
 
-BATCHED_CALLBACKS = ("drift", "input_gain", "output", "storage", "storage_grad")
+BATCHED_CALLBACKS = ("drift", "input_gain", "output", "storage", "storage_grad", "drift_jac", "input_jac",
+                     "output_grad")
 BLOCKS = {name: {} for name in BLOCK_BUILDERS} | {"linear-dim3": {"dim": 3}}
 
 

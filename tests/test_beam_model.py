@@ -217,9 +217,27 @@ def test_block_rejects_nonzero_origin():
 @given(data=st.data(), name=st.sampled_from(sorted(BLOCK_BUILDERS)), count=st.integers(1, 6))
 def test_registry_block_callbacks_broadcast_over_batch(data, name, count):
     block = pb.make_block(name, **({"dim": data.draw(st.integers(1, 4))} if name == "linear" else {}))
-    z = data.draw(arrays(np.float64, (count, block.dim), elements=st.floats(-5.0, 5.0)))
-    for callback in ("drift", "input_gain", "output", "storage", "storage_grad"):
+    z = data.draw(arrays(np.float64, (count, 2, block.dim), elements=st.floats(-5.0, 5.0)))
+    for callback in ("drift", "input_gain", "output", "storage", "storage_grad", "drift_jac", "input_jac",
+                     "output_grad"):
         f = getattr(block, callback)
-        rows = np.array([np.asarray(f(row), dtype=float) for row in z])
+        rows = np.array([[np.asarray(f(state), dtype=float) for state in row] for row in z])
         batched = np.broadcast_to(np.asarray(f(z), dtype=float), rows.shape)
         np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=1e-13, err_msg=callback)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_BUILDERS))
+def test_registry_block_constants_are_read_only_and_still_certify(name):
+    block = pb.make_block(name)
+    z = np.full(block.dim, 0.3)
+    for callback in ("input_gain", "output_grad", "input_jac"):
+        value = getattr(block, callback)(z)
+        if callback != "output_grad" or name != "saturating":  # its output gradient depends on z
+            assert value is getattr(block, callback)(-z), callback
+            assert not value.flags.writeable, callback
+            with pytest.raises(ValueError):
+                value[...] = 1.0
+    lin = pb.linearize_block(block)
+    assert np.array_equal(lin.B, block.input_gain(np.zeros(block.dim)))
+    report = pb.certify_block(block, radius=1.5, samples=200)
+    assert report.passed == (name != "anti-stable")

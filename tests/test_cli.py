@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,3 +319,40 @@ def test_bad_section_values_exit_1(tmp_path, capsys, section, value):
     assert cli.run("simulate", path, out=tmp_path / "out") == 1
     assert section in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "mode,section,value,key",
+    [
+        ("simulate", "mesh", {"n_elements": 10**9}, "mesh.n_elements"),
+        ("spectrum", "mesh", {"n_elements": cli.MAX_ELEMENTS + 1}, "mesh.n_elements"),
+        ("convergence", "convergence", {"meshes": [16, 10**9]}, "convergence.meshes"),
+        ("certify", "certify", {"radius": 1.5, "samples": 10**9}, "certify.samples"),
+        ("certify", "certify", {"radius": 1.5, "samples": cli.MAX_SAMPLES + 1}, "certify.samples"),
+        ("simulate", "integrator", {"dt": 1e-6, "t_end": 1e6}, "integrator.t_end"),
+        ("simulate", "integrator", {"dt": 1e-300, "t_end": 1e300}, "integrator.t_end"),
+    ],
+)
+def test_values_over_their_limit_exit_1_before_allocating(tmp_path, capsys, mode, section, value, key):
+    cfg = base_config(convergence={"meshes": [4, 8]})
+    cfg[section] = value
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert cli.run(mode, path, out=tmp_path / "out") == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert key in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
+
+
+def test_values_at_their_limit_are_accepted():
+    cfg = base_config(convergence={"meshes": [cli.MAX_ELEMENTS]})
+    cfg["mesh"]["n_elements"] = cli.MAX_ELEMENTS
+    cfg["certify"]["samples"] = cli.MAX_SAMPLES
+    cfg["integrator"] = {"dt": 1e-3, "t_end": cli.MAX_STEPS * 1e-3}
+    run = cli.RunConfig(cfg, "simulate")
+    assert (run.n_elements, run.meshes, run.certify["samples"]) == (cli.MAX_ELEMENTS, [cli.MAX_ELEMENTS], cli.MAX_SAMPLES)
+    assert run.integrator.n_steps == cli.MAX_STEPS
