@@ -186,11 +186,10 @@ class RunConfig:
             if getattr(self, attr) in (None, {}):
                 raise ConfigParseError(f"mode {self.mode!r} requires the {attr!r} section")
 
-    def build_channel(self, channel: str, built: dict | None = None):
+    def build_channel(self, channel: str, built: dict):
         """The spring-damper law and block of ``channel``. ``built`` maps
         each spec already built, (kind, name, params), to its object, which
         is then handed out again; specs built here are added to it."""
-        built = {} if built is None else built
         try:
             names = self.channels[channel]
         except KeyError:

@@ -220,6 +220,15 @@ def _batches(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = Tr
     return tuple(batches)
 
 
+def _entries(matrix: np.ndarray, row: int, col: int, shape: tuple, steps: list) -> np.ndarray:
+    """Writeable view of the C-contiguous ``matrix`` that starts at entry
+    (row, col) and moves by the given (rows, columns) along each of its
+    axes: the same entry of each channel of a batch is one view."""
+    flat = matrix.reshape(-1)[row * matrix.shape[1] + col :]
+    strides = [(rows * matrix.shape[1] + cols) * flat.itemsize for rows, cols in steps]
+    return np.lib.stride_tricks.as_strided(flat, shape, strides)
+
+
 class ClosedLoopOperator:
     """The closed-loop generator, its linear/nonlinear split and the energy
     inner product, on packed states (u, v, z1, z2): one vector (N,) or a
@@ -246,9 +255,9 @@ class ClosedLoopOperator:
         self._u, self._v, self._z = np.s_[..., :n], np.s_[..., n : 2 * n], np.s_[..., 2 * n :]
         # storage Hessians P1, P2 on the diagonal (scipy's block_diag costs 50 us)
         self.storage_gram = np.zeros((rem.size - 2 * n,) * 2)
-        for b, k in rem.channels():
-            start = b.z.start - 2 * n + k * b.block.dim
-            self.storage_gram[start : start + b.block.dim, start : start + b.block.dim] = b.lin.P
+        for b in rem.batches:
+            start, dim = b.z.start - 2 * n, b.block.dim
+            _entries(self.storage_gram, start, start, (b.count, dim, dim), [(dim, dim), (1, 0), (0, 1)])[...] = b.lin.P
         self.sys = sys
         self.gram_band = displacement_gram(
             sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope)
@@ -329,39 +338,32 @@ class RemainderMap:
         placement[n : 2 * n, :2] = solve_mass_tip(sys, sys.tip_unit_columns())
         placement[2 * n :, 2:] = np.eye(self.p - 2)
         self.placement = placement
-        self.slopes = slopes = np.zeros((self.p, m))
-        for b, k in self.channels():
-            i, sd, lin, dim = b.first + k, b.sd, b.lin, b.block.dim
-            zq = slice(b.zq.start + k * dim, b.zq.start + (k + 1) * dim)
-            zf = slice(b.zf.start + k * dim, b.zf.start + (k + 1) * dim)
-            slopes[i, [i, 2 + i]] = -sd.spring_slope, -sd.damper_slope
-            slopes[i, zq] = -lin.C
-            slopes[zf, 2 + i] = lin.B
-            slopes[zf, zq] = lin.A
-        # the Jacobian is written into one buffer through fixed views of its
-        # entries, one set per batch; every entry a view misses stays zero
+        self.slopes = np.zeros((self.p, m))
+        for b, (spring, damper, output, gain, drift) in zip(self.batches, self._feedback_entries(self.slopes)):
+            spring[...], damper[...] = -b.sd.spring_slope, -b.sd.damper_slope
+            output[...], gain[...], drift[...] = -b.lin.C, b.lin.B, b.lin.A
+        # the Jacobian is written into one buffer through fixed views of the
+        # same entries; every other entry stays zero
         self._jacobian = np.zeros((self.p, m))
+        self._jacobian_entries = self._feedback_entries(self._jacobian)
 
-        def entries(row, col, shape, steps):
-            # entry (row, col), then (row, column) steps per axis of the view
-            flat = self._jacobian.reshape(-1)[row * m + col :]
-            strides = [(dr * m + dc) * flat.itemsize for dr, dc in steps]
-            return np.lib.stride_tricks.as_strided(flat, shape, strides)
-
-        self._jacobian_views = []
+    def _feedback_entries(self, matrix: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Views, per batch, of the entries of a p x m ``matrix`` that the
+        feedback of its g channels fills: in the tip-load rows the spring
+        and damper entries (g,) and the block-state entries (g, dim), in the
+        block rows the velocity entries (g, dim) and the block-state entries
+        (g, dim, dim)."""
+        views = []
         for b in self.batches:
             g, dim, c, zq, zf = b.count, b.block.dim, b.first, b.zq.start, b.zf.start
-            self._jacobian_views.append((
-                entries(c, c, (g,), [(1, 1)]),  # spring slopes
-                entries(c, 2 + c, (g,), [(1, 1)]),  # damper slopes
-                entries(c, zq, (g, dim), [(1, dim), (0, 1)]),  # output gradients
-                entries(zf, 2 + c, (g, dim), [(dim, 1), (1, 0)]),  # input gains
-                entries(zf, zq, (g, dim, dim), [(dim, dim), (1, 0), (0, 1)]),  # drift Jacobians
+            views.append((
+                _entries(matrix, c, c, (g,), [(1, 1)]),
+                _entries(matrix, c, 2 + c, (g,), [(1, 1)]),
+                _entries(matrix, c, zq, (g, dim), [(1, dim), (0, 1)]),
+                _entries(matrix, zf, 2 + c, (g, dim), [(dim, 1), (1, 0)]),
+                _entries(matrix, zf, zq, (g, dim, dim), [(dim, dim), (1, 0), (0, 1)]),
             ))
-
-    def channels(self):
-        """(batch, k) for channel k of each batch, in channel order."""
-        return [(b, k) for b in self.batches for k in range(b.count)]
+        return views
 
     def value(self, q: np.ndarray) -> np.ndarray:
         """F(q): remainder tip loads followed by remainder block drifts, at
@@ -400,7 +402,7 @@ class RemainderMap:
     def jacobian_analytic(self, q: np.ndarray) -> np.ndarray:
         """Exact Jacobian of F at one q from the supplied law and block
         derivatives, one call of each per batch."""
-        for b, (spring, damper, output, gain, drift) in zip(self.batches, self._jacobian_views):
+        for b, (spring, damper, output, gain, drift) in zip(self.batches, self._jacobian_entries):
             blk, sd, lin = b.block, b.sd, b.lin
             u_l, v_l, z = q[b.u], q[b.v], b.states(q, b.zq)
             # tip load rows

@@ -52,16 +52,24 @@ def build(channel):
     return pb.SpringDamperLaw(pb.make_law(damper, **dp), pb.make_law(spring, **sp)), pb.make_block(block, **bp)
 
 
+FORMS = ("shared", "equal", "different", "shared-block", "shared-laws")
+
+
 def closed_loop(beam, form, first, second):
     """The config of ``form``: one set of objects on both channels, two sets
-    built from the first spec, or the two specs."""
+    built from the first spec, the two specs, or the two specs with one block
+    object or one law object on both channels."""
     sd1, block1 = build(first)
     sd2, block2 = (sd1, block1) if form == "shared" else build(first if form == "equal" else second)
+    if form == "shared-block":
+        block2 = block1
+    if form == "shared-laws":
+        sd2 = sd1
     return pb.ClosedLoopConfig(beam, sd1, sd2, block1, block2)
 
 
 @settings(max_examples=60, deadline=None)
-@given(form=st.sampled_from(["shared", "equal", "different"]), first=channel_spec, second=channel_spec,
+@given(form=st.sampled_from(FORMS), first=channel_spec, second=channel_spec,
        seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.01, 0.5, 2.0]))
 def test_batched_remainder_and_energy_match_the_per_channel_oracle(sys4, beam, form, first, second, seed, scale):
     config = closed_loop(beam, form, first, second)
@@ -83,6 +91,15 @@ def test_batched_remainder_and_energy_match_the_per_channel_oracle(sys4, beam, f
     one = pb.eval_H(rows[0], sys4, config)
     assert (one.spring_potential_rot, one.storage_z2) == (springs[0][0], storages[1][0])
     assert pb.eval_Hdot(rows[0], sys4, config) == rate[0]
+
+
+@pytest.mark.parametrize("name,params", [("linear", {"slope": 1.7}), ("cubic", {"slope": 0.6, "cubic": 2.3}),
+                                         ("tanh", {"gain": 3.1}), ("zero", {})])
+def test_registry_derivatives_round_alike_on_a_scalar_and_an_array(name, params):
+    # the Jacobian passes one channel's trace as a scalar and a batch's as an array
+    deriv = pb.make_law(name, **params).deriv
+    s = np.random.default_rng(8).standard_normal(20_000) * np.random.default_rng(9).uniform(0.0, 3.0, 20_000)
+    assert np.array_equal(deriv(s), [deriv(x) for x in s])
 
 
 def test_block_whose_derivatives_do_not_batch_gets_stand_ins(sys4, beam):

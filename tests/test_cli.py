@@ -354,5 +354,25 @@ def test_values_at_their_limit_are_accepted():
     cfg["certify"]["samples"] = cli.MAX_SAMPLES
     cfg["integrator"] = {"dt": 1e-3, "t_end": cli.MAX_STEPS * 1e-3}
     run = cli.RunConfig(cfg, "simulate")
-    assert (run.n_elements, run.meshes, run.certify["samples"]) == (cli.MAX_ELEMENTS, [cli.MAX_ELEMENTS], cli.MAX_SAMPLES)
+    assert (run.n_elements, run.meshes) == (cli.MAX_ELEMENTS, [cli.MAX_ELEMENTS])
+    assert run.certify["samples"] == cli.MAX_SAMPLES
     assert run.integrator.n_steps == cli.MAX_STEPS
+
+
+def test_shared_objects_are_certified_once_with_the_same_report(tmp_path, monkeypatch):
+    path = write_config(tmp_path, base_config())
+    calls = []
+    for name in ("certify_spring_damper", "certify_block"):
+        original = getattr(cli.assumptions, name)
+        monkeypatch.setattr(cli.assumptions, name,
+                            lambda part, *a, _f=original, **k: calls.append(id(part)) or _f(part, *a, **k))
+    assert cli.run("certify", path, out=tmp_path / "shared") == 0
+    assert len(calls) == len(set(calls)) == 2
+    # distinct objects of the same specs: four certifications, the same bytes
+    monkeypatch.setattr(cli.RunConfig, "closed_loop", lambda self: cli.ClosedLoopConfig(
+        self.beam, *(self.build_channel(c, {})[0] for c in ("rotational", "translational")),
+        *(self.build_channel(c, {})[1] for c in ("rotational", "translational"))))
+    assert cli.run("certify", path, out=tmp_path / "distinct") == 0
+    assert len(calls) == 6
+    assert (tmp_path / "shared" / "certification.json").read_bytes() == \
+        (tmp_path / "distinct" / "certification.json").read_bytes()
