@@ -454,6 +454,16 @@ def make_law(name: str, **params) -> ScalarLaw:
     return builder(**params)
 
 
+def _row_product(z, m: np.ndarray) -> np.ndarray:
+    """z @ m for states z with any leading axes. Numpy runs a stacked product
+    as one small product per leading index, about 6x slower than one product
+    over all the states, for the (R, g, dim) states of R packed states."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim <= 2:
+        return z @ m
+    return (z.reshape(-1, z.shape[-1]) @ m).reshape(z.shape[:-1] + m.shape[1:])
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only: a constant a block callback returns on every call."""
     a.flags.writeable = False
@@ -472,7 +482,7 @@ def _make_linear_block(dim: int = 1, rate: float = 1.0, gain: float = 1.0) -> Pa
         dim=dim,
         drift=lambda z: -rate * np.asarray(z, dtype=float),
         input_gain=lambda z: B,
-        output=lambda z: np.asarray(z, dtype=float) @ B,
+        output=lambda z: _row_product(z, B),
         storage=lambda z: 0.5 * np.vecdot(z, z),
         storage_grad=lambda z: np.asarray(z, dtype=float).copy(),
         drift_jac=lambda z: A,
@@ -495,7 +505,7 @@ def _make_cubic_drift_block(strength: float = 1.0) -> PassiveBlock:
 
     def drift(z):
         z = np.asarray(z, dtype=float)
-        return z @ A_T - (strength * np.vecdot(z, z))[..., None] * z
+        return _row_product(z, A_T) - (strength * np.vecdot(z, z))[..., None] * z
 
     def drift_jac(z):
         z = np.asarray(z, dtype=float)
@@ -528,7 +538,7 @@ def _make_saturating_block() -> PassiveBlock:
 
     return PassiveBlock(
         dim=2,
-        drift=lambda z: np.tanh(np.asarray(z, dtype=float)) @ A_T,
+        drift=lambda z: _row_product(np.tanh(np.asarray(z, dtype=float)), A_T),
         input_gain=lambda z: B,
         output=lambda z: np.tanh(np.asarray(z, dtype=float)[..., 1]),
         storage=lambda z: np.sum(np.log(np.cosh(np.asarray(z, dtype=float))), axis=-1),
