@@ -51,8 +51,9 @@ class SpectrumReport:
 
 def require_positive_gram(gram_band: np.ndarray) -> np.ndarray:
     """``gram_band`` if the banded displacement Gram (``displacement_gram``)
-    has a positive lowest eigenvalue; raises NotPositiveDefinite otherwise."""
-    if not scipy.linalg.eigvals_banded(gram_band, select="i", select_range=(0, 0))[0] > 0.0:
+    is positive definite, that is, if its banded Cholesky factorization
+    succeeds; raises NotPositiveDefinite otherwise."""
+    if scipy.linalg.lapack.dpbtrf(gram_band)[1] != 0:
         raise NotPositiveDefinite(
             "energy Gram matrix is not positive definite; check spring slopes and storage Hessians")
     return gram_band
@@ -68,6 +69,18 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([_traces(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
 
 
+def _standard_form(factor: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """C = U^-T A U^-1 in Fortran order, for A in upper symmetric-band storage
+    and U an upper banded Cholesky factor: two banded triangular solves on
+    dense A, then the mean of C and C^T, so that C is exactly symmetric."""
+    x = scipy.linalg.lapack.dtbtrs(factor, dense(band).T, trans="T", overwrite_b=1)[0]  # U^-T A; A = A^T
+    c = scipy.linalg.lapack.dtbtrs(factor, np.asfortranarray(x.T), trans="T", overwrite_b=1)[0]
+    np.copyto(x, c.T)  # a transposing copy and a contiguous sum: a third of the time of c + c.T
+    x += c
+    x *= 0.5
+    return x
+
+
 class SecularFunction:
     """det(lambda - G) for the linear generator G = G_beam + P L E_q^T of
     ``RemainderMap`` in its rank-p secular form, lambda^dim z prod_k
@@ -77,10 +90,17 @@ class SecularFunction:
     phi_k = omega_k^2 M_tip phi_k, w_k the tip rows of phi_k: its tip-load
     columns are (T; lambda T; 0), its block columns (0; 0; I / lambda).
 
-    The modes come from the pencil (K, M_tip), accurate at the fast end, or
-    with ``slow_end`` from (M_tip, K) as in ``beam_frequencies``, accurate at
-    the slow end (at n=64 the slowest eigenvector is off by 5e-9 and 9e-11,
-    against a 25-digit solution).
+    The modes come from the pencil (A, B) = (K, M_tip), accurate at the fast
+    end, or with ``slow_end`` from (M_tip, K) as in ``beam_frequencies``,
+    accurate at the slow end. With U the banded Cholesky factor of B (the
+    stored ``mass_tip_factor``, or one ``dpbtrf`` of K), the standard matrix
+    C = U^-T A U^-1 is reduced to a tridiagonal T = Q^T C Q from the clamped
+    end by Householder reflectors (Golub & Van Loan, Matrix Computations,
+    8.3), and T = Z diag Z^T is solved by divide and conquer. The modes U^-1
+    Q Z are never formed: their tip rows are the tip rows of Q (the
+    reflectors applied to two unit vectors) times Z, through U's trailing
+    2 x 2 block, O(n^2) work; ``eigenvector`` applies Z, Q and U^-1 to one
+    vector.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, slow_end: bool = False):
@@ -94,15 +114,29 @@ class SecularFunction:
         self.exact, self.coupled = np.diag(rem.slopes[2:, 4:])[alone], np.delete(np.arange(rem.p - 2), alone)
         self.slopes = np.delete(np.delete(rem.slopes, 2 + alone, axis=0), 4 + alone, axis=1)
         self.dim_z = len(self.coupled)
-        pencil = (dense(sys.stiffness_band), dense(sys.mass_tip_band))
-        try:
-            values, modes = scipy.linalg.eigh(*(pencil[::-1] if slow_end else pencil))
-        except scipy.linalg.LinAlgError as exc:
-            raise EigenSolverFailure(f"modes of the bare beam failed: {exc}") from exc
+        lapack, n = scipy.linalg.lapack, sys.n_dof
+        factor, other = sys.mass_tip_factor, sys.stiffness_band
+        if slow_end:
+            factor, info = lapack.dpbtrf(sys.stiffness_band)
+            if info != 0:
+                raise EigenSolverFailure(f"the bare beam's stiffness is not positive definite (dpbtrf info {info})")
+            other = sys.mass_tip_band
+        lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])  # dsytrd's default n runs unblocked
+        c, diagonal, off_diagonal, tau, _ = lapack.dsytrd(_standard_form(factor, other), lower=1, lwork=lwork,
+                                                          overwrite_a=1)
+        reflectors = np.asfortranarray(c[1:, :-1])  # Q = diag(1, Q') and Q' in the layout of a QR factor
+        del c  # the standard matrix goes before dstevd allocates Z and its workspace
+        values, z, info = lapack.dstevd(diagonal, off_diagonal)
+        if info != 0:
+            raise EigenSolverFailure(f"modes of the bare beam failed (dstevd info {info})")
         if slow_end:  # 1 / omega_k^2 and K-orthonormal modes, slowest first
-            values, modes = 1.0 / values[::-1], (modes / np.sqrt(values))[:, ::-1]
-        self.omega, self.modes = np.sqrt(values), modes
-        self.tips = self.modes[[sys.tip_slope_index, sys.tip_value_index]]  # w_k as columns
+            values, z = 1.0 / values[::-1], z[:, ::-1] / np.sqrt(values[::-1])
+        self.omega = np.sqrt(values)
+        self._basis = factor, reflectors, tau, z  # the modes U^-1 Q Z
+        unit = np.eye(n, 2, 2 - n)  # e at the tip value and tip slope DOFs
+        unit[1:] = lapack.dormqr("L", "T", reflectors, tau, unit[1:], 2)[0]
+        # U^-1 is upper triangular: its two tip rows are those of the trailing block's inverse
+        self.tips = lapack.dtbtrs(factor[:, -2:], unit.T @ z)[0][::-1]  # w_k as columns
         self._outer = (self.tips[:, None] * self.tips[None, :]).reshape(4, -1).T  # w_k w_k^T as rows
 
     def _pieces(self, lam: np.ndarray):
@@ -170,7 +204,12 @@ class SecularFunction:
         u = sum_k phi_k w_k^T c_tip / (lambda^2 + omega_k^2), v = lambda u, z = c_z / lambda."""
         s, matrix, _ = self._pieces(np.array([lam]))
         c = np.linalg.svd(matrix[0])[2][-1].conj()
-        u = self.modes @ (s[0] * (c[:2] @ self.tips))
+        factor, reflectors, tau, vectors = self._basis
+        weights = s[0] * (c[:2] @ self.tips)
+        u = vectors @ np.column_stack([weights.real, weights.imag])  # real and imaginary parts as columns
+        u[1:] = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, u[1:], 2)[0]
+        u = scipy.linalg.lapack.dtbtrs(factor, u)[0]
+        u = u[:, 0] + 1j * u[:, 1]
         z = np.zeros(len(self.coupled) + len(self.exact), complex)
         z[self.coupled] = c[2:] / lam
         return np.concatenate([u, lam * u, z])

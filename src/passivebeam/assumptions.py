@@ -33,6 +33,10 @@ _BLOCK_GRID_POINTS = 512
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
+#: uniform points drawn per rejection round: bounds a round's memory (2.6 MB
+#: at dim 10) where 2^dim candidates per wanted point would not
+_DRAW_ROWS = 2**15
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -117,13 +121,14 @@ def _ball_points(dim: int, radius: float, n_halton: int, n_uniform: int, seed: i
             break
         count = min(2 * count, cap)
     # one PCG64 word per double: drawing (k, dim) blocks keeps the stream of
-    # successive single-point draws
+    # successive single-point draws, so rounds of any size accept the same points
     rng = np.random.default_rng(seed)
-    uniform = np.empty((0, dim))
-    while len(uniform) < n_uniform:
-        draw = rng.uniform(-radius, radius, size=(2**dim * (n_uniform - len(uniform)), dim))
-        uniform = np.concatenate([uniform, draw[_in_shell(draw, r_min, radius)]])
-    return np.concatenate([halton, uniform[:n_uniform]])
+    uniform, found = [np.empty((0, dim))], 0
+    while found < n_uniform:
+        draw = rng.uniform(-radius, radius, size=(min(2**dim * (n_uniform - found), _DRAW_ROWS), dim))
+        uniform.append(draw[_in_shell(draw, r_min, radius)])
+        found += len(uniform[-1])
+    return np.concatenate([halton, np.concatenate(uniform)[:n_uniform]])
 
 
 def _law_samples(radius: float, samples: int, seed: int) -> np.ndarray:

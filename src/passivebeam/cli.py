@@ -56,10 +56,12 @@ _CERTIFY_KEYS = {"radius", "samples", "h_threshold"}
 _CONVERGENCE_KEYS = {"meshes"}
 
 #: upper limits: elements of a mesh (``mesh.n_elements`` and each of
-#: ``convergence.meshes``), ``certify.samples``, and steps t_end / dt
+#: ``convergence.meshes``), ``certify.samples``, steps t_end / dt, and the
+#: values simulate stores, records x packed state width (800 MB of doubles)
 MAX_ELEMENTS = 4096
 MAX_SAMPLES = 100_000
 MAX_STEPS = 10_000_000
+MAX_RECORD_VALUES = 100_000_000
 
 
 def _number(value, where: str, expect: str = "a number", ok=lambda v: True):
@@ -325,9 +327,16 @@ def _mode_certify(cfg: RunConfig, writer: ArtifactWriter) -> int:
 
 def _mode_simulate(cfg: RunConfig, writer: ArtifactWriter) -> int:
     loop = cfg.closed_loop()
+    cfg.needs("integrator", "n_elements")
+    # simulate stores every record, steps 0, record_every, ... and the last
+    records = -(-cfg.integrator.n_steps // cfg.integrator.record_every) + 1
+    width = 4 * cfg.n_elements + loop.block_rotational.dim + loop.block_translational.dim
+    if records * width > MAX_RECORD_VALUES:
+        raise ConfigParseError(
+            f"integrator.record_every must keep the stored records within {MAX_RECORD_VALUES} values, "
+            f"got {records} records of {width} values")
     if not _certify(cfg, writer, loop):
         return 2
-    cfg.needs("integrator")
     sys_d = cfg.system()
     if cfg.initial["kind"] == "zero":
         y0 = dynamics.zero_state(sys_d, loop)

@@ -57,6 +57,20 @@ def dense_beam_frequencies(sys, count=5):
     return np.sqrt(1.0 / mu[::-1][:count])
 
 
+def dense_modes(sys, slow_end=False):
+    """Frequencies omega_k (ascending) and tip rows w_k (tip slope, tip value)
+    of the M_tip-orthonormal bare-beam modes from the dense generalized
+    eigenproblem of the pencil (K, M_tip), or with ``slow_end`` of the
+    inverted pencil (M_tip, K): the dense oracles of ``analysis.SecularFunction``."""
+    stiffness, mass = dense(sys.stiffness_band), dense(sys.mass_tip_band)
+    if slow_end:
+        mu, modes = scipy.linalg.eigh(mass, stiffness)  # 1 / omega^2, K-orthonormal modes
+        values, modes = 1.0 / mu[::-1], (modes / np.sqrt(mu))[:, ::-1]
+    else:
+        values, modes = scipy.linalg.eigh(stiffness, mass)
+    return np.sqrt(values), modes[[sys.tip_slope_index, sys.tip_value_index]]
+
+
 def linear_system(sys, config):
     """Dense linear generator G and energy Gram Q from one
     ``ClosedLoopOperator`` (one linearization of each block): G is read off

@@ -10,6 +10,7 @@ import scipy.optimize
 
 import passivebeam as pb
 from passivebeam import analysis
+from passivebeam.discretization import dense
 from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix
 from passivebeam.errors import EigenSolverFailure, EmptyTrajectory, NotPositiveDefinite
 
@@ -17,6 +18,7 @@ from conftest import (
     asymmetric_config,
     default_config,
     dense_beam_frequencies,
+    dense_modes,
     dense_projected_system,
     dense_spectrum,
     linear_config,
@@ -150,6 +152,60 @@ def test_secular_roots_are_checked_against_the_trace(sys8, beam):
     secular.trace += 1.0
     with pytest.raises(EigenSolverFailure, match="miss the trace"):
         secular.roots()
+
+
+@pytest.mark.parametrize("n_elements", [1, 2, 8, 64])
+@pytest.mark.parametrize("slow_end", [False, True])
+def test_secular_modes_match_the_dense_pencil(beam, n_elements, slow_end):
+    # compared as eigenpairs of the pencil solved, (K, M_tip) or (M_tip, K):
+    # eigenvalues lam_k (omega_k^2 or 1 / omega_k^2) to eps max lam, and the
+    # tip outer products of the B-orthonormal modes to eps max lam / gap_k
+    # (Weyl and Davis-Kahan on the standard matrix). K's banded factor is
+    # ill-conditioned (cond K = 4e8 at n=64), and the standard matrix formed
+    # with it errs by about sqrt(cond K) times more. The largest errors seen
+    # are 3.3 and 20 of these scales for the two pencils (n <= 128).
+    sys_n = make_system(beam, n_elements)
+    secular = analysis.SecularFunction(sys_n, default_config(beam), slow_end=slow_end)
+
+    def pencil(omega, tips):
+        if slow_end:
+            return (1.0 / omega**2)[::-1], (tips / omega)[:, ::-1]
+        return omega**2, tips
+
+    lam, tips = pencil(secular.omega, secular.tips)
+    expected, expected_tips = pencil(*dense_modes(sys_n, slow_end))
+    scale = 64 * np.finfo(float).eps * expected.max()
+    if slow_end:
+        scale *= np.sqrt(np.linalg.cond(dense(sys_n.stiffness_band)))
+    gaps = (np.abs(expected[:, None] - expected) + np.diag(np.full(len(lam), np.inf))).min(axis=1)
+    outer, expected_outer = (t[:, None] * t[None, :] for t in (tips, expected_tips))  # free of each mode's sign
+    assert len(lam) == sys_n.n_dof
+    assert np.abs(lam - expected).max() <= scale
+    assert np.all(np.abs(outer - expected_outer).max(axis=(0, 1)) <= scale / gaps * np.abs(expected_outer).max())
+
+
+def test_slowest_frequency_is_no_worse_than_the_dense_pencil(beam):
+    # the inverted pencil (M_tip, K) is the accurate one at the slow end
+    sys_n = make_system(beam, 256)
+    reference = dense_modes(sys_n, slow_end=True)[0][0]
+    omega = analysis.SecularFunction(sys_n, default_config(beam)).omega[0]
+    assert abs(omega - reference) <= abs(dense_modes(sys_n)[0][0] - reference)
+
+
+def test_spectrum_forms_at_most_four_mode_blocks(beam):
+    # one n_dof x n_dof block of doubles is 2.1 MB at n=256: the standard
+    # matrix, the tridiagonal eigenvectors Z and dstevd's workspace are three;
+    # a dense generalized eigh and its modes took six
+    sys_n = make_system(beam, 256)
+    config = default_config(beam)
+    pb.spectrum(sys_n, config)
+    tracemalloc.start()
+    try:
+        pb.spectrum(sys_n, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * sys_n.n_dof**2
 
 
 @pytest.mark.parametrize("slope", [-1e5, -100.0])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,3 +356,45 @@ def test_ball_points_equal_per_point_sampler(dim, seed):
     reference = _ball_points_per_point(dim, 1.7, 512, 300 * dim, seed)
     assert fast.shape == reference.shape
     assert np.array_equal(fast, reference)
+
+
+def _ball_points_one_shot(dim, radius, n_halton, n_uniform, seed):
+    """The sampler that drew 2^dim uniform candidates per wanted point in one array."""
+    r_min = 1e-3 * radius
+    cap = 100 * n_halton + 1000
+    count = min(2**dim * n_halton, cap)
+    while True:
+        cube = np.stack([2.0 * assumptions._halton(np.arange(1, count + 1), p) - 1.0
+                         for p in assumptions._PRIMES[:dim]], axis=1) * radius
+        halton = cube[assumptions._in_shell(cube, r_min, radius)][:n_halton]
+        if len(halton) == n_halton or count == cap:
+            break
+        count = min(2 * count, cap)
+    rng = np.random.default_rng(seed)
+    uniform = np.empty((0, dim))
+    while len(uniform) < n_uniform:
+        draw = rng.uniform(-radius, radius, size=(2**dim * (n_uniform - len(uniform)), dim))
+        uniform = np.concatenate([uniform, draw[assumptions._in_shell(draw, r_min, radius)]])
+    return np.concatenate([halton, uniform[:n_uniform]])
+
+
+@pytest.mark.parametrize("draw_rows", [7, assumptions._DRAW_ROWS])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 11, 101])
+def test_bounded_rounds_accept_the_one_shot_points(monkeypatch, draw_rows, dim, seed):
+    monkeypatch.setattr(assumptions, "_DRAW_ROWS", draw_rows)
+    points = assumptions._ball_points(dim, 1.7, 512, 300 * dim, seed)
+    assert np.array_equal(points, _ball_points_one_shot(dim, 1.7, 512, 300 * dim, seed))
+
+
+def test_wide_block_certification_memory_is_bounded():
+    # 2^10 candidates per wanted point in one array took 98 MB here
+    block = pb.make_block("linear", dim=10)
+    tracemalloc.start()
+    try:
+        report = pb.certify_block(block, radius=2.0, samples=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.sample_count > 1000
+    assert peak < 16 * 2**20

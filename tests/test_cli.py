@@ -348,6 +348,25 @@ def test_values_over_their_limit_exit_1_before_allocating(tmp_path, capsys, mode
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("record_every, code", [(1, 1), (10**4, 2)])
+def test_stored_records_are_bounded_before_allocating(tmp_path, capsys, monkeypatch, record_every, code):
+    # 4,096 elements and 10^7 steps: 10^7 / record_every + 1 records of
+    # 16,386 values. A run within the bound goes on to certification, which
+    # fails here (exit 2) before the system is assembled.
+    monkeypatch.setattr(cli, "_certify", lambda *args: False)
+    cfg = base_config(mesh={"n_elements": cli.MAX_ELEMENTS},
+                      integrator={"dt": 1e-3, "t_end": cli.MAX_STEPS * 1e-3, "record_every": record_every})
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert cli.run("simulate", path, out=tmp_path / "out") == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ("integrator.record_every" in capsys.readouterr().err) == (code == 1)
+    assert peak < 2**20
+
+
 def test_values_at_their_limit_are_accepted():
     cfg = base_config(convergence={"meshes": [cli.MAX_ELEMENTS]})
     cfg["mesh"]["n_elements"] = cli.MAX_ELEMENTS

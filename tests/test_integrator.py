@@ -238,12 +238,16 @@ def test_tip_mass_is_factored_once_per_system(beam, monkeypatch):
     assert routines() == ["dpbtrf"] * 2
     pb.simulate(y0, pb.IntegratorSettings(dt=1e-3, t_end=5e-3), sys_n, config)
     assert routines() == ["dpbtrf"] * 3
+    # the definiteness test of the energy Gram is one factorization of it
     linear_system(sys_n, config)
-    assert routines() == ["dpbtrf"] * 3
+    assert routines() == ["dpbtrf"] * 4
     pb.spectrum(sys_n, config)
+    assert routines() == ["dpbtrf"] * 5
+    # the slow-end modes factor the stiffness once
     pb.smooth_initial_state(sys_n, config)
-    assert routines() == ["dpbtrf"] * 3
-    # the steppers factor their midpoint matrix, never the tip mass again
+    assert routines() == ["dpbtrf"] * 6 and calls[-1][1] is sys_n.stiffness_band
+    # the steppers factor their midpoint matrix and the Gram tests the Gram,
+    # never the tip mass again
     assert not any(np.array_equal(band, sys_n.mass_tip_band) for _, band in calls[1:])
 
 
