@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam_model import PassiveBlock, SpringDamperLaw, _storage_hessian
+from .errors import SamplingFailure
 
 #: absolute margin for strict inequalities
 STRICT_MARGIN = 1e-9
@@ -36,6 +37,11 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 #: uniform points drawn per rejection round: bounds a round's memory (2.6 MB
 #: at dim 10) where 2^dim candidates per wanted point would not
 _DRAW_ROWS = 2**15
+
+#: uniform rounds in a row that may accept no point; a round expects at
+#: least two points in the shell, so only a shell test that rejects every
+#: draw runs out of them
+_EMPTY_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -110,24 +116,30 @@ def _in_shell(points: np.ndarray, r_min: float, radius: float) -> np.ndarray:
 def _ball_points(dim: int, radius: float, n_halton: int, n_uniform: int, seed: int) -> np.ndarray:
     """Low-discrepancy plus seeded uniform points in the ball of given radius,
     excluding a small inner ball. Prefixes are stable: enlarging the counts
-    extends the sample set."""
-    r_min = _INNER_FRACTION * radius
+    extends the sample set. Membership is tested on the points over the
+    radius, so no radius underflows or overflows the test; the points are
+    kept as drawn. Raises SamplingFailure when _EMPTY_ROUNDS uniform rounds
+    in a row accept no point."""
     cap = 100 * n_halton + 1000
     count = min(2**dim * n_halton, cap)
     while True:
-        cube = np.stack([2.0 * _halton(np.arange(1, count + 1), p) - 1.0 for p in _PRIMES[:dim]], axis=1) * radius
-        halton = cube[_in_shell(cube, r_min, radius)][:n_halton]
+        cube = np.stack([2.0 * _halton(np.arange(1, count + 1), p) - 1.0 for p in _PRIMES[:dim]], axis=1)
+        halton = cube[_in_shell(cube, _INNER_FRACTION, 1.0)][:n_halton] * radius
         if len(halton) == n_halton or count == cap:
             break
         count = min(2 * count, cap)
     # one PCG64 word per double: drawing (k, dim) blocks keeps the stream of
     # successive single-point draws, so rounds of any size accept the same points
     rng = np.random.default_rng(seed)
-    uniform, found = [np.empty((0, dim))], 0
+    uniform, found, empty = [np.empty((0, dim))], 0, 0
     while found < n_uniform:
+        if empty == _EMPTY_ROUNDS:
+            raise SamplingFailure(f"no uniform point in the ball of radius {radius!r} "
+                                  f"in {_EMPTY_ROUNDS} rounds in a row")
         draw = rng.uniform(-radius, radius, size=(min(2**dim * (n_uniform - found), _DRAW_ROWS), dim))
-        uniform.append(draw[_in_shell(draw, r_min, radius)])
+        uniform.append(draw[_in_shell(draw / radius, _INNER_FRACTION, 1.0)])
         found += len(uniform[-1])
+        empty = 0 if len(uniform[-1]) else empty + 1
     return np.concatenate([halton, np.concatenate(uniform)[:n_uniform]])
 
 

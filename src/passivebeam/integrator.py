@@ -87,7 +87,9 @@ class Trajectory:
 
     ``h_increase_max`` is the largest energy increase between consecutive
     recorded samples; ``h_flagged`` marks runs that exceeded the per-step
-    budget ENERGY_INCREASE_ETA * H(y0).
+    budget ENERGY_INCREASE_ETA * H(y0). ``newton_corrections`` and
+    ``jacobian_refreshes`` count the run's Newton corrections and remainder
+    Jacobian evaluations.
     """
 
     times: np.ndarray
@@ -99,6 +101,8 @@ class Trajectory:
     state_norms: np.ndarray
     h_increase_max: float = 0.0
     h_flagged: bool = False
+    newton_corrections: int = 0
+    jacobian_refreshes: int = 0
 
     CSV_COLUMNS = EnergyBreakdown.CSV_COLUMNS + ("hdot", "nonlin_norm", "tangent_norm")
 
@@ -143,16 +147,22 @@ class MidpointStepper:
     the Cayley step of the linear part, and the loads f solve
     f = F(q(y) + q(a)/2 + dt/2 q(S P) f). Newton runs on that p-dimensional
     system with the analytic remainder Jacobian (from the supplied law and
-    block derivatives) at the current midpoint. The full-space residual of an
-    iterate is exactly dt P (f - F(q_mid)); its energy norm comes from the
-    p x p Gram ``load_gram`` = P^T Q P, so no stiff product enters the
-    residual: its roundoff scales with the loads, not with the stiffness.
-    Each correction solves the p x p Newton matrix I - dt/2 J U_q by LAPACK
-    dgesv. A typical step takes two iterations: two remainder evaluations
-    and one Jacobian, 16 law and block callback calls with the README
-    channels, whose equal specs build one law and block object that both
-    channels share and that is called once for both (32 calls when the two
-    channels hold distinct objects)."""
+    block derivatives). The full-space residual of an iterate is exactly
+    dt P (f - F(q_mid)); its energy norm comes from the p x p Gram
+    ``load_gram`` = P^T Q P, so no stiff product enters the residual: its
+    roundoff scales with the loads, not with the stiffness. Newton is
+    simplified: the stepper keeps the loads of its last accepted
+    step and the LU factor (dgetrf) of the Newton matrix I - dt/2 J U_q it
+    used. A step from the state that step returned starts from those loads
+    and corrects first with the kept factor, evaluating and factoring J
+    again only when that correction leaves the residual above tol; any
+    other state starts as in a new stepper. An iterate is accepted after a
+    correction, or when its residual is exactly zero. A steady step makes
+    two remainder evaluations and no Jacobian: 10 law and block callback
+    calls with the README channels, whose equal specs build one law and
+    block object that both channels share and that is called once for both
+    (20 calls with distinct objects). ``corrections`` and
+    ``jacobian_refreshes`` count the stepper's work."""
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.dt = float(dt)
@@ -177,6 +187,10 @@ class MidpointStepper:
         # P^T Q P: e^T M_tip^-1 e for the tip loads, P1, P2 for the block rows
         self.load_gram = scipy.linalg.block_diag(rem.placement[rem.q_indices[2:4], :2], op.storage_gram)
         self._identity = np.eye(rem.p)
+        # the last accepted step: its result, its loads and the LU factor of
+        # the Newton matrix it used, kept for the step that continues from it
+        self._last = self._loads = self._factor = None
+        self.corrections = self.jacobian_refreshes = 0
 
     def _beam_solve(self, r: np.ndarray) -> np.ndarray:
         """B^-1 r for the bare beam's midpoint matrix B = I - dt/2 G_beam:
@@ -205,12 +219,15 @@ class MidpointStepper:
 
     def step_flat(self, y: np.ndarray, newton_tol: float, newton_max_iter: int) -> np.ndarray:
         """One implicit midpoint step from a packed state; raises
-        NewtonDivergence when Newton stops short of newton_tol (1 + |y|_Q)."""
+        NewtonDivergence when Newton stops short of newton_tol (1 + |y|_Q).
+        The start is warm only when y is the array the last accepted step
+        returned, so a continued run depends on the previous call, within
+        the tolerance. A step that raises keeps the last accepted one."""
         tol = newton_tol * (1.0 + self.qnorm(y))
         rem, dt = self.remainder, self.dt
         a = 2.0 * (self.solve(y) - y)  # the Cayley step of the linear part
         q_linear = rem.q_of(y) + 0.5 * rem.q_of(a)
-        f = np.zeros(rem.p)
+        f, factor = (self._loads, self._factor) if y is self._last else (np.zeros(rem.p), None)
         residual_norm, falling = math.inf, True
         for iteration in range(newton_max_iter):
             q_mid = q_linear + 0.5 * dt * (self._sel_kinv_e @ f)
@@ -224,14 +241,20 @@ class MidpointStepper:
                     f"at iteration {iteration})",
                     residual=residual_norm,
                 )
-            if residual_norm <= tol:
-                return y + a + dt * (self._kinv_e @ f)
+            # an iterate is accepted after a correction, or when it is exact
+            if residual_norm <= tol and (iteration or residual_norm == 0.0):
+                self._last = y + a + dt * (self._kinv_e @ f)
+                self._loads, self._factor = f, factor
+                return self._last
             falling = residual_norm < previous
-            newton = self._identity - 0.5 * dt * (rem.jacobian_analytic(q_mid) @ self._sel_kinv_e)
-            correction, info = scipy.linalg.lapack.dgesv(newton, delta)[2:]
-            if info != 0:
-                raise LinearSolveFailure("Newton matrix of the remainder loads is singular")
-            f = f - correction
+            if iteration or factor is None:
+                self.jacobian_refreshes += 1
+                newton = self._identity - 0.5 * dt * (rem.jacobian_analytic(q_mid) @ self._sel_kinv_e)
+                *factor, info = scipy.linalg.lapack.dgetrf(newton)
+                if info != 0:
+                    raise LinearSolveFailure("Newton matrix of the remainder loads is singular")
+            self.corrections += 1
+            f = f - scipy.linalg.lapack.dgetrs(*factor, delta)[0]
         raise NewtonDivergence(
             f"Newton did not reach tolerance {tol:.3e} in {newton_max_iter} iterations "
             f"(residual {residual_norm:.3e}, {'still falling' if falling else 'not falling'}); halve dt",
@@ -295,12 +318,11 @@ def simulate(
         if evaluated == count:
             return
         lo, rows = evaluated, packed[evaluated:count]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked once the run is recorded
-            energy[lo:count] = np.column_stack(astuple(eval_H(rows, sys, config)))
-            hdots[lo:count] = eval_Hdot(rows, sys, config)
-            nl_norms[lo:count] = stepper.nonlinear_norm(rows)
-            tan_norms[lo:count] = stepper.generator_norm(rows)
-            state_norms[lo:count] = stepper.operator.qnorm(rows)
+        energy[lo:count] = np.column_stack(astuple(eval_H(rows, sys, config)))
+        hdots[lo:count] = eval_Hdot(rows, sys, config)
+        nl_norms[lo:count] = stepper.nonlinear_norm(rows)
+        tan_norms[lo:count] = stepper.generator_norm(rows)
+        state_norms[lo:count] = stepper.operator.qnorm(rows)
         evaluated = count
         # the increase into each record from the one before it
         first = max(lo, 1)
@@ -327,22 +349,25 @@ def simulate(
         if count - evaluated == RECORD_CHUNK:
             evaluate()
 
-    store(flat)
-    for k in range(1, n_steps + 1):
-        t = k * settings.dt
-        try:
-            flat = stepper.step_flat(flat, settings.newton_tol, settings.newton_max_iter)
-        except NewtonDivergence as exc:
-            evaluate()
-            raise NewtonDivergence(
-                f"step to t={t:.6g} failed: {exc}", residual=exc.residual, time=t
-            ) from exc
-        except LinearSolveFailure as exc:
-            evaluate()
-            raise LinearSolveFailure(f"step to t={t:.6g} failed: {exc}", time=t) from exc
-        if k == record_steps[count]:
-            store(flat)
-    evaluate()
+    # overflow ends a step as a non-finite NewtonDivergence, and the records
+    # are checked once the run is recorded
+    with np.errstate(over="ignore", invalid="ignore"):
+        store(flat)
+        for k in range(1, n_steps + 1):
+            t = k * settings.dt
+            try:
+                flat = stepper.step_flat(flat, settings.newton_tol, settings.newton_max_iter)
+            except NewtonDivergence as exc:
+                evaluate()
+                raise NewtonDivergence(
+                    f"step to t={t:.6g} failed: {exc}", residual=exc.residual, time=t
+                ) from exc
+            except LinearSolveFailure as exc:
+                evaluate()
+                raise LinearSolveFailure(f"step to t={t:.6g} failed: {exc}", time=t) from exc
+            if k == record_steps[count]:
+                store(flat)
+        evaluate()
     for name, values in (("state", packed), ("energy", energy), ("energy rate", hdots),
                          ("remainder norm", nl_norms), ("tangent norm", tan_norms), ("state norm", state_norms)):
         finite = np.isfinite(values.reshape(len(times), -1)).all(axis=1)
@@ -359,6 +384,8 @@ def simulate(
         state_norms=state_norms,
         h_increase_max=float(h_increase_max),
         h_flagged=flagged,
+        newton_corrections=stepper.corrections,
+        jacobian_refreshes=stepper.jacobian_refreshes,
     )
 
 

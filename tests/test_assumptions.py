@@ -10,6 +10,7 @@ import pytest
 import passivebeam as pb
 from passivebeam import assumptions
 from passivebeam.beam_model import BLOCK_BUILDERS, LAW_BUILDERS
+from passivebeam.errors import SamplingFailure
 
 from conftest import linear_config
 
@@ -398,3 +399,26 @@ def test_wide_block_certification_memory_is_bounded():
         tracemalloc.stop()
     assert report.passed and report.sample_count > 1000
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-200, 1e300])
+def test_ball_points_at_extreme_radii(radius):
+    # the squared coordinates of such points underflow to 0 or overflow to inf
+    points = assumptions._ball_points(2, radius, 512, 300, 0)
+    assert points.shape == (812, 2)
+    r = np.linalg.norm(points / radius, axis=1)
+    assert np.all((assumptions._INNER_FRACTION <= r) & (r <= 1.0))
+
+
+def test_rejecting_every_draw_raises_after_the_empty_rounds(monkeypatch):
+    rounds = []
+
+    def reject(points, r_min, radius):
+        rounds.append(len(points))
+        return np.zeros(len(points), dtype=bool)
+
+    monkeypatch.setattr(assumptions, "_in_shell", reject)
+    with pytest.raises(SamplingFailure, match="in 64 rounds in a row"):
+        assumptions._ball_points(2, 1.0, 512, 300, 0)
+    halton_rounds = len(rounds) - assumptions._EMPTY_ROUNDS
+    assert rounds[halton_rounds:] == [4 * 300] * assumptions._EMPTY_ROUNDS

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from passivebeam import cli
+from passivebeam import assumptions, cli
 
 
 def base_config(**overrides):
@@ -69,6 +73,28 @@ def test_certify_mode_broken_damper_exits_2(tmp_path):
         c for c in report["sd_rotational"]["checks"] if not c["passed"]
     ]
     assert failed and all(c["witness"] is not None for c in failed)
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-200])
+def test_certify_at_a_tiny_radius_returns(tmp_path, radius):
+    # the squared coordinates of such points underflow to 0; a child process
+    # turns a hang into a failed test. The strict margins are absolute, so a
+    # ball this small fails certification (exit 2)
+    cfg = base_config()
+    cfg["certify"]["radius"] = radius
+    path = write_config(tmp_path, cfg)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-c", "import sys; from passivebeam import cli; sys.exit(cli.main())",
+               "certify", "--config", str(path), "--out", str(tmp_path / "out")]
+    done = subprocess.run(command, env=env, capture_output=True, timeout=10)
+    assert done.returncode == 2, done.stderr.decode()
+
+
+def test_certify_sampling_failure_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(assumptions, "_in_shell", lambda points, r_min, radius: np.zeros(len(points), bool))
+    metrics = run_failing(tmp_path, "certify", base_config())
+    assert metrics["operation"] == "SamplingFailure"
 
 
 def test_parse_error_exit_1(tmp_path, capsys):
@@ -217,6 +243,18 @@ def test_simulate_non_finite_records_exit_3(tmp_path):
     metrics = run_failing(tmp_path, "simulate", cfg)
     assert metrics["operation"] == "NonFiniteResult"
     assert "recorded tangent norm is not finite" in metrics["error"]
+
+
+# the first step overflows: in the cubic spring at 1e150, in the energy norm
+# at 1e300
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tip_fraction", [1e150, 1e300])
+def test_simulate_overflowing_step_exits_3(tmp_path, tip_fraction):
+    cfg = base_config(integrator={"dt": 0.001, "t_end": 0.01})
+    cfg["initial"]["tip_fraction"] = tip_fraction
+    metrics = run_failing(tmp_path, "simulate", cfg)
+    assert metrics["operation"] == "NewtonDivergence"
+    assert "step to t=0.001 failed: state is not finite" in metrics["error"]
 
 
 # the element matrices of an element of length 2.5e299 overflow in assemble

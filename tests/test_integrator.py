@@ -441,6 +441,88 @@ def test_record_chunk_and_block_certification_call_each_callback_once(sys6, beam
     assert calls[0] == 6 + 4 + 1
 
 
+def readme_config(beam):
+    """The README channels: one law and block object shared by both channels,
+    as the command line builds them from equal specs."""
+    config = default_config(beam)
+    return dataclasses.replace(config, sd_translational=config.sd_rotational,
+                               block_translational=config.block_rotational)
+
+
+def test_steady_step_evaluates_the_loads_twice_and_no_jacobian(sys6, beam):
+    config = readme_config(beam)
+    stepper = MidpointStepper(sys6, config, 1e-3)
+    sd, block = config.sd_rotational, config.block_rotational
+    calls = count_callback_calls(sd.damper, sd.spring, block)
+    state, per_step = pb.first_mode_initial_state(sys6, config), []
+    for _ in range(4):
+        before = calls[0]
+        state = stepper.step_flat(state, 1e-10, 25)
+        per_step.append(calls[0] - before)
+    # the first step factors a Jacobian (6 calls); then each step evaluates
+    # the loads (output, damper, spring, drift, input_gain) at the warm start
+    # and after the one correction with the kept factor
+    assert per_step == [16, 10, 10, 10]
+    assert (stepper.corrections, stepper.jacobian_refreshes) == (4, 1)
+
+
+def test_long_run_refreshes_the_jacobian_rarely(beam):
+    sys16 = make_system(beam, 16)
+    config = readme_config(beam)
+    y0 = pb.first_mode_initial_state(sys16, config)
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=4.0, record_every=4000)
+    traj = pb.simulate(y0, settings, sys16, config)
+    assert traj.newton_corrections >= 4000
+    assert traj.jacobian_refreshes <= 3
+
+
+def test_warm_and_fresh_steppers_agree_within_the_tolerance(sys6, beam):
+    config = default_config(beam)
+    warm = MidpointStepper(sys6, config, 1e-3)
+    state = pb.first_mode_initial_state(sys6, config)
+    for _ in range(200):
+        state = warm.step_flat(state, 1e-10, 25)
+    refreshes = warm.jacobian_refreshes
+    fresh = MidpointStepper(sys6, config, 1e-3).step_flat(state, 1e-10, 25)
+    stepped = warm.step_flat(state, 1e-10, 25)
+    assert warm.jacobian_refreshes == refreshes  # the warm path, on the kept factor
+    assert warm.qnorm(stepped - fresh) <= 1e-10 * (1.0 + warm.qnorm(state))
+
+
+def test_stepper_warmed_on_a_far_off_state_steps_like_a_fresh_one(sys6, beam):
+    # a warm start from far-off loads with a factor from there took up to four
+    # more iterations than a fresh stepper; a state the stepper did not just
+    # return starts cold
+    config = default_config(beam)
+    rng = np.random.default_rng(4)
+    far, state = white_state(sys6, config, rng, scale=20.0), white_state(sys6, config, rng)
+
+    def fresh_step(cap):
+        return MidpointStepper(sys6, config, 1e-3).step_flat(state, 1e-10, cap)
+
+    cap = 1
+    while True:
+        try:
+            expected = fresh_step(cap)
+            break
+        except NewtonDivergence:
+            cap += 1
+    warm = MidpointStepper(sys6, config, 1e-3)
+    warm.step_flat(far, 1e-10, 25)
+    assert np.array_equal(warm.step_flat(state, 1e-10, cap), expected)
+
+
+def test_failed_step_keeps_the_warm_start(sys6, beam):
+    config = default_config(beam)
+    stepper = MidpointStepper(sys6, config, 1e-3)
+    state = stepper.step_flat(pb.first_mode_initial_state(sys6, config), 1e-10, 25)
+    kept = MidpointStepper(sys6, config, 1e-3)
+    kept_state = kept.step_flat(pb.first_mode_initial_state(sys6, config), 1e-10, 25)
+    with pytest.raises(NewtonDivergence):
+        stepper.step_flat(white_state(sys6, config, np.random.default_rng(1), scale=5.0), 1e-10, 1)
+    assert np.array_equal(stepper.step_flat(state, 1e-10, 25), kept.step_flat(kept_state, 1e-10, 25))
+
+
 def test_simulate_failures_carry_the_failing_time(sys6, beam, monkeypatch):
     config = default_config(beam)
     state = white_state(sys6, config, np.random.default_rng(1), scale=5.0)
