@@ -7,7 +7,7 @@ frequencies, and the decay and integrability metrics of recorded runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -238,15 +238,7 @@ class DecayReport:
     tangent_sup_late: float
 
     def as_dict(self) -> dict:
-        return {
-            "h_initial": self.h_initial,
-            "h_final": self.h_final,
-            "ratio": self.ratio,
-            "nonlin_integral_total": self.nonlin_integral_total,
-            "nonlin_integral_tail": self.nonlin_integral_tail,
-            "tangent_sup": self.tangent_sup,
-            "tangent_sup_late": self.tangent_sup_late,
-        }
+        return asdict(self)
 
 
 def skew_check(

@@ -34,10 +34,6 @@ class QuadratureFailure(PassiveBeamError):
     """An adaptive quadrature did not converge within its work bound."""
 
 
-class SamplingFailure(PassiveBeamError):
-    """Certification sampling could not fill its sample set."""
-
-
 class NewtonDivergence(PassiveBeamError):
     """Newton iteration on the midpoint step's remainder loads stopped short
     of its tolerance (iteration cap or a non-finite state); ``time`` is the

@@ -10,7 +10,6 @@ import pytest
 import passivebeam as pb
 from passivebeam import assumptions
 from passivebeam.beam_model import BLOCK_BUILDERS, LAW_BUILDERS
-from passivebeam.errors import SamplingFailure
 
 from conftest import linear_config
 
@@ -228,7 +227,7 @@ def test_broadcasting_but_wrong_storage_is_evaluated_per_point():
     batched = pb.certify_block(block, radius=2.0, samples=200, seed=2)
     per_point = pb.certify_block(pointwise_block(block), radius=2.0, samples=200, seed=2)
     assert_same_report(batched, per_point)
-    pts = assumptions._ball_points(2, 2.0, 512, 200, 2)
+    pts = 2.0 * assumptions._unit_shell_points(2, 512, 200, 2)
     assert batched.check("storage-positive").value == pytest.approx(0.5 * np.min(np.sum(pts**2, axis=1)))
 
 
@@ -321,73 +320,6 @@ def test_certify_block_reports_on_broadcast_callback_values():
     assert not report.check("storage-positive").passed
 
 
-def _ball_points_per_point(dim, radius, n_halton, n_uniform, seed):
-    """The original one-point-at-a-time rejection sampler."""
-
-    def halton(index, base):
-        result, f, i = 0.0, 1.0, index
-        while i > 0:
-            f /= base
-            result += f * (i % base)
-            i //= base
-        return result
-
-    r_min = 1e-3 * radius
-    accepted = []
-    idx = 1
-    while len(accepted) < n_halton and idx <= 100 * n_halton + 1000:
-        point = np.array([2.0 * halton(idx, (2, 3, 5)[d]) - 1.0 for d in range(dim)]) * radius
-        idx += 1
-        if r_min <= np.linalg.norm(point) <= radius:
-            accepted.append(point)
-    rng = np.random.default_rng(seed)
-    taken = 0
-    while taken < n_uniform:
-        point = rng.uniform(-radius, radius, size=dim)
-        if r_min <= np.linalg.norm(point) <= radius:
-            accepted.append(point)
-            taken += 1
-    return np.array(accepted)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("seed", [0, 11, 101])
-def test_ball_points_equal_per_point_sampler(dim, seed):
-    fast = assumptions._ball_points(dim, 1.7, 512, 300 * dim, seed)
-    reference = _ball_points_per_point(dim, 1.7, 512, 300 * dim, seed)
-    assert fast.shape == reference.shape
-    assert np.array_equal(fast, reference)
-
-
-def _ball_points_one_shot(dim, radius, n_halton, n_uniform, seed):
-    """The sampler that drew 2^dim uniform candidates per wanted point in one array."""
-    r_min = 1e-3 * radius
-    cap = 100 * n_halton + 1000
-    count = min(2**dim * n_halton, cap)
-    while True:
-        cube = np.stack([2.0 * assumptions._halton(np.arange(1, count + 1), p) - 1.0
-                         for p in assumptions._PRIMES[:dim]], axis=1) * radius
-        halton = cube[assumptions._in_shell(cube, r_min, radius)][:n_halton]
-        if len(halton) == n_halton or count == cap:
-            break
-        count = min(2 * count, cap)
-    rng = np.random.default_rng(seed)
-    uniform = np.empty((0, dim))
-    while len(uniform) < n_uniform:
-        draw = rng.uniform(-radius, radius, size=(2**dim * (n_uniform - len(uniform)), dim))
-        uniform = np.concatenate([uniform, draw[assumptions._in_shell(draw, r_min, radius)]])
-    return np.concatenate([halton, uniform[:n_uniform]])
-
-
-@pytest.mark.parametrize("draw_rows", [7, assumptions._DRAW_ROWS])
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("seed", [0, 11, 101])
-def test_bounded_rounds_accept_the_one_shot_points(monkeypatch, draw_rows, dim, seed):
-    monkeypatch.setattr(assumptions, "_DRAW_ROWS", draw_rows)
-    points = assumptions._ball_points(dim, 1.7, 512, 300 * dim, seed)
-    assert np.array_equal(points, _ball_points_one_shot(dim, 1.7, 512, 300 * dim, seed))
-
-
 def test_wide_block_certification_memory_is_bounded():
     # 2^10 candidates per wanted point in one array took 98 MB here
     block = pb.make_block("linear", dim=10)
@@ -401,24 +333,81 @@ def test_wide_block_certification_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("radius", [1e-300, 1e-200, 1e300])
 def test_ball_points_at_extreme_radii(radius):
-    # the squared coordinates of such points underflow to 0 or overflow to inf
-    points = assumptions._ball_points(2, radius, 512, 300, 0)
-    assert points.shape == (812, 2)
-    r = np.linalg.norm(points / radius, axis=1)
-    assert np.all((assumptions._INNER_FRACTION <= r) & (r <= 1.0))
+    # the squared coordinates of such points underflow to 0 or overflow to
+    # inf: every point is still drawn, and every witness lies in the shell
+    report = pb.certify_block(pb.make_block("cubic-drift"), radius, 300)
+    assert report.sample_count == 812 and not report.passed
+    witnesses = [c.witness for c in report.checks if not c.passed and c.name != "hessian-positive-definite"]
+    assert witnesses
+    r = np.linalg.norm(np.array(witnesses) / radius, axis=1)
+    assert np.all((assumptions._INNER_FRACTION * (1 - 1e-12) <= r) & (r <= 1 + 1e-12))
 
 
-def test_rejecting_every_draw_raises_after_the_empty_rounds(monkeypatch):
-    rounds = []
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_unit_shell_points_fill_the_shell(dim):
+    points = assumptions._unit_shell_points(dim, 512, 1000, 7)
+    assert points.shape == (1512, dim)
+    r = np.linalg.norm(points, axis=1)
+    assert np.all((assumptions._INNER_FRACTION * (1 - 1e-12) <= r) & (r <= 1 + 1e-12))
 
-    def reject(points, r_min, radius):
-        rounds.append(len(points))
-        return np.zeros(len(points), dtype=bool)
 
-    monkeypatch.setattr(assumptions, "_in_shell", reject)
-    with pytest.raises(SamplingFailure, match="in 64 rounds in a row"):
-        assumptions._ball_points(2, 1.0, 512, 300, 0)
-    halton_rounds = len(rounds) - assumptions._EMPTY_ROUNDS
-    assert rounds[halton_rounds:] == [4 * 300] * assumptions._EMPTY_ROUNDS
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_unit_shell_points_are_seeded_and_prefix_stable(dim):
+    points = assumptions._unit_shell_points(dim, 512, 1000, 7)
+    assert np.array_equal(points, assumptions._unit_shell_points(dim, 512, 1000, 7))
+    other = assumptions._unit_shell_points(dim, 512, 1000, 8)
+    assert np.array_equal(other[:512], points[:512]) and not np.array_equal(other[512:], points[512:])
+    prefix = assumptions._unit_shell_points(dim, 100, 300, 7)
+    assert np.array_equal(prefix[:100], points[:100])
+    assert np.array_equal(prefix[100:], points[512:812])
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_halton_shell_points_are_uniform_in_the_radius(dim):
+    # r^dim of points uniform in the shell is uniform on [lo, 1]
+    lo = assumptions._INNER_FRACTION**dim
+    r = np.linalg.norm(assumptions._unit_shell_points(dim, 512, 0, 0), axis=1)
+    u = np.sort((r**dim - lo) / (1.0 - lo))
+    n = len(u)
+    ks = max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n))
+    assert ks <= 0.01
+
+
+def test_wide_block_gets_every_halton_point():
+    # rejection kept 119 of the 512 Halton points in the cube of dim 10
+    report = pb.certify_block(pb.make_block("linear", dim=10), radius=2.0, samples=1000)
+    assert report.passed and report.sample_count == 1512
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_at_a_tiny_radius_fails_without_warning():
+    # the squared norms of points of norm 1e-300 underflow to 0
+    report = pb.certify_block(pb.make_block("cubic-drift"), radius=1e-300, samples=300)
+    assert not report.passed
+    assert not report.check("storage-positive").passed
+    assert report.check("pa-negative-semidefinite").value == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_non_finite_radius_rejected(radius):
+    sd = make_sd("linear", "linear")
+    with pytest.raises(ValueError, match="positive and finite"):
+        pb.certify_block(pb.make_block("cubic-drift"), radius=radius, samples=300)
+    with pytest.raises(ValueError, match="positive and finite"):
+        pb.certify_spring_damper(sd, radius=radius, samples=300)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_check_values_fail_with_their_first_witness():
+    # the cubic drift overflows beyond about 1e102: -inf dissipation fails
+    block = pb.make_block("cubic-drift")
+    check = pb.certify_block(block, radius=1e150, samples=300).check("dissipation-strict")
+    pts = 1e150 * assumptions._unit_shell_points(2, 512, 300, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.vecdot(block.storage_grad(pts), block.drift(pts))
+    first = int(np.flatnonzero(~np.isfinite(values))[0])
+    assert (check.passed, check.value, check.witness) == (False, -np.inf, tuple(pts[first]))
+    assert values[first] == -np.inf

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from passivebeam import assumptions, cli
+from passivebeam import cli
 
 
 def base_config(**overrides):
@@ -91,10 +91,20 @@ def test_certify_at_a_tiny_radius_returns(tmp_path, radius):
     assert done.returncode == 2, done.stderr.decode()
 
 
-def test_certify_sampling_failure_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(assumptions, "_in_shell", lambda points, r_min, radius: np.zeros(len(points), bool))
-    metrics = run_failing(tmp_path, "certify", base_config())
-    assert metrics["operation"] == "SamplingFailure"
+# the cubic laws overflow at the sample points; a check whose value is not
+# finite fails, so certification exits 2 with no RuntimeWarning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e150, 1e300])
+def test_certify_at_an_overflowing_radius_exits_2(tmp_path, radius):
+    cfg = base_config()
+    cfg["certify"]["radius"] = radius
+    out = tmp_path / "out"
+    assert cli.run("certify", write_config(tmp_path, cfg), out=out) == 2
+    report = json.loads((out / "certification.json").read_text())
+    failed = {c["name"]: c for c in report["block_rotational"]["checks"] if not c["passed"]}
+    assert failed["dissipation-strict"]["value"] == -np.inf
+    assert failed["dissipation-strict"]["witness"] is not None
+    assert not report["sd_rotational"]["passed"]
 
 
 def test_parse_error_exit_1(tmp_path, capsys):
