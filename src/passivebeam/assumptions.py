@@ -33,6 +33,9 @@ STRICT_MARGIN = 1e-9
 #: skipped by sign checks (the laws vanish there by construction)
 _INNER_FRACTION = 1e-3
 
+#: largest radius: a law is sampled on [-radius, radius], of finite width
+MAX_RADIUS = 1e307
+
 _GRID_POINTS = 257
 _BLOCK_GRID_POINTS = 512
 
@@ -150,8 +153,8 @@ def certify_spring_damper(
     ``potential``, as in the Lyapunov functional). A law that overflows
     fails the check it overflows in.
     """
-    if not 0.0 < radius < np.inf:
-        raise ValueError("radius must be positive and finite")
+    if not 0.0 < radius <= MAX_RADIUS:
+        raise ValueError(f"radius must be positive and finite, at most {MAX_RADIUS}, got {radius!r}")
     if samples < 100:
         raise ValueError("samples must be >= 100")
     pts = _law_samples(radius, samples, seed)
@@ -187,8 +190,8 @@ def certify_block(
     overflows them. A callback that overflows fails the check it overflows
     in. A block of more than ``len(_PRIMES) - 1`` states is refused.
     """
-    if not 0.0 < radius < np.inf:
-        raise ValueError("radius must be positive and finite")
+    if not 0.0 < radius <= MAX_RADIUS:
+        raise ValueError(f"radius must be positive and finite, at most {MAX_RADIUS}, got {radius!r}")
     if block.dim >= len(_PRIMES):
         raise ValueError(f"block dimension {block.dim} exceeds the certification limit of {len(_PRIMES) - 1}")
     if samples < 100 * block.dim:

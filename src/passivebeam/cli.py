@@ -167,7 +167,9 @@ class RunConfig:
             with _section(raw, "certify", _CERTIFY_KEYS) as section:
                 certify.update(section)
         self.certify = {
-            "radius": float(_number(certify["radius"], "certify.radius", "a number > 0", lambda v: v > 0)),
+            "radius": float(_number(certify["radius"], "certify.radius",
+                                    f"a number > 0 and <= {assumptions.MAX_RADIUS}",
+                                    lambda v: 0 < v <= assumptions.MAX_RADIUS)),
             "samples": _count(certify["samples"], "certify.samples", 100, MAX_SAMPLES),
             "h_threshold": float(_number(certify["h_threshold"], "certify.h_threshold")),
         }

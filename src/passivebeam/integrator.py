@@ -47,6 +47,10 @@ _BETA1_L = 1.8751040687119612
 #: bounds the temporaries of one evaluation
 RECORD_CHUNK = 256
 
+#: weights of the kept loads F_k, F_k-1, F_k-2 (newest first) by how many are
+#: kept: the polynomial through them, of degree 0, 1 or 2, at the next step
+_EXTRAPOLATION = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
+
 
 @dataclass(frozen=True)
 class IntegratorSettings:
@@ -87,9 +91,9 @@ class Trajectory:
 
     ``h_increase_max`` is the largest energy increase between consecutive
     recorded samples; ``h_flagged`` marks runs that exceeded the per-step
-    budget ENERGY_INCREASE_ETA * H(y0). ``newton_corrections`` and
-    ``jacobian_refreshes`` count the run's Newton corrections and remainder
-    Jacobian evaluations.
+    budget ENERGY_INCREASE_ETA * H(y0). ``residual_evaluations``,
+    ``newton_corrections`` and ``jacobian_refreshes`` are the stepper's
+    counts of its work (``MidpointStepper``).
     """
 
     times: np.ndarray
@@ -101,6 +105,7 @@ class Trajectory:
     state_norms: np.ndarray
     h_increase_max: float = 0.0
     h_flagged: bool = False
+    residual_evaluations: int = 0
     newton_corrections: int = 0
     jacobian_refreshes: int = 0
 
@@ -135,34 +140,31 @@ class MidpointStepper:
     packed state to the packed state dt later (dt finite, maybe negative).
     Build the stepper once and reuse it; ``simulate`` does.
 
-    Holds the closed-loop operator of (system, config) and the exact solve
-    S = (I - dt/2 G)^-1 for the linear generator G = G_beam + P L E_q^T. I -
-    dt/2 G is never formed: the bare beam's midpoint matrix B = I - dt/2
-    G_beam reduces to one banded SPD velocity matrix, factored once, and the
-    rank-p feedback term is inverted by Woodbury through U = B^-1 P and a
-    p x p capacitance, so a solve and an energy norm cost O(n).
+    The solve S = (I - dt/2 G)^-1 for the linear generator G = G_beam + P L
+    E_q^T is exact and O(n): the bare beam's B = I - dt/2 G_beam reduces to
+    one banded SPD velocity matrix, factored once, and the rank-p feedback
+    term is inverted by Woodbury through S P.
 
     With the generator split G y + P F(q(y)) (placement P, remainder loads
-    F of the p-vector q), a step is w = y + a + dt S P f: a = 2 (S y - y) is
-    the Cayley step of the linear part, and the loads f solve
-    f = F(q(y) + q(a)/2 + dt/2 q(S P) f). Newton runs on that p-dimensional
-    system with the analytic remainder Jacobian (from the supplied law and
-    block derivatives). The full-space residual of an iterate is exactly
-    dt P (f - F(q_mid)); its energy norm comes from the p x p Gram
-    ``load_gram`` = P^T Q P, so no stiff product enters the residual: its
-    roundoff scales with the loads, not with the stiffness. Newton is
-    simplified: the stepper keeps the loads of its last accepted
-    step and the LU factor (dgetrf) of the Newton matrix I - dt/2 J U_q it
-    used. A step from the state that step returned starts from those loads
-    and corrects first with the kept factor, evaluating and factoring J
-    again only when that correction leaves the residual above tol; any
-    other state starts as in a new stepper. An iterate is accepted after a
-    correction, or when its residual is exactly zero. A steady step makes
-    two remainder evaluations and no Jacobian: 10 law and block callback
-    calls with the README channels, whose equal specs build one law and
-    block object that both channels share and that is called once for both
-    (20 calls with distinct objects). ``corrections`` and
-    ``jacobian_refreshes`` count the stepper's work."""
+    F of the p-vector q), h = dt/2, x = B^-1 y and g = L q(x), a step is
+    w = 2 x - y + dt S P (g + f), where f = F(q_mid) at q_mid = q(x) +
+    h q(S P) (g + f). One pass builds x from the band products M_tip v and
+    K u, which also give |y|_Q for the tolerance. Newton runs on f with the
+    analytic remainder Jacobian. An iterate's full-space residual is exactly
+    dt P (f - F(q_mid)), measured through the p x p Gram ``load_gram`` =
+    P^T Q P, so its roundoff scales with the loads, not with the stiffness.
+
+    Newton is simplified. The stepper keeps the array it last returned,
+    F(q_mid) of up to three chained accepted steps (computed by their
+    acceptance checks) and the LU factor (dgetrf) of the Newton matrix
+    I - h J q(S P). A step from that very array starts from the kept values
+    extrapolated by ``_EXTRAPOLATION`` and corrects first with the kept
+    factor, evaluating and factoring J again only when that leaves the
+    residual above tol; any other state starts fresh: zero loads, no factor
+    and no kept values. Any iterate within tol is accepted, the first
+    included, so a steady step makes one remainder evaluation and no
+    Jacobian. ``evaluations``, ``corrections`` and ``jacobian_refreshes``
+    count the stepper's work."""
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.dt = float(dt)
@@ -176,38 +178,39 @@ class MidpointStepper:
         if info != 0:
             raise LinearSolveFailure("midpoint velocity matrix could not be factored")
         # Woodbury for I - h G = B - h P L E_q^T: U = B^-1 P, capacitance (I - h L U_q)^-1
-        self._beam_placement = np.column_stack([self._beam_solve(col) for col in rem.placement.T])
+        beam_placement = np.column_stack([self._beam_solve(col)[0] for col in rem.placement.T])
         try:
-            self._capacitance = np.linalg.inv(np.eye(rem.p) - h * (rem.slopes @ self._beam_placement[rem.q_indices]))
+            capacitance = np.linalg.inv(np.eye(rem.p) - h * (rem.slopes @ beam_placement[rem.q_indices]))
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure("midpoint capacitance matrix (I - dt/2 L U_q) is singular") from exc
         # S P = U (I - h L U_q)^-1
-        self._kinv_e = self._beam_placement @ self._capacitance
+        self._kinv_e = beam_placement @ capacitance
         self._sel_kinv_e = self._kinv_e[rem.q_indices]
         # P^T Q P: e^T M_tip^-1 e for the tip loads, P1, P2 for the block rows
         self.load_gram = scipy.linalg.block_diag(rem.placement[rem.q_indices[2:4], :2], op.storage_gram)
-        self._identity = np.eye(rem.p)
-        # the last accepted step: its result, its loads and the LU factor of
-        # the Newton matrix it used, kept for the step that continues from it
-        self._last = self._loads = self._factor = None
-        self.corrections = self.jacobian_refreshes = 0
+        # the displacement block of Q is K plus the tip springs at u'(L), u(L)
+        self._tip_springs = np.array([config.sd_rotational.spring_slope, config.sd_translational.spring_slope])
+        # the last result, F(q_mid) of the chained steps up to it (newest
+        # first) and the LU factor of the Newton matrix
+        self._last, self._factor, self._history = None, None, ()
+        self.evaluations = self.corrections = self.jacobian_refreshes = 0
 
-    def _beam_solve(self, r: np.ndarray) -> np.ndarray:
-        """B^-1 r for the bare beam's midpoint matrix B = I - dt/2 G_beam:
-        x_v from the velocity factor, x_u = r_u + h x_v, x_z = r_z."""
+    def _beam_solve(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B^-1 r for the bare beam's midpoint matrix B = I - dt/2 G_beam,
+        with the band products M_tip r_v and K r_u it is built from: x_v from
+        the velocity factor, x_u = r_u + h x_v, x_z = r_z."""
         n, h, sys = self.operator.n, 0.5 * self.dt, self.operator.sys
+        mv, ku = _band_mv(sys.mass_tip_band, r[n : 2 * n]), _band_mv(sys.stiffness_band, r[:n])
         out = r.copy()
-        b = _band_mv(sys.mass_tip_band, r[n : 2 * n]) - _band_mv(sys.stiffness_band, r[:n], h)
-        out[n : 2 * n] = x_v = scipy.linalg.lapack.dpbtrs(self._velocity_factor, b)[0]
+        out[n : 2 * n] = x_v = scipy.linalg.lapack.dpbtrs(self._velocity_factor, mv - h * ku)[0]
         out[:n] += h * x_v
-        return out
+        return out, mv, ku
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Exact solution x of (I - dt/2 G) x = r, G the linear generator, by
-        Woodbury: x = B^-1 r + U (capacitance (dt/2) L q(B^-1 r))."""
-        rem = self.remainder
-        x = self._beam_solve(r)
-        return x + self._beam_placement @ (self._capacitance @ (0.5 * self.dt * (rem.slopes @ rem.q_of(x))))
+        Woodbury: x = B^-1 r + S P (dt/2) L q(B^-1 r)."""
+        x, rem = self._beam_solve(r)[0], self.remainder
+        return x + self._kinv_e @ (0.5 * self.dt * (rem.slopes @ rem.q_of(x)))
 
     def qnorm(self, flat: np.ndarray) -> float:
         """Energy norm of a packed state vector."""
@@ -220,18 +223,25 @@ class MidpointStepper:
     def step_flat(self, y: np.ndarray, newton_tol: float, newton_max_iter: int) -> np.ndarray:
         """One implicit midpoint step from a packed state; raises
         NewtonDivergence when Newton stops short of newton_tol (1 + |y|_Q).
-        The start is warm only when y is the array the last accepted step
-        returned, so a continued run depends on the previous call, within
-        the tolerance. A step that raises keeps the last accepted one."""
-        tol = newton_tol * (1.0 + self.qnorm(y))
-        rem, dt = self.remainder, self.dt
-        a = 2.0 * (self.solve(y) - y)  # the Cayley step of the linear part
-        q_linear = rem.q_of(y) + 0.5 * rem.q_of(a)
-        f, factor = (self._loads, self._factor) if y is self._last else (np.zeros(rem.p), None)
+        The start is extrapolated only when y is the array the last accepted
+        step returned, so a continued run depends on the previous calls,
+        within the tolerance. A step that raises keeps the last accepted one."""
+        rem, dt, n = self.remainder, self.dt, self.operator.n
+        x, mv, ku = self._beam_solve(y)
+        # |y|_Q^2 = u.K u + k1 u'(L)^2 + k2 u(L)^2 + v.M_tip v + z.P z
+        norm2 = y[:n] @ ku + self._tip_springs @ y[rem.q_indices[:2]] ** 2 + y[n : 2 * n] @ mv
+        norm2 += y[2 * n :] @ self.operator.storage_gram @ y[2 * n :]
+        tol = newton_tol * (1.0 + math.sqrt(max(norm2, 0.0)))
+        q_x = rem.q_of(x)
+        g = rem.slopes @ q_x
+        history, factor = (self._history, self._factor) if y is self._last else ((), None)
+        f = np.dot(_EXTRAPOLATION[len(history)], history) if history else np.zeros(rem.p)
         residual_norm, falling = math.inf, True
         for iteration in range(newton_max_iter):
-            q_mid = q_linear + 0.5 * dt * (self._sel_kinv_e @ f)
-            delta = f - rem.value(q_mid)
+            q_mid = q_x + 0.5 * dt * (self._sel_kinv_e @ (g + f))
+            value = rem.value(q_mid)
+            self.evaluations += 1
+            delta = f - value
             # the full-space residual of the iterate is dt P delta
             previous = residual_norm
             residual_norm = abs(dt) * math.sqrt(max(delta @ self.load_gram @ delta, 0.0))
@@ -241,15 +251,14 @@ class MidpointStepper:
                     f"at iteration {iteration})",
                     residual=residual_norm,
                 )
-            # an iterate is accepted after a correction, or when it is exact
-            if residual_norm <= tol and (iteration or residual_norm == 0.0):
-                self._last = y + a + dt * (self._kinv_e @ f)
-                self._loads, self._factor = f, factor
+            if residual_norm <= tol:
+                self._last = 2.0 * x - y + dt * (self._kinv_e @ (g + f))
+                self._history, self._factor = (value,) + history[:2], factor
                 return self._last
             falling = residual_norm < previous
             if iteration or factor is None:
                 self.jacobian_refreshes += 1
-                newton = self._identity - 0.5 * dt * (rem.jacobian_analytic(q_mid) @ self._sel_kinv_e)
+                newton = np.eye(rem.p) - 0.5 * dt * (rem.jacobian_analytic(q_mid) @ self._sel_kinv_e)
                 *factor, info = scipy.linalg.lapack.dgetrf(newton)
                 if info != 0:
                     raise LinearSolveFailure("Newton matrix of the remainder loads is singular")
@@ -384,6 +393,7 @@ def simulate(
         state_norms=state_norms,
         h_increase_max=float(h_increase_max),
         h_flagged=flagged,
+        residual_evaluations=stepper.evaluations,
         newton_corrections=stepper.corrections,
         jacobian_refreshes=stepper.jacobian_refreshes,
     )

@@ -152,6 +152,16 @@ def test_preconditions_rejected():
         pb.certify_block(pb.make_block("cubic-drift"), radius=1.0, samples=150)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e308, 1.7e308])
+def test_radius_above_the_limit_rejected(radius):
+    # the law samples span 2 radius, which overflows from about 9e307 on
+    with pytest.raises(ValueError, match="at most 1e\\+307"):
+        pb.certify_spring_damper(make_sd("tanh", "cubic"), radius=radius, samples=200)
+    with pytest.raises(ValueError, match="at most 1e\\+307"):
+        pb.certify_block(pb.make_block("cubic-drift"), radius=radius, samples=300)
+
+
 # ---------------------------------------------------------------------------
 # Batched evaluation: same reports as per-point evaluation
 # ---------------------------------------------------------------------------

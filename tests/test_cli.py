@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from passivebeam import cli
+from passivebeam import assumptions, cli
 
 
 def base_config(**overrides):
@@ -94,7 +94,7 @@ def test_certify_at_a_tiny_radius_returns(tmp_path, radius):
 # the cubic laws overflow at the sample points; a check whose value is not
 # finite fails, so certification exits 2 with no RuntimeWarning
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("radius", [1e150, 1e300])
+@pytest.mark.parametrize("radius", [1e150, 1e300, assumptions.MAX_RADIUS])
 def test_certify_at_an_overflowing_radius_exits_2(tmp_path, radius):
     cfg = base_config()
     cfg["certify"]["radius"] = radius
@@ -105,6 +105,16 @@ def test_certify_at_an_overflowing_radius_exits_2(tmp_path, radius):
     assert failed["dissipation-strict"]["value"] == -np.inf
     assert failed["dissipation-strict"]["witness"] is not None
     assert not report["sd_rotational"]["passed"]
+
+
+# the law samples span 2 radius, which overflows from about 9e307 on
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e308, 1.7e308])
+def test_certify_above_the_radius_limit_exits_1(tmp_path, capsys, radius):
+    cfg = base_config()
+    cfg["certify"]["radius"] = radius
+    assert cli.run("certify", write_config(tmp_path, cfg), out=tmp_path / "out") == 1
+    assert "certify.radius" in capsys.readouterr().err
 
 
 def test_parse_error_exit_1(tmp_path, capsys):

@@ -295,6 +295,57 @@ def test_reduced_residual_is_the_full_residual(beam, n_elements, make_config):
         assert dt * np.sqrt(delta @ stepper.load_gram @ delta) == pytest.approx(full, rel=1e-10)
 
 
+@pytest.mark.parametrize("n_elements", [8, 64])
+def test_fused_pass_matches_the_cayley_step(beam, n_elements, monkeypatch):
+    # constant loads f0 and a zero Jacobian make Newton land on f0 in one
+    # correction, so the accepted step must be y + a + dt S P f0 at
+    # q(y) + q(a)/2 + dt/2 q(S P) f0, a = 2 (S y - y) from ``solve``
+    sys_n = make_system(beam, n_elements)
+    config = asymmetric_config(beam)
+    dt = 1e-3
+    stepper = MidpointStepper(sys_n, config, dt)
+    rem = stepper.remainder
+    rng = np.random.default_rng(5)
+    y, f0 = white_state(sys_n, config, rng), rng.standard_normal(rem.p)
+    seen = []
+    monkeypatch.setattr(rem, "value", lambda q: seen.append(q.copy()) or f0.copy())
+    monkeypatch.setattr(rem, "jacobian_analytic", lambda q: np.zeros((rem.p, rem.m)))
+    w = stepper.step_flat(y, 1e-10, 25)
+    a = 2.0 * (stepper.solve(y) - y)
+    bound = 1e-13 * (1.0 + stepper.qnorm(y))
+    assert len(seen) == 2
+    assert stepper.qnorm(w - (y + a + dt * (stepper._kinv_e @ f0))) <= bound
+    q_mid = rem.q_of(y) + 0.5 * rem.q_of(a) + 0.5 * dt * (stepper._sel_kinv_e @ f0)
+    assert np.abs(seen[-1] - q_mid).max() <= bound
+    # the same pass gives |y|_Q: constant loads whose residual at the zero
+    # start is tol (1 + |y|_Q) times 1 -+ 1e-12 are accepted there, or not
+    tol = 1e-10 * (1.0 + stepper.qnorm(y))
+    direction = f0 / (dt * np.sqrt(f0 @ stepper.load_gram @ f0))
+    for scale, accepted in ((1.0 - 1e-12, True), (1.0 + 1e-12, False)):
+        f0 = scale * tol * direction
+        evaluations = stepper.evaluations
+        try:
+            stepper.step_flat(y, 1e-10, 1)  # y is not the last result: a zero start
+        except NewtonDivergence:
+            assert not accepted
+        else:
+            assert accepted and stepper.evaluations == evaluations + 1
+
+
+def test_chained_step_from_the_extrapolated_start_agrees_with_a_fresh_one(sys6, beam):
+    config = readme_config(beam)
+    stepper = MidpointStepper(sys6, config, 1e-3)
+    state = pb.first_mode_initial_state(sys6, config)
+    for _ in range(50):
+        state = stepper.step_flat(state, 1e-10, 25)
+    evaluations, corrections = stepper.evaluations, stepper.corrections
+    chained = stepper.step_flat(state, 1e-10, 25)
+    # accepted at the start extrapolated from the last three steps' loads
+    assert (stepper.evaluations, stepper.corrections) == (evaluations + 1, corrections)
+    fresh = MidpointStepper(sys6, config, 1e-3).step_flat(state, 1e-10, 25)
+    assert stepper.qnorm(chained - fresh) <= 1e-10 * (1.0 + stepper.qnorm(state))
+
+
 def stiff_spring_run(beam):
     # stiff cubic springs without dampers: midpoint conserves only quadratic
     # energy, so H rises by 2.01e-8 over the step to t = 0.356 (budget 1.11e-8)
@@ -449,21 +500,23 @@ def readme_config(beam):
                                block_translational=config.block_rotational)
 
 
-def test_steady_step_evaluates_the_loads_twice_and_no_jacobian(sys6, beam):
+def test_steady_step_evaluates_the_loads_once_and_no_jacobian(sys6, beam):
     config = readme_config(beam)
     stepper = MidpointStepper(sys6, config, 1e-3)
     sd, block = config.sd_rotational, config.block_rotational
     calls = count_callback_calls(sd.damper, sd.spring, block)
     state, per_step = pb.first_mode_initial_state(sys6, config), []
-    for _ in range(4):
+    for _ in range(6):
         before = calls[0]
         state = stepper.step_flat(state, 1e-10, 25)
         per_step.append(calls[0] - before)
-    # the first step factors a Jacobian (6 calls); then each step evaluates
-    # the loads (output, damper, spring, drift, input_gain) at the warm start
-    # and after the one correction with the kept factor
-    assert per_step == [16, 10, 10, 10]
-    assert (stepper.corrections, stepper.jacobian_refreshes) == (4, 1)
+    # the first step starts from zero loads and factors a Jacobian (6
+    # calls); the second starts from the first one's loads and corrects once
+    # with the kept factor; from then on the loads (output, damper, spring,
+    # drift, input_gain) are evaluated once, at the extrapolated start
+    assert per_step == [16, 10, 5, 5, 5, 5]
+    assert (stepper.corrections, stepper.jacobian_refreshes) == (2, 1)
+    assert stepper.evaluations == 2 + 2 + 4
 
 
 def test_long_run_refreshes_the_jacobian_rarely(beam):
@@ -472,8 +525,9 @@ def test_long_run_refreshes_the_jacobian_rarely(beam):
     y0 = pb.first_mode_initial_state(sys16, config)
     settings = pb.IntegratorSettings(dt=1e-3, t_end=4.0, record_every=4000)
     traj = pb.simulate(y0, settings, sys16, config)
-    assert traj.newton_corrections >= 4000
+    assert traj.newton_corrections <= 1000
     assert traj.jacobian_refreshes <= 3
+    assert traj.residual_evaluations <= 1.25 * settings.n_steps
 
 
 def test_warm_and_fresh_steppers_agree_within_the_tolerance(sys6, beam):
