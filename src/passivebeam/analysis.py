@@ -157,7 +157,7 @@ class SecularFunction:
         lambda + sum_k 2 lambda / (lambda^2 + omega_k^2) - tr((I - L R)^-1 L
         R'). Infinite where the root is exact: I - L R is singular, or lambda
         sits on a pole (0 or a +-i omega_k the feedback does not move)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s, matrix, lr_prime = self._pieces(lam)
             value = self.dim_z / lam + 2.0 * lam * s.sum(axis=1) - _traces(matrix, lr_prime)
         return np.where((lam == 0.0) | np.isinf(s).any(axis=1), np.inf, value)
@@ -184,7 +184,8 @@ class SecularFunction:
                 chunk = active[start : start + _ROOT_CHUNK]
                 lam, gaps = roots[chunk], roots[chunk, None] - roots
                 gaps[np.arange(len(chunk)), chunk] = np.inf  # no pair term of a root with itself
-                delta = 1.0 / (self.log_derivative(lam) - (1.0 / gaps).sum(axis=1))
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # caught below
+                    delta = 1.0 / (self.log_derivative(lam) - (1.0 / gaps).sum(axis=1))
                 roots[chunk] = lam - delta
                 step, root = np.abs(delta), np.abs(roots[chunk])
                 moving.append(~((step <= 1e-14 * root) | (root <= 1e-14 * step)))
@@ -314,8 +315,9 @@ def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
     Y = K^-1 M X by the banded Cholesky factor of K, then Rayleigh-Ritz on
     (Y^T M Y, Y^T K Y = Y^T M X) gives Ritz values 1 / omega^2, until each
     wanted one moves by at most 1e-15 of the largest. Raises EigenSolverFailure
-    on an indefinite stiffness or after MAX_SWEEPS sweeps (the bands of a
-    DiscreteSystem are finite)."""
+    on an indefinite stiffness, a projection that overflows or after
+    MAX_SWEEPS sweeps (the bands of a DiscreteSystem are finite), and
+    NonFiniteResult when a wanted Ritz value underflows to 0."""
     factor, info = scipy.linalg.lapack.dpbtrf(sys.stiffness_band)
     if info != 0:
         raise EigenSolverFailure(f"the bare beam's stiffness is not positive definite (dpbtrf info {info})")
@@ -325,11 +327,15 @@ def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
         mx = _band_mv(sys.mass_band, x)
         y = scipy.linalg.lapack.dpbtrs(factor, mx.T)[0].T
         try:  # ValueError: a projection that is not finite
-            mu, ritz = scipy.linalg.eigh(y @ _band_mv(sys.mass_band, y).T, y @ mx.T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu, ritz = scipy.linalg.eigh(y @ _band_mv(sys.mass_band, y).T, y @ mx.T)
         except (ValueError, scipy.linalg.LinAlgError) as exc:
             raise EigenSolverFailure(f"Rayleigh-Ritz step of the bare beam failed: {exc}") from exc
         mu, x = mu[::-1], ritz[:, ::-1].T @ y  # largest 1 / omega^2 first
         if np.all(np.abs(mu[:count] - previous) <= 1e-15 * mu[0]):  # eigh errs relative to the largest
+            if not np.all(mu[:count] > 0.0):
+                raise NonFiniteResult(f"a bare-beam frequency omega is not finite: its Ritz value 1 / omega^2 "
+                                      f"is {float(mu[:count].min())!r}; check rho and lambda_rigidity")
             return 1.0 / np.sqrt(mu[:count])
         previous = mu[:count]
     raise EigenSolverFailure(f"bare-beam frequencies did not converge in {MAX_SWEEPS} subspace iteration sweeps")

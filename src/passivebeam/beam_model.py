@@ -381,9 +381,9 @@ def _make_linear_law(slope: float = 1.0) -> ScalarLaw:
     )
 
 
-# The derivatives square by a product: the Jacobian takes one channel's trace
-# as a scalar, several as an array, and numpy's scalar power rounds unlike its
-# array power, where a product rounds alike.
+# The derivatives square by a product: the remainder and its Jacobian pass
+# traces as arrays, construction checks and per-point stand-ins pass numbers,
+# and numpy's scalar power rounds unlike its array power; a product rounds alike.
 
 def _make_cubic_law(slope: float = 1.0, cubic: float = 1.0) -> ScalarLaw:
     def potential(s):

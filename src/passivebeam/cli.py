@@ -403,7 +403,8 @@ def _mode_skew(cfg: RunConfig, writer: ArtifactWriter) -> int:
 def _mode_convergence(cfg: RunConfig, writer: ArtifactWriter) -> int:
     cfg.needs("meshes")
     beta1 = analysis.clamped_free_wavenumbers(cfg.beam.length, count=1)[0]
-    omega_ref = beta1**2 * np.sqrt(cfg.beam.lambda_rigidity / cfg.beam.rho)
+    with np.errstate(over="ignore"):  # the first mesh raises where the reference overflows
+        omega_ref = beta1**2 * np.sqrt(cfg.beam.lambda_rigidity / cfg.beam.rho)
     rows = []
     prev = None
     for n in cfg.meshes:

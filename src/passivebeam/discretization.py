@@ -173,7 +173,7 @@ def assemble(beam: BeamParams, mesh: Mesh) -> DiscreteSystem:
     mass = np.zeros((_BANDWIDTH + 1, 2 * n_el), order="F")  # LAPACK layout: no copy per call
     stiff = np.zeros_like(mass)
     # extreme parameters overflow here; DiscreteSystem rejects the bands by name
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pairs = np.array([element_matrices(h, beam.rho, beam.lambda_rigidity) for h in lengths])[which]
         np.add.at(mass, index, pairs[:, 0, a, b][kept])
         np.add.at(stiff, index, pairs[:, 1, a, b][kept])
@@ -204,16 +204,13 @@ def _band_mv(band: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
 
 def _band_dot(band: np.ndarray, a: np.ndarray, b: np.ndarray):
     """a . (A @ b) for A in upper symmetric-band storage, for vectors or for
-    each pair of rows: one BLAS band product for vectors; for blocks A @ b
-    built a diagonal at a time over all rows (a row gets the same bits alone
-    as in a block)."""
-    if a.ndim == 1:
-        return np.vecdot(a, _band_mv(band, b))
+    each pair of rows, with A @ b built a diagonal at a time over all rows:
+    a vector gets the same bits alone as a row of a block."""
     ab = band[_BANDWIDTH] * b
     for k in range(1, _BANDWIDTH + 1):
         diagonal = band[_BANDWIDTH - k, k:]
-        ab[:, :-k] += diagonal * b[:, k:]
-        ab[:, k:] += diagonal * b[:, :-k]
+        ab[..., :-k] += diagonal * b[..., k:]
+        ab[..., k:] += diagonal * b[..., :-k]
     return np.vecdot(a, ab)
 
 

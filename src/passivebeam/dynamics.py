@@ -4,10 +4,10 @@ Lyapunov functional with its closed-form rate.
 The state is one packed vector (u, v, z1, z2) of length 2 n_dof + dim z1 +
 dim z2: the displacement and velocity DOFs with the clamped DOFs removed,
 then the two block states. This module alone spells out that layout
-(``zero_state``, ``_rows``, ``_batches``). ``ClosedLoopOperator`` is the one
-implementation of the generator, the split and the energy inner product; it
-acts on one packed vector (N,) and on blocks of them (R, N), one packed state
-per row. ``eval_H``/``eval_Hdot`` take the same packed states.
+(``zero_state``, ``_rows``, ``_batches``). ``ClosedLoopOperator`` implements
+the generator, the split and the energy inner product (``step_flat`` has its
+own |y|_Q) on one packed vector (N,) and on blocks of them (R, N), one packed
+state per row. ``eval_H``/``eval_Hdot`` take the same packed states.
 
 The tip momenta are derived quantities, xi = J v'(L) and psi = M v(L), so
 every state satisfies the domain coupling by construction. Boundary feedback
@@ -16,7 +16,6 @@ enters through virtual work at the tip DOFs of the velocity equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,10 +147,8 @@ class _Batch:
     """Feedback channels that share one spring-damper law object and one
     passive block object, evaluated together: each law or block callback
     takes the traces of all g of them, (..., g), or their block states,
-    (..., g, dim), in one call. A channel alone is a batch of one, indexed
-    by its position instead of a range, so its callbacks take its traces
-    (...) and its states (..., dim): the ``lead`` axes are () for one
-    channel and (g,) for several.
+    (..., g, dim), in one call. A channel alone is a batch of one, g = 1,
+    and takes the same path.
 
     Channel 0 (rotational) acts on the tip slope, channel 1 (translational)
     on the tip deflection; a batch holds channels ``first`` to ``first +
@@ -163,34 +160,32 @@ class _Batch:
 
     first: int
     count: int
-    lead: tuple
-    shape: tuple  # lead + (dim,)
     sd: SpringDamperLaw
     block: PassiveBlock
     lin: BlockLinearization | None
-    tips: int | list[int]  # tip DOFs of the beam
-    u: int | slice  # displacement traces in q, tip loads in F
-    v: int | slice  # velocity traces in q
+    tips: list[int]  # tip DOFs of the beam
+    u: slice  # displacement traces in q, tip loads in F
+    v: slice  # velocity traces in q
     z: slice  # block states in the packed state
     zq: slice  # block states in q
     zf: slice  # block drifts in F
 
     def states(self, x: np.ndarray, where: slice) -> np.ndarray:
-        """The block states at ``where`` of the last axis of ``x``, (..., dim)
-        after the batch's lead axes."""
-        return x[..., where].reshape(x.shape[:-1] + self.shape)
+        """The block states at ``where`` of the last axis of ``x``, (..., g,
+        dim)."""
+        return x[..., where].reshape(x.shape[:-1] + (self.count, self.block.dim))
 
     def columns(self, x, rows: int) -> list[np.ndarray]:
-        """One column per channel of a per-row result that broadcasts to the
-        batch's (rows,) + lead."""
-        return list(np.broadcast_to(x, (rows,) + self.lead).reshape(rows, self.count).T)
+        """One column per channel of a per-row result that broadcasts to
+        (rows, g)."""
+        return list(np.broadcast_to(x, (rows, self.count)).T)
 
 
 def _batches(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = True) -> tuple[_Batch, ...]:
     """The rotational and translational channels of (sys, config), as
-    batches of the channels that share their law and block objects, each
-    block linearized at the origin (once, however many batches hold it)
-    unless ``linearize`` is false."""
+    batches of the channels that share their law and block objects (one of
+    two or two of one), each block linearized at the origin (once, however
+    many batches hold it) unless ``linearize`` is false."""
     n = sys.n_dof
     groups = []  # [sd, block, tips]
     for sd, block, tip in (
@@ -206,14 +201,9 @@ def _batches(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = Tr
         count, end = len(tips), offset + len(tips) * block.dim
         if linearize and id(block) not in lins:
             lins[id(block)] = linearize_block(block)
-
-        def span(start):
-            return start if count == 1 else slice(start, start + count)
-
-        lead = () if count == 1 else (count,)
         batches.append(_Batch(
-            first, count, lead, lead + (block.dim,), sd, block, lins.get(id(block)),
-            tips=tips[0] if count == 1 else tips, u=span(first), v=span(2 + first),
+            first, count, sd, block, lins.get(id(block)), tips,
+            u=slice(first, first + count), v=slice(2 + first, 2 + first + count),
             z=slice(2 * n + offset, 2 * n + end), zq=slice(4 + offset, 4 + end), zf=slice(2 + offset, 2 + end),
         ))
         first, offset = first + count, end
@@ -242,10 +232,10 @@ class ClosedLoopOperator:
     placement P, slopes L and traces E_q^T = ``q_of`` of ``RemainderMap``);
     the nonlinear part is ``RemainderMap.value`` placed by the same P, and the
     full generator is their sum, so the split is exact by construction.
-    On a block the laws and blocks are called once over all rows, the
-    tip-mass solve takes the rows as right-hand sides and the band products
-    of ``inner`` run a diagonal at a time; a row gets the same bits in a
-    block of one row as in a larger block.
+    On a block the laws and blocks are called once over all rows and the
+    tip-mass solve takes the rows as right-hand sides. The band products of
+    ``inner`` run a diagonal at a time for one vector as for a block, so
+    ``inner`` and ``qnorm`` give a vector the same bits as its row in a block.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
@@ -297,8 +287,7 @@ class ClosedLoopOperator:
 
     def qnorm(self, flat: np.ndarray) -> float | np.ndarray:
         """Energy norm of a packed vector (a float), or of each row (an array)."""
-        sq = self.inner(flat, flat)
-        return math.sqrt(max(sq, 0.0)) if flat.ndim == 1 else np.sqrt(np.maximum(sq, 0.0))
+        return np.sqrt(np.maximum(self.inner(flat, flat), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +356,18 @@ class RemainderMap:
 
     def value(self, q: np.ndarray) -> np.ndarray:
         """F(q): remainder tip loads followed by remainder block drifts, at
-        one q or at each row of a block of them (a C-contiguous block). Each
-        batch's callbacks take its traces and block states of all rows in one
+        one q or at each row of a block of them. Each batch's callbacks take
+        its traces (..., g) and block states (..., g, dim) of all rows in one
         call, so one q and a block take the same path, and a row gets the
         same bits in a block as alone."""
-        qt = q.T
         f = np.empty(q.shape[:-1] + (self.p,))
         for b in self.batches:
             blk, sd, lin = b.block, b.sd, b.lin
-            u_l, v_l, z = qt[b.u].T, qt[b.v].T, b.states(q, b.zq)
-            # the laws take the traces as arrays, 0-d for one channel of one q, not as
-            # scalars: numpy rounds a scalar's power (s**3 of the cubic law) unlike an array's
+            u_l, v_l, z = q[..., b.u], q[..., b.v], b.states(q, b.zq)
             f[..., b.u] = -(
                 (blk.output(z) - np.vecdot(z, lin.C))
-                + (sd.damper.eval(qt[b.v, ...].T) - sd.damper_slope * v_l)
-                + (sd.spring.eval(qt[b.u, ...].T) - sd.spring_slope * u_l)
+                + (sd.damper.eval(v_l) - sd.damper_slope * v_l)
+                + (sd.spring.eval(u_l) - sd.spring_slope * u_l)
             )
             drift = blk.drift(z) - np.vecdot(z[..., None, :], lin.A)
             f[..., b.zf] = (drift + (blk.input_gain(z) - lin.B) * v_l[..., None]).reshape(q.shape[:-1] + (-1,))

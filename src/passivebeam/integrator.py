@@ -16,7 +16,6 @@ import numbers
 from dataclasses import astuple, dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .analysis import SecularFunction
@@ -187,7 +186,9 @@ class MidpointStepper:
         self._kinv_e = beam_placement @ capacitance
         self._sel_kinv_e = self._kinv_e[rem.q_indices]
         # P^T Q P: e^T M_tip^-1 e for the tip loads, P1, P2 for the block rows
-        self.load_gram = scipy.linalg.block_diag(rem.placement[rem.q_indices[2:4], :2], op.storage_gram)
+        self.load_gram = np.zeros((rem.p, rem.p))
+        self.load_gram[:2, :2] = rem.placement[rem.q_indices[2:4], :2]
+        self.load_gram[2:, 2:] = op.storage_gram
         # the displacement block of Q is K plus the tip springs at u'(L), u(L)
         self._tip_springs = np.array([config.sd_rotational.spring_slope, config.sd_translational.spring_slope])
         # the last result, F(q_mid) of the chained steps up to it (newest

@@ -96,7 +96,8 @@ def test_batched_remainder_and_energy_match_the_per_channel_oracle(sys4, beam, f
 @pytest.mark.parametrize("name,params", [("linear", {"slope": 1.7}), ("cubic", {"slope": 0.6, "cubic": 2.3}),
                                          ("tanh", {"gain": 3.1}), ("zero", {})])
 def test_registry_derivatives_round_alike_on_a_scalar_and_an_array(name, params):
-    # the Jacobian passes one channel's trace as a scalar and a batch's as an array
+    # the remainder and its Jacobian pass every batch's traces as an array; a law is
+    # still called on a number, by its construction checks and by per-point stand-ins
     deriv = pb.make_law(name, **params).deriv
     s = np.random.default_rng(8).standard_normal(20_000) * np.random.default_rng(9).uniform(0.0, 3.0, 20_000)
     assert np.array_equal(deriv(s), [deriv(x) for x in s])

@@ -298,6 +298,74 @@ def test_convergence_mode_non_finite_bands_exit_3(tmp_path):
     assert "mass_band is not finite" in metrics["error"]
 
 
+def _extreme(section, key, value):
+    """A modifier of the README config that sets one beam parameter or one
+    translational law or block."""
+    def modify(cfg):
+        if section == "beam":
+            cfg["beam"][key] = value
+        else:
+            cfg["translational"][section] = {"name": "linear", "params": {key: value}}
+    modify.__name__ = f"{section}.{key}={value:g}"
+    return modify
+
+
+# the secular function's pieces and its root sweeps overflow or divide by zero
+# before the roots are found not finite
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("modify", [
+    _extreme("beam", "rho", 1e150), _extreme("beam", "rho", 1e300),
+    _extreme("beam", "lambda_rigidity", 1e-300), _extreme("beam", "tip_mass", 1e150),
+    _extreme("beam", "tip_inertia", 1e150), _extreme("spring", "slope", 1e300),
+    _extreme("damper", "slope", 1e300), _extreme("block", "rate", 1e300),
+    _extreme("block", "gain", 1e300),
+], ids=lambda modify: modify.__name__)
+def test_spectrum_at_extreme_parameters_exits_3(tmp_path, modify):
+    cfg = base_config(mesh={"n_elements": 8})
+    modify(cfg)
+    metrics = run_failing(tmp_path, "spectrum", cfg)
+    assert metrics["operation"] == "EigenSolverFailure"
+    assert "eigenvalues are not finite" in metrics["error"]
+
+
+# the bare beam's Rayleigh-Ritz projection overflows; at a vanishing length
+# the reference frequency overflows before the bands do
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value, error", [
+    ("rho", 1e150, "Rayleigh-Ritz step of the bare beam failed"),
+    ("lambda_rigidity", 1e-300, "Rayleigh-Ritz step of the bare beam failed"),
+    ("length", 1e-300, "stiffness_band is not finite"),
+], ids=["rho", "lambda_rigidity", "length"])
+def test_convergence_at_extreme_parameters_exits_3(tmp_path, key, value, error):
+    cfg = base_config(mesh={"n_elements": 8}, convergence={"meshes": [4, 8]})
+    cfg["beam"][key] = value
+    metrics = run_failing(tmp_path, "convergence", cfg)
+    assert error in metrics["error"]
+
+
+# the Ritz values 1 / omega^2 underflow to 0: omega would be written as inf
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [("rho", 1e-150), ("lambda_rigidity", 1e150)])
+def test_convergence_with_an_infinite_frequency_exits_3(tmp_path, key, value):
+    cfg = base_config(convergence={"meshes": [4, 8]})
+    cfg["beam"][key] = value
+    metrics = run_failing(tmp_path, "convergence", cfg)
+    assert metrics["operation"] == "NonFiniteResult"
+    assert "bare-beam frequency omega is not finite" in metrics["error"]
+    assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+# h**2 of the element length 1.25e-301 underflows to 0 in the Hermite shapes
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["spectrum", "skew", "simulate"])
+def test_vanishing_length_exits_3(tmp_path, mode):
+    cfg = base_config(mesh={"n_elements": 8}, integrator={"dt": 0.001, "t_end": 0.01})
+    cfg["beam"]["length"] = 1e-300
+    metrics = run_failing(tmp_path, mode, cfg)
+    assert metrics["operation"] == "NonFiniteResult"
+    assert "stiffness_band is not finite" in metrics["error"]
+
+
 def test_convergence_mode(tmp_path):
     cfg = base_config()
     cfg["convergence"] = {"meshes": [4, 8, 16]}

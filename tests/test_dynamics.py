@@ -453,6 +453,19 @@ def test_banded_energy_norm_matches_dense_gram(sys8, beam, make_config):
             assert abs(op.qnorm(x) ** 2 - dense) <= 1e-12 * dense
 
 
+@pytest.mark.parametrize("n_elements", [4, 16, 64])
+def test_energy_inner_product_of_one_state_is_its_row_in_a_block(beam, n_elements):
+    # a state alone takes the block path: the same bits, not a BLAS product's
+    config = asymmetric_config(beam)
+    op = ClosedLoopOperator(make_system(beam, n_elements), config)
+    rows = np.random.default_rng(16).standard_normal((50, op.remainder.size))
+    others = rows[::-1].copy()
+    norms, inners = op.qnorm(rows), op.inner(rows, others)
+    for row, other, norm, inner in zip(rows, others, norms, inners):
+        assert op.qnorm(row) == norm
+        assert op.inner(row, other) == inner
+
+
 def test_nonlinear_remainder_scales_quadratically(sys8, nonlinear):
     op = ClosedLoopOperator(sys8, nonlinear)
     rng = np.random.default_rng(13)
