@@ -314,10 +314,11 @@ def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
     ch. 14): ``count`` + 4 vectors X (at most n_dof, fixed random start) go to
     Y = K^-1 M X by the banded Cholesky factor of K, then Rayleigh-Ritz on
     (Y^T M Y, Y^T K Y = Y^T M X) gives Ritz values 1 / omega^2, until each
-    wanted one moves by at most 1e-15 of the largest. Raises EigenSolverFailure
-    on an indefinite stiffness, a projection that overflows or after
-    MAX_SWEEPS sweeps (the bands of a DiscreteSystem are finite), and
-    NonFiniteResult when a wanted Ritz value underflows to 0."""
+    wanted one moves by at most 1e-15 of the largest; each sweep scales X's
+    rows to norms in [1/2, 1) by exact powers of two, so X keeps no stiffness
+    scale. Raises EigenSolverFailure on an indefinite stiffness, a projection
+    that overflows or after MAX_SWEEPS sweeps (the bands of a DiscreteSystem
+    are finite), and NonFiniteResult when a wanted Ritz value underflows."""
     factor, info = scipy.linalg.lapack.dpbtrf(sys.stiffness_band)
     if info != 0:
         raise EigenSolverFailure(f"the bare beam's stiffness is not positive definite (dpbtrf info {info})")
@@ -332,6 +333,7 @@ def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
         except (ValueError, scipy.linalg.LinAlgError) as exc:
             raise EigenSolverFailure(f"Rayleigh-Ritz step of the bare beam failed: {exc}") from exc
         mu, x = mu[::-1], ritz[:, ::-1].T @ y  # largest 1 / omega^2 first
+        x = np.ldexp(x, -np.frexp(np.linalg.norm(x, axis=1))[1][:, None])
         if np.all(np.abs(mu[:count] - previous) <= 1e-15 * mu[0]):  # eigh errs relative to the largest
             if not np.all(mu[:count] > 0.0):
                 raise NonFiniteResult(f"a bare-beam frequency omega is not finite: its Ritz value 1 / omega^2 "

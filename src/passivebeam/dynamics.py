@@ -274,8 +274,11 @@ class ClosedLoopOperator:
     def nonlinear(self, flat: np.ndarray) -> np.ndarray:
         """Remainder part of the generator, on one packed vector or a block of
         them; it is zero in the displacement rows."""
-        rem = self.remainder
-        return np.vecdot(rem.value(rem.q_of(flat))[..., None, :], rem.placement)
+        return self.place(self.remainder.value(self.remainder.q_of(flat)))
+
+    def place(self, loads: np.ndarray) -> np.ndarray:
+        """The tangent P F of remainder loads F, one p-vector or a row each."""
+        return np.vecdot(loads[..., None, :], self.remainder.placement)
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         """Energy inner product of packed vectors (a float), or of each pair

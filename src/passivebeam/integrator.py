@@ -25,7 +25,6 @@ from .dynamics import (
     ENERGY_INCREASE_ETA,
     ClosedLoopOperator,
     EnergyBreakdown,
-    _as_given,
     eval_H,
     eval_Hdot,
     zero_state,
@@ -163,7 +162,9 @@ class MidpointStepper:
     and no kept values. Any iterate within tol is accepted, the first
     included, so a steady step makes one remainder evaluation and no
     Jacobian. ``evaluations``, ``corrections`` and ``jacobian_refreshes``
-    count the stepper's work."""
+    count the stepper's work. ``generator_norm`` of a record chunk returns
+    the remainder loads F it evaluates, and ``nonlinear_norm`` takes |P F|_Q
+    from them through ``load_gram``, with no band product."""
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig, dt: float):
         self.dt = float(dt)
@@ -271,15 +272,15 @@ class MidpointStepper:
             residual=residual_norm,
         )
 
-    def nonlinear_norm(self, flat: np.ndarray):
-        """Energy norm of the nonlinear remainder at each row of packed states
-        (a float for one state, a block of one row)."""
-        return _as_given(flat, self.operator.qnorm(self.operator.nonlinear(np.atleast_2d(flat))))
+    def generator_norm(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Energy norms of the generator at rows of packed states, and the remainder loads F of the rows."""
+        loads = self.remainder.value(self.remainder.q_of(rows))
+        return self.operator.qnorm(self.operator.linear(rows) + self.operator.place(loads)), loads
 
-    def generator_norm(self, flat: np.ndarray):
-        """Energy norm of the generator applied to each row of packed states
-        (a float for one state, a block of one row)."""
-        return _as_given(flat, self.operator.qnorm(self.operator.generator(np.atleast_2d(flat))))
+    def nonlinear_norm(self, loads: np.ndarray) -> np.ndarray:
+        """Energy norm |P F|_Q = (F^T ``load_gram`` F)^1/2 of the remainder
+        tangent, at each row of remainder loads F: O(p^2) per row."""
+        return np.sqrt(np.maximum(np.vecdot(np.vecdot(loads[..., None, :], self.load_gram), loads), 0.0))
 
 
 def simulate(
@@ -330,8 +331,8 @@ def simulate(
         lo, rows = evaluated, packed[evaluated:count]
         energy[lo:count] = np.column_stack(astuple(eval_H(rows, sys, config)))
         hdots[lo:count] = eval_Hdot(rows, sys, config)
-        nl_norms[lo:count] = stepper.nonlinear_norm(rows)
-        tan_norms[lo:count] = stepper.generator_norm(rows)
+        tan_norms[lo:count], loads = stepper.generator_norm(rows)
+        nl_norms[lo:count] = stepper.nonlinear_norm(loads)
         state_norms[lo:count] = stepper.operator.qnorm(rows)
         evaluated = count
         # the increase into each record from the one before it

@@ -328,6 +328,22 @@ def test_beam_frequencies_match_dense_oracle(beam, n_elements, rtol, count):
     assert np.abs(omega - expected).max() <= rtol * expected.min()
 
 
+# a rigidity of 2^k scales K exactly and omega by 2^(k/2); the Ritz vectors
+# keep no trace of it, so at |k| <= 200 each sweep repeats the unit beam's
+# bits. At k = 498 Y^T M Y ~ 2^-996 loses bits to underflow: 2.0e-12 at n=4,
+# 2.4e-11 at n=16, 1.0e-10 at n=64, and no convergence from n=256
+@pytest.mark.parametrize("n_elements", [4, 16, 64, 256, 1024])
+def test_beam_frequencies_of_a_rescaled_beam(beam, n_elements):
+    unit = pb.beam_frequencies(make_system(beam, n_elements))
+    for k in (-200, -100, 100, 200):
+        scaled = dataclasses.replace(beam, lambda_rigidity=2.0**k)
+        assert np.array_equal(pb.beam_frequencies(make_system(scaled, n_elements)), unit * 2.0 ** (k // 2)), k
+    for k in (-498, 498) if n_elements <= 16 else (-498,):
+        omega = pb.beam_frequencies(make_system(dataclasses.replace(beam, lambda_rigidity=2.0**k), n_elements))
+        assert np.all(np.isfinite(omega)), k
+        assert np.abs(omega * 2.0 ** (-k // 2) - unit).max() <= 1e-10 * unit.max(), k
+
+
 def test_beam_frequencies_raise_past_the_sweep_cap(sys8, monkeypatch):
     monkeypatch.setattr(analysis, "MAX_SWEEPS", 1)
     with pytest.raises(EigenSolverFailure, match="did not converge in 1 subspace"):

@@ -328,6 +328,24 @@ def test_spectrum_at_extreme_parameters_exits_3(tmp_path, modify):
     assert "eigenvalues are not finite" in metrics["error"]
 
 
+# a linear damper or block gain this large overflows the recorded tangent
+# norms after two steps, and a spring this large the skew defect's blocks
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode, modify, error", [
+    pytest.param(mode, modify, error, id=f"{mode}-{modify.__name__}") for mode, modify, error in (
+        ("simulate", _extreme("damper", "slope", 1e300), "recorded tangent norm is not finite (first at t=0.002)"),
+        ("simulate", _extreme("block", "gain", 1e300), "recorded tangent norm is not finite (first at t=0.002)"),
+        ("skew", _extreme("spring", "slope", 1e300), "skew-adjointness defect is nan"),
+    )
+])
+def test_extreme_laws_and_blocks_exit_3(tmp_path, mode, modify, error):
+    cfg = base_config(mesh={"n_elements": 8}, integrator={"dt": 0.001, "t_end": 0.01})
+    modify(cfg)
+    metrics = run_failing(tmp_path, mode, cfg)
+    assert metrics["operation"] == "NonFiniteResult"
+    assert error in metrics["error"]
+
+
 # the bare beam's Rayleigh-Ritz projection overflows; at a vanishing length
 # the reference frequency overflows before the bands do
 @pytest.mark.filterwarnings("error")
@@ -345,7 +363,7 @@ def test_convergence_at_extreme_parameters_exits_3(tmp_path, key, value, error):
 
 # the Ritz values 1 / omega^2 underflow to 0: omega would be written as inf
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("key, value", [("rho", 1e-150), ("lambda_rigidity", 1e150)])
+@pytest.mark.parametrize("key, value", [("rho", 1e-150)])
 def test_convergence_with_an_infinite_frequency_exits_3(tmp_path, key, value):
     cfg = base_config(convergence={"meshes": [4, 8]})
     cfg["beam"][key] = value
@@ -353,6 +371,23 @@ def test_convergence_with_an_infinite_frequency_exits_3(tmp_path, key, value):
     assert metrics["operation"] == "NonFiniteResult"
     assert "bare-beam frequency omega is not finite" in metrics["error"]
     assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+# a rescaled stiffness rescales omega by its square root; the reference
+# frequency and the errors relative to it do not move
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [("lambda_rigidity", 1e150), ("lambda_rigidity", 1e-150)])
+def test_convergence_of_a_rescaled_beam_exits_0(tmp_path, key, value):
+    omegas = []
+    for scale in (1.0, value):
+        cfg = base_config(convergence={"meshes": [4, 8]})
+        cfg["beam"][key] = scale
+        out = tmp_path / f"out-{scale:g}"
+        assert cli.run("convergence", write_config(tmp_path, cfg), out=out) == 0
+        rows = (out / "convergence.csv").read_text().strip().splitlines()[1:]
+        omegas.append(np.array([float(r.split(",")[1]) for r in rows]))
+    unit, scaled = omegas
+    assert np.abs(scaled / np.sqrt(value) - unit).max() <= 1e-12 * unit.max()
 
 
 # h**2 of the element length 1.25e-301 underflows to 0 in the Hermite shapes

@@ -530,11 +530,12 @@ RECORD_COLUMNS = EnergyBreakdown.CSV_COLUMNS[1:] + ("hdot", "nonlin_norm", "tang
 def record_columns(rows, sys_n, config, stepper):
     """What simulate records for packed states (one or a block), by column."""
     energy = pb.eval_H(rows, sys_n, config)
+    tangent_norms, loads = stepper.generator_norm(rows)
     return dict(zip(RECORD_COLUMNS, (
         *dataclasses.astuple(energy),
         pb.eval_Hdot(rows, sys_n, config),
-        stepper.nonlinear_norm(rows),
-        stepper.generator_norm(rows),
+        stepper.nonlinear_norm(loads),
+        tangent_norms,
         stepper.operator.qnorm(np.atleast_2d(rows)),
     )))
 

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 import passivebeam as pb
-from passivebeam import integrator
+from passivebeam import dynamics, integrator
 from passivebeam.dynamics import ClosedLoopOperator, linear_generator_matrix
 from passivebeam.errors import (
     DimensionMismatch,
@@ -444,12 +444,35 @@ def test_per_state_block_records_match_the_batched_path(sys6, beam):
     expected = {
         "energy": np.column_stack(dataclasses.astuple(energy)),
         "hdots": pb.eval_Hdot(traj.packed, sys6, broadcasting),
-        "nonlinearity_norms": stepper.nonlinear_norm(traj.packed),
-        "tangent_norms": stepper.generator_norm(traj.packed),
     }
+    expected["tangent_norms"], loads = stepper.generator_norm(traj.packed)
+    expected["nonlinearity_norms"] = stepper.nonlinear_norm(loads)
     for name, value in expected.items():
         got = getattr(traj, name)
         assert np.abs(got - value).max() <= 1e-13 * np.abs(value).max(), name
+
+
+@pytest.mark.parametrize("record_every, records", [(1, 601), (7, 87)])
+def test_simulate_evaluates_the_remainder_once_per_record_chunk(sys6, beam, monkeypatch, record_every, records):
+    config = default_config(beam)
+    calls, value = [], dynamics.RemainderMap.value
+    monkeypatch.setattr(dynamics.RemainderMap, "value", lambda self, q: calls.append(1) or value(self, q))
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=0.6, record_every=record_every)
+    traj = pb.simulate(pb.first_mode_initial_state(sys6, config), settings, sys6, config)
+    assert len(traj.times) == records
+    # the steps' evaluations, then one per chunk of recorded states
+    assert len(calls) == traj.residual_evaluations + -(-records // integrator.RECORD_CHUNK)
+
+
+@pytest.mark.parametrize("n_elements", [16, 128, 1024])
+def test_remainder_norm_from_the_load_gram_matches_the_placed_tangent(beam, n_elements):
+    sys_n, config = make_system(beam, n_elements), default_config(beam)
+    stepper = MidpointStepper(sys_n, config, 1e-3)
+    rng = np.random.default_rng(3)
+    rows = np.array([white_state(sys_n, config, rng, scale=0.5) for _ in range(20)])
+    _, loads = stepper.generator_norm(rows)
+    expected = stepper.operator.qnorm(stepper.operator.nonlinear(rows))
+    assert np.abs(stepper.nonlinear_norm(loads) - expected).max() <= 1e-14 * expected.max()
 
 
 def count_callback_calls(*objects):
@@ -480,11 +503,11 @@ def test_record_chunk_and_block_certification_call_each_callback_once(sys6, beam
     calls = count_callback_calls(*laws, config.block_rotational, config.block_translational)
     pb.eval_H(rows, sys6, config)
     pb.eval_Hdot(rows, sys6, config)
-    stepper.nonlinear_norm(rows)
-    stepper.generator_norm(rows)
+    stepper.nonlinear_norm(stepper.generator_norm(rows)[1])
     # energy: 2 potentials + 2 storages; rate: 2 x (drift, storage_grad, damper);
-    # each norm: 2 channels x (output, damper, spring, drift, input_gain)
-    assert calls[0] == 4 + 6 + 2 * 10
+    # the norms: one remainder evaluation, 2 channels x (output, damper,
+    # spring, drift, input_gain)
+    assert calls[0] == 4 + 6 + 10
     block = pb.make_block("cubic-drift")
     calls = count_callback_calls(block)
     pb.certify_block(block, radius=1.5, samples=200)
