@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .beam_model import ClosedLoopConfig
-from .discretization import DiscreteSystem, _band_mv, dense, displacement_gram, solve_mass_tip
+from .discretization import DiscreteSystem, _band_mv, dense, displacement_gram, solve_mass_tip, strain_coordinates
 from .dynamics import RemainderMap
 from .errors import EigenSolverFailure, EmptyTrajectory, NonFiniteResult, NotPositiveDefinite
 
@@ -313,10 +313,10 @@ def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
     conditioned at the slow end (Parlett, The Symmetric Eigenvalue Problem,
     ch. 14): ``count`` + 4 vectors X (at most n_dof, fixed random start) go to
     Y = K^-1 M X by the banded Cholesky factor of K, then Rayleigh-Ritz on
-    (Y^T M Y, Y^T K Y = Y^T M X) gives Ritz values 1 / omega^2, until each
-    wanted one moves by at most 1e-15 of the largest; each sweep scales X's
-    rows to norms in [1/2, 1) by exact powers of two, so X keeps no stiffness
-    scale. Raises EigenSolverFailure on an indefinite stiffness, a projection
+    (Y^T M Y, (C Y)^T C Y), C Y the strain coordinates (no n^4 eps floor
+    of Y^T K Y), gives Ritz values 1 / omega^2, until each wanted one moves
+    by at most 1e-15 of the largest; each sweep scales X's rows to norms in
+    [1/2, 1) by exact powers of two, so X keeps no stiffness scale. Raises EigenSolverFailure on an indefinite stiffness, a projection
     that overflows or after MAX_SWEEPS sweeps (the bands of a DiscreteSystem
     are finite), and NonFiniteResult when a wanted Ritz value underflows."""
     factor, info = scipy.linalg.lapack.dpbtrf(sys.stiffness_band)
@@ -329,7 +329,8 @@ def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
         y = scipy.linalg.lapack.dpbtrs(factor, mx.T)[0].T
         try:  # ValueError: a projection that is not finite
             with np.errstate(over="ignore", invalid="ignore"):
-                mu, ritz = scipy.linalg.eigh(y @ _band_mv(sys.mass_band, y).T, y @ mx.T)
+                strain = strain_coordinates(sys, y)
+                mu, ritz = scipy.linalg.eigh(y @ _band_mv(sys.mass_band, y).T, strain @ strain.T)
         except (ValueError, scipy.linalg.LinAlgError) as exc:
             raise EigenSolverFailure(f"Rayleigh-Ritz step of the bare beam failed: {exc}") from exc
         mu, x = mu[::-1], ritz[:, ::-1].T @ y  # largest 1 / omega^2 first
@@ -344,7 +345,8 @@ def beam_frequencies(sys: DiscreteSystem, count: int = 5) -> np.ndarray:
 
 
 def clamped_free_wavenumbers(length: float, count: int = 3) -> np.ndarray:
-    """First roots beta_k of 1 + cos(bL) cosh(bL) = 0, by bisection to 1e-12.
+    """First roots beta_k of 1 + cos(bL) cosh(bL) = 0, by bisection until the
+    bracket holds two adjacent doubles.
 
     The fundamental angular frequency of a clamped-free beam is
     beta_1^2 sqrt(rigidity / rho).
@@ -360,12 +362,11 @@ def clamped_free_wavenumbers(length: float, count: int = 3) -> np.ndarray:
         a, b = x, x + step
         if f(a) * f(b) < 0.0:
             lo, hi = a, b
-            while hi - lo > 1e-13 * max(1.0, hi):
-                midpt = 0.5 * (lo + hi)
+            while lo < (midpt := 0.5 * (lo + hi)) < hi:  # to adjacent doubles
                 if f(lo) * f(midpt) <= 0.0:
                     hi = midpt
                 else:
                     lo = midpt
-            roots.append(0.5 * (lo + hi))
+            roots.append(midpt)
         x += step
     return np.array(roots) / length

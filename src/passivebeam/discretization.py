@@ -220,6 +220,21 @@ def solve_mass_tip(sys: DiscreteSystem, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.lapack.dpbtrs(sys.mass_tip_factor, rhs)[0]
 
 
+def strain_coordinates(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
+    """Coordinates C u of displacement DOFs (a vector, or each row of a
+    block) whose sum of squares is the curvature energy u^T K u, the integral
+    of EI (u'')^2 of the cubic: per element of length h, with end values w0,
+    w1 and slopes t0, t1 (zero at the clamped node), its mean curvature
+    sqrt(EI / h) (t1 - t0), then its curvature slope sqrt(3 EI / h) (t0 + t1
+    - 2 (w1 - w0) / h). The quadratic form cancels to n^4 eps of a smooth u;
+    the coordinates do not."""
+    h, rigidity = np.diff(sys.mesh.nodes), sys.beam.lambda_rigidity
+    nodal = np.concatenate([np.zeros(u.shape[:-1] + (2,)), u], axis=-1)  # the clamped node first
+    w, t = nodal[..., 0::2], nodal[..., 1::2]
+    slope = t[..., 1:] + t[..., :-1] - 2.0 * np.diff(w) / h
+    return np.concatenate([np.sqrt(rigidity / h) * np.diff(t), np.sqrt(3.0 * rigidity / h) * slope], axis=-1)
+
+
 def displacement_gram(sys: DiscreteSystem, k1: float, k2: float) -> np.ndarray:
     """Gram block of the displacement field in band storage: curvature
     energy plus the tip springs."""

@@ -28,7 +28,7 @@ from .beam_model import (
     SpringDamperLaw,
     linearize_block,
 )
-from .discretization import DiscreteSystem, _band_dot, _band_mv, displacement_gram, solve_mass_tip
+from .discretization import DiscreteSystem, _band_dot, _band_mv, solve_mass_tip, strain_coordinates
 from .errors import DimensionMismatch
 
 #: per-step energy increase budget, as a fraction of H(y0)
@@ -106,7 +106,8 @@ def eval_H(flat, sys: DiscreteSystem, config: ClosedLoopConfig) -> EnergyBreakdo
     n = sys.n_dof
     beam = sys.beam
     u, v = rows[:, :n], rows[:, n : 2 * n]
-    strain = 0.5 * _band_dot(sys.stiffness_band, u, u)
+    coordinates = strain_coordinates(sys, u)  # the strain as a sum of squares
+    strain = 0.5 * np.vecdot(coordinates, coordinates)
     kinetic = 0.5 * _band_dot(sys.mass_band, v, v)
     xi = beam.tip_inertia * v[:, sys.tip_slope_index]
     psi = beam.tip_mass * v[:, sys.tip_value_index]
@@ -155,7 +156,9 @@ class _Batch:
     count``, its block states one channel after the other. In the remainder
     coordinates q[u] are the displacement traces, q[v] the velocity traces
     and F[u] the remainder tip loads. The energy functions build batches
-    without ``lin``.
+    without ``lin``. ``entries`` indexes the entries of a p x m matrix in q
+    that the batch's feedback fills: (rows, columns) of its spring and damper
+    (g,), output and gain (g, dim) and drift (g, dim, dim) entries.
     """
 
     first: int
@@ -169,6 +172,7 @@ class _Batch:
     z: slice  # block states in the packed state
     zq: slice  # block states in q
     zf: slice  # block drifts in F
+    entries: tuple[tuple[np.ndarray, np.ndarray], ...]  # spring, damper, output, gain, drift
 
     def states(self, x: np.ndarray, where: slice) -> np.ndarray:
         """The block states at ``where`` of the last axis of ``x``, (..., g,
@@ -201,22 +205,17 @@ def _batches(sys: DiscreteSystem, config: ClosedLoopConfig, linearize: bool = Tr
         count, end = len(tips), offset + len(tips) * block.dim
         if linearize and id(block) not in lins:
             lins[id(block)] = linearize_block(block)
+        c = first + np.arange(count)  # a channel's displacement trace in q, its velocity trace 2 + c
+        zq = 4 + offset + block.dim * np.arange(count)[:, None] + np.arange(block.dim)  # drifts in F at zq - 2
         batches.append(_Batch(
             first, count, sd, block, lins.get(id(block)), tips,
             u=slice(first, first + count), v=slice(2 + first, 2 + first + count),
             z=slice(2 * n + offset, 2 * n + end), zq=slice(4 + offset, 4 + end), zf=slice(2 + offset, 2 + end),
+            entries=((c, c), (c, 2 + c), (c[:, None], zq), (zq - 2, 2 + c[:, None]),
+                     ((zq - 2)[..., None], zq[:, None, :])),
         ))
         first, offset = first + count, end
     return tuple(batches)
-
-
-def _entries(matrix: np.ndarray, row: int, col: int, shape: tuple, steps: list) -> np.ndarray:
-    """Writeable view of the C-contiguous ``matrix`` that starts at entry
-    (row, col) and moves by the given (rows, columns) along each of its
-    axes: the same entry of each channel of a batch is one view."""
-    flat = matrix.reshape(-1)[row * matrix.shape[1] + col :]
-    strides = [(rows * matrix.shape[1] + cols) * flat.itemsize for rows, cols in steps]
-    return np.lib.stride_tricks.as_strided(flat, shape, strides)
 
 
 class ClosedLoopOperator:
@@ -233,9 +232,10 @@ class ClosedLoopOperator:
     the nonlinear part is ``RemainderMap.value`` placed by the same P, and the
     full generator is their sum, so the split is exact by construction.
     On a block the laws and blocks are called once over all rows and the
-    tip-mass solve takes the rows as right-hand sides. The band products of
-    ``inner`` run a diagonal at a time for one vector as for a block, so
-    ``inner`` and ``qnorm`` give a vector the same bits as its row in a block.
+    tip-mass solve takes the rows as right-hand sides. ``inner`` forms the
+    strain coordinates and runs its band product a diagonal at a time for one
+    vector as for a block, so ``inner`` and ``qnorm`` give a vector the same
+    bits as its row in a block.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
@@ -243,14 +243,15 @@ class ClosedLoopOperator:
         self.n = n = sys.n_dof
         # displacement, velocity and block states of one state or of each row
         self._u, self._v, self._z = np.s_[..., :n], np.s_[..., n : 2 * n], np.s_[..., 2 * n :]
-        # storage Hessians P1, P2 on the diagonal (scipy's block_diag costs 50 us)
+        # storage Hessians P1, P2 on the diagonal: at the drift entries less the
+        # 2 tip-load rows of F and the 4 trace columns of q
         self.storage_gram = np.zeros((rem.size - 2 * n,) * 2)
         for b in rem.batches:
-            start, dim = b.z.start - 2 * n, b.block.dim
-            _entries(self.storage_gram, start, start, (b.count, dim, dim), [(dim, dim), (1, 0), (0, 1)])[...] = b.lin.P
+            rows, cols = b.entries[-1]
+            self.storage_gram[rows - 2, cols - 4] = b.lin.P
         self.sys = sys
-        self.gram_band = displacement_gram(
-            sys, config.sd_rotational.spring_slope, config.sd_translational.spring_slope)
+        # the displacement block of the energy is K plus the tip springs at u'(L), u(L)
+        self.tip_springs = np.array([config.sd_rotational.spring_slope, config.sd_translational.spring_slope])
 
     def generator(self, flat: np.ndarray) -> np.ndarray:
         """Full nonlinear generator, on one packed vector or a block of them:
@@ -282,11 +283,14 @@ class ClosedLoopOperator:
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         """Energy inner product of packed vectors (a float), or of each pair
-        of rows (an array): banded displacement Gram, tip mass, the
-        block-diagonal storage Hessians P1, P2."""
-        u, v, z = self._u, self._v, self._z
-        val = _band_dot(self.gram_band, a[u], b[u]) + _band_dot(self.sys.mass_tip_band, a[v], b[v])
-        return val + np.vecdot(a[z] @ self.storage_gram, b[z])
+        of rows (an array): the strain coordinates' products (the curvature
+        energy), the tip springs, the tip mass and the block-diagonal storage
+        Hessians P1, P2. A norm, b is a, forms one set of coordinates."""
+        u, v, z, tips = self._u, self._v, self._z, self.remainder.q_indices[:2]
+        strain = strain_coordinates(self.sys, a[u])
+        val = np.vecdot(strain, strain if b is a else strain_coordinates(self.sys, b[u]))
+        val = val + np.vecdot(self.tip_springs * a[..., tips], b[..., tips])
+        return val + _band_dot(self.sys.mass_tip_band, a[v], b[v]) + np.vecdot(a[z] @ self.storage_gram, b[z])
 
     def qnorm(self, flat: np.ndarray) -> float | np.ndarray:
         """Energy norm of a packed vector (a float), or of each row (an array)."""
@@ -311,10 +315,10 @@ class RemainderMap:
     p x m ``slopes`` L are the feedback's origin slopes in q; a
     channel's tip-load row holds -k, -d and -C, its block rows B and A.
 
-    ``value``, ``jacobian_analytic`` and the energy functions call each law
-    and block callback once per batch (``_batches``): channels that share
-    their law and block objects are evaluated in one call, so the README
-    channels take one call per callback where distinct objects take two.
+    ``value`` and ``jacobian_analytic`` take one q or a block; they and the
+    energy functions call each law and block callback once per batch
+    (``_batches``) over all rows, so the README channels, which share their
+    objects, take one call per callback where distinct objects take two.
     """
 
     def __init__(self, sys: DiscreteSystem, config: ClosedLoopConfig):
@@ -331,31 +335,10 @@ class RemainderMap:
         placement[2 * n :, 2:] = np.eye(self.p - 2)
         self.placement = placement
         self.slopes = np.zeros((self.p, m))
-        for b, (spring, damper, output, gain, drift) in zip(self.batches, self._feedback_entries(self.slopes)):
-            spring[...], damper[...] = -b.sd.spring_slope, -b.sd.damper_slope
-            output[...], gain[...], drift[...] = -b.lin.C, b.lin.B, b.lin.A
-        # the Jacobian is written into one buffer through fixed views of the
-        # same entries; every other entry stays zero
-        self._jacobian = np.zeros((self.p, m))
-        self._jacobian_entries = self._feedback_entries(self._jacobian)
-
-    def _feedback_entries(self, matrix: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-        """Views, per batch, of the entries of a p x m ``matrix`` that the
-        feedback of its g channels fills: in the tip-load rows the spring
-        and damper entries (g,) and the block-state entries (g, dim), in the
-        block rows the velocity entries (g, dim) and the block-state entries
-        (g, dim, dim)."""
-        views = []
         for b in self.batches:
-            g, dim, c, zq, zf = b.count, b.block.dim, b.first, b.zq.start, b.zf.start
-            views.append((
-                _entries(matrix, c, c, (g,), [(1, 1)]),
-                _entries(matrix, c, 2 + c, (g,), [(1, 1)]),
-                _entries(matrix, c, zq, (g, dim), [(1, dim), (0, 1)]),
-                _entries(matrix, zf, 2 + c, (g, dim), [(dim, 1), (1, 0)]),
-                _entries(matrix, zf, zq, (g, dim, dim), [(dim, dim), (1, 0), (0, 1)]),
-            ))
-        return views
+            for (rows, cols), slope in zip(b.entries, (
+                    -b.sd.spring_slope, -b.sd.damper_slope, -b.lin.C, b.lin.B, b.lin.A)):
+                self.slopes[rows, cols] = slope
 
     def value(self, q: np.ndarray) -> np.ndarray:
         """F(q): remainder tip loads followed by remainder block drifts, at
@@ -377,31 +360,29 @@ class RemainderMap:
         return f
 
     def jacobian_fd(self, q: np.ndarray, scale: float) -> np.ndarray:
-        """Forward-difference Jacobian of F, column by column, with step
-        1e-7 * (1 + scale)."""
+        """Forward-difference Jacobian of F at one q, with step 1e-7 * (1 +
+        scale): one ``value`` call on q and the rows of q + h I."""
         h = 1e-7 * (1.0 + scale)
-        base = self.value(q)
-        jac = np.empty((self.p, self.m))
-        for j in range(self.m):
-            qj = q.copy()
-            qj[j] += h
-            jac[:, j] = (self.value(qj) - base) / h
-        return jac
+        values = self.value(np.vstack([q, q + h * np.eye(self.m)]))
+        return ((values[1:] - values[0]) / h).T
 
     def jacobian_analytic(self, q: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of F at one q from the supplied law and block
-        derivatives, one call of each per batch."""
-        for b, (spring, damper, output, gain, drift) in zip(self.batches, self._jacobian_entries):
+        """Exact Jacobian dF/dq from the supplied law and block derivatives,
+        (p, m) at one q and (..., p, m) at a block: one call of each per
+        batch, written at its ``entries`` (every other entry is zero), so a
+        row gets the same bits in a block as alone."""
+        jac = np.zeros(q.shape[:-1] + (self.p, self.m))
+        for b in self.batches:
             blk, sd, lin = b.block, b.sd, b.lin
-            u_l, v_l, z = q[b.u], q[b.v], b.states(q, b.zq)
-            # tip load rows
-            spring[...] = -(sd.spring.deriv(u_l) - sd.spring_slope)
-            damper[...] = -(sd.damper.deriv(v_l) - sd.damper_slope)
-            output[...] = -(blk.output_grad(z) - lin.C)
-            # block rows
-            gain[...] = blk.input_gain(z) - lin.B
-            drift[...] = (blk.drift_jac(z) - lin.A) + v_l[..., None, None] * blk.input_jac(z)
-        return self._jacobian.copy()
+            u_l, v_l, z = q[..., b.u], q[..., b.v], b.states(q, b.zq)
+            for entries, value in zip(b.entries, (
+                    -(sd.spring.deriv(u_l) - sd.spring_slope),  # tip-load rows
+                    -(sd.damper.deriv(v_l) - sd.damper_slope),
+                    -(blk.output_grad(z) - lin.C),
+                    blk.input_gain(z) - lin.B,  # block rows
+                    (blk.drift_jac(z) - lin.A) + v_l[..., None, None] * blk.input_jac(z))):
+                jac[(..., *entries)] = value
+        return jac
 
     def q_of(self, flat_state: np.ndarray) -> np.ndarray:
         return flat_state.take(self.q_indices, axis=-1)

@@ -190,8 +190,6 @@ class MidpointStepper:
         self.load_gram = np.zeros((rem.p, rem.p))
         self.load_gram[:2, :2] = rem.placement[rem.q_indices[2:4], :2]
         self.load_gram[2:, 2:] = op.storage_gram
-        # the displacement block of Q is K plus the tip springs at u'(L), u(L)
-        self._tip_springs = np.array([config.sd_rotational.spring_slope, config.sd_translational.spring_slope])
         # the last result, F(q_mid) of the chained steps up to it (newest
         # first) and the LU factor of the Newton matrix
         self._last, self._factor, self._history = None, None, ()
@@ -231,7 +229,7 @@ class MidpointStepper:
         rem, dt, n = self.remainder, self.dt, self.operator.n
         x, mv, ku = self._beam_solve(y)
         # |y|_Q^2 = u.K u + k1 u'(L)^2 + k2 u(L)^2 + v.M_tip v + z.P z
-        norm2 = y[:n] @ ku + self._tip_springs @ y[rem.q_indices[:2]] ** 2 + y[n : 2 * n] @ mv
+        norm2 = y[:n] @ ku + self.operator.tip_springs @ y[rem.q_indices[:2]] ** 2 + y[n : 2 * n] @ mv
         norm2 += y[2 * n :] @ self.operator.storage_gram @ y[2 * n :]
         tol = newton_tol * (1.0 + math.sqrt(max(norm2, 0.0)))
         q_x = rem.q_of(x)
@@ -409,23 +407,22 @@ def tangent_residual(traj: Trajectory, sys: DiscreteSystem, config: ClosedLoopCo
     with the Jacobian built from the supplied law and block derivatives.
     Returns the largest energy-norm defect of the centered time difference,
     relative to the peak energy norm of w; 0 for an identically zero run.
+    The records are taken RECORD_CHUNK at a time, with one block Jacobian each.
     """
     if len(traj.times) < 3:
         raise InsufficientResolution("need at least 3 recorded states (record_every = 1)")
     op = ClosedLoopOperator(sys, config)
-    remainder = op.remainder
-    ws = op.generator(traj.packed)
+    remainder, ws, times = op.remainder, op.generator(traj.packed), traj.times
     max_w = float(op.qnorm(ws).max())
-    linear = op.linear(ws[1:-1])
-    max_residual = 0.0
-    for i in range(1, len(ws) - 1):
-        wdot = (ws[i + 1] - ws[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
-        jac = remainder.jacobian_analytic(remainder.q_of(traj.packed[i]))
-        nonlinear = remainder.placement @ (jac @ remainder.q_of(ws[i]))
-        max_residual = max(max_residual, op.qnorm(wdot - linear[i - 1] - nonlinear))
-
     if max_w == 0.0:
         return 0.0
+    max_residual = 0.0
+    for lo in range(1, len(ws) - 1, RECORD_CHUNK):
+        hi = min(lo + RECORD_CHUNK, len(ws) - 1)
+        wdot = (ws[lo + 1 : hi + 1] - ws[lo - 1 : hi - 1]) / (times[lo + 1 : hi + 1] - times[lo - 1 : hi - 1])[:, None]
+        jac = remainder.jacobian_analytic(remainder.q_of(traj.packed[lo:hi]))
+        nonlinear = op.place(np.vecdot(jac, remainder.q_of(ws[lo:hi])[:, None, :]))
+        max_residual = max(max_residual, float(op.qnorm(wdot - op.linear(ws[lo:hi]) - nonlinear).max()))
     return max_residual / max_w
 
 

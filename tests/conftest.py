@@ -6,7 +6,7 @@ import scipy.linalg
 
 import passivebeam as pb
 from passivebeam.analysis import require_positive_gram
-from passivebeam.discretization import dense, displacement_gram
+from passivebeam.discretization import dense, displacement_gram, strain_coordinates
 from passivebeam.dynamics import ClosedLoopOperator, _generator_matrix
 
 DEFAULT_BEAM = dict(rho=1.0, lambda_rigidity=1.0, length=1.0, tip_inertia=0.1, tip_mass=0.1)
@@ -50,11 +50,14 @@ def dense_projected_system(sys, spring_constants, damper_constants=(0.0, 0.0)):
 
 
 def dense_beam_frequencies(sys, count=5):
-    """The ``count`` lowest bare-beam frequencies from the dense generalized
-    eigenproblem of the inverted pencil (mass against stiffness): the dense
-    oracle of ``pb.beam_frequencies``."""
-    mu = scipy.linalg.eigh(dense(sys.mass_band), dense(sys.stiffness_band), eigvals_only=True)
-    return np.sqrt(1.0 / mu[::-1][:count])
+    """The ``count`` lowest bare-beam frequencies as the singular values of
+    L^-1 C^T, C the strain coordinates of the identity (K = C^T C) and M = L
+    L^T, so that no C^T C is formed: the dense oracle of
+    ``pb.beam_frequencies``."""
+    lower = scipy.linalg.cholesky(dense(sys.mass_band), lower=True)
+    coordinates = strain_coordinates(sys, np.eye(sys.n_dof))  # C^T
+    omega = scipy.linalg.svdvals(scipy.linalg.solve_triangular(lower, coordinates, lower=True))
+    return np.sort(omega)[:count]
 
 
 def dense_modes(sys, slow_end=False):
@@ -75,14 +78,15 @@ def linear_system(sys, config):
     """Dense linear generator G and energy Gram Q from one
     ``ClosedLoopOperator`` (one linearization of each block): G is read off
     its linear part, Q is its inner product written out densely, block
-    diagonal over (u, v, z1, z2). The displacement block is the operator's
-    ``gram_band`` (curvature Gram plus the spring slopes), the velocity block
-    the tip mass, the block states are weighted with the storage Hessians. An
-    indefinite Q raises NotPositiveDefinite before G is built."""
+    diagonal over (u, v, z1, z2). The displacement block is
+    ``displacement_gram`` (curvature Gram plus the spring slopes), the
+    velocity block the tip mass, the block states are weighted with the
+    storage Hessians. An indefinite Q raises NotPositiveDefinite before G is
+    built."""
     op = ClosedLoopOperator(sys, config)
     n = op.n
     q = np.zeros((op.remainder.size,) * 2)
-    q[:n, :n] = dense(require_positive_gram(op.gram_band))
+    q[:n, :n] = dense(require_positive_gram(displacement_gram(sys, *op.tip_springs)))
     q[n : 2 * n, n : 2 * n] = dense(sys.mass_tip_band)
     q[2 * n :, 2 * n :] = op.storage_gram
     return _generator_matrix(op), q

@@ -315,9 +315,9 @@ def test_fundamental_frequency_against_transcendental_root(beam):
     assert package_beta == pytest.approx(beta1, abs=1e-11)
 
 
-# subspace iteration against the dense eigh: 4.4e-11 at n=64 and 9.2e-10 at
-# n=256, where both carry the n^4 eps floor of the stiffness (1e-7 against
-# the exact frequency); n=1 has fewer DOFs than count + 4 vectors
+# subspace iteration against the dense singular values of the strain
+# coordinates in mass coordinates: neither forms the stiffness, so neither
+# carries its n^4 eps floor; n=1 has fewer DOFs than count + 4 vectors
 @pytest.mark.parametrize("n_elements, rtol", [(1, 1e-10), (8, 1e-10), (32, 1e-10), (64, 1e-10), (256, 1e-8)])
 @pytest.mark.parametrize("count", [1, 5])
 def test_beam_frequencies_match_dense_oracle(beam, n_elements, rtol, count):
@@ -366,6 +366,32 @@ def test_clamped_free_wavenumbers_are_roots():
     for b in betas:
         assert abs(1.0 + math.cos(b) * math.cosh(b)) <= 1e-9 * math.cosh(b)
     assert np.all(np.diff(betas) > 0.0)
+
+
+def test_clamped_free_wavenumbers_bisect_to_adjacent_doubles():
+    def f(x):
+        return 1.0 + np.cos(x) * np.cosh(x)
+
+    betas = pb.clamped_free_wavenumbers(1.0, count=3)
+    for b in betas:  # b and one of its neighbours bracket the sign change
+        assert any(f(b) * f(np.nextafter(b, side)) <= 0.0 for side in (0.0, np.inf)), b
+    # the roots to 22 digits (mpmath)
+    exact = np.array([1.875104068711961166445, 4.694091132974174576436, 7.854757438237612564861])
+    assert np.all(np.abs(betas - exact) <= np.spacing(exact))
+
+
+def test_fundamental_frequency_converges_at_fourth_order_to_n1024(beam):
+    # the stiffness enters the projection as strain coordinates, never as the
+    # quadratic form Y^T K Y, whose n^4 eps floor would stop the error near
+    # 1e-7 at n=256; so the error follows h^4 below 1e-12
+    beta1 = pb.clamped_free_wavenumbers(beam.length, count=1)[0]
+    omega_ref = beta1**2 * math.sqrt(beam.lambda_rigidity / beam.rho)
+    meshes = [16, 32, 64, 128, 256, 512, 1024]
+    errors = np.array([abs(pb.beam_frequencies(make_system(beam, n), count=1)[0] - omega_ref) / omega_ref
+                       for n in meshes])
+    orders = np.log2(errors[:5] / errors[1:6])  # 16 -> 32, ..., 256 -> 512
+    assert np.all((orders >= 3.9) & (orders <= 4.1)), orders
+    assert np.all(errors[-2:] <= 1e-12), errors
 
 
 @pytest.mark.parametrize("n_elements", [8, 64, 256])

@@ -78,9 +78,12 @@ def test_batched_remainder_and_energy_match_the_per_channel_oracle(sys4, beam, f
     rng = np.random.default_rng(seed)
     qs = scale * rng.standard_normal((7, remainder.m))
     assert np.array_equal(remainder.value(qs), per_channel_value(config, qs))
-    for q in qs:
+    jacobians = np.array([per_channel_jacobian(config, q) for q in qs])
+    assert np.array_equal(remainder.jacobian_analytic(qs), jacobians)
+    assert np.array_equal(remainder.jacobian_analytic(qs[None]), jacobians[None])
+    for q, jacobian in zip(qs, jacobians):
         assert np.array_equal(remainder.value(q), per_channel_value(config, q))
-        assert np.array_equal(remainder.jacobian_analytic(q), per_channel_jacobian(config, q))
+        assert np.array_equal(remainder.jacobian_analytic(q), jacobian)
     rows = scale * rng.standard_normal((7, pb.zero_state(sys4, config).size))
     springs, storages, rate = per_channel_energy(sys4, config, rows)
     energy = pb.eval_H(rows, sys4, config)
@@ -119,8 +122,10 @@ def test_block_whose_derivatives_do_not_batch_gets_stand_ins(sys4, beam):
     sd = pb.SpringDamperLaw(pb.make_law("tanh", gain=2.0), pb.make_law("cubic"))
     batched = RemainderMap(sys4, pb.ClosedLoopConfig(beam, sd, sd, block, block))
     stand_in = RemainderMap(sys4, pb.ClosedLoopConfig(beam, sd, sd, pointwise, pointwise))
-    for q in 0.5 * np.random.default_rng(5).standard_normal((20, batched.m)):
+    qs = 0.5 * np.random.default_rng(5).standard_normal((20, batched.m))
+    for q in qs:
         assert np.array_equal(stand_in.jacobian_analytic(q), batched.jacobian_analytic(q))
+    assert np.array_equal(stand_in.jacobian_analytic(qs), batched.jacobian_analytic(qs))
     states = np.random.default_rng(6).standard_normal((3, 2, 2))
     for name in derivatives:
         expected = np.array([[getattr(block, name)(z) for z in row] for row in states])

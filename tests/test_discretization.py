@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 import passivebeam as pb
-from passivebeam.discretization import dense, displacement_gram, element_matrices
+from passivebeam.discretization import dense, displacement_gram, element_matrices, strain_coordinates
 from passivebeam.errors import DimensionMismatch, InvalidElementCount, NonFiniteResult, NotPositiveDefinite
 
 from conftest import linear_config, linear_system, make_system, white_state
@@ -179,6 +179,22 @@ def test_gram_rejects_indefinite_spring(sys8, beam):
     )
     with pytest.raises(NotPositiveDefinite):
         linear_system(sys8, config)
+
+
+@pytest.mark.parametrize("nodes", [None, [0.0, 0.125, 0.25, 0.375, 0.6875, 1.0]])
+def test_strain_coordinates_square_to_the_stiffness(beam, nodes):
+    stiff_beam = dataclasses.replace(beam, lambda_rigidity=2.3)
+    mesh = pb.build_mesh(stiff_beam, 5) if nodes is None else pb.Mesh(n_elements=5, nodes=nodes)
+    sys_n = pb.assemble(stiff_beam, mesh)
+    stiff = dense(sys_n.stiffness_band)
+    c = strain_coordinates(sys_n, np.eye(sys_n.n_dof)).T  # K = C^T C
+    assert np.abs(c.T @ c - stiff).max() <= 1e-14 * np.abs(stiff).max()
+    rows = np.random.default_rng(3).standard_normal((20, sys_n.n_dof))
+    coordinates = strain_coordinates(sys_n, rows)
+    for row, expected in zip(rows, coordinates):
+        assert np.array_equal(strain_coordinates(sys_n, row), expected)
+    energy = np.vecdot(rows @ stiff, rows)
+    assert np.all(np.abs(np.vecdot(coordinates, coordinates) - energy) <= 1e-14 * energy)
 
 
 def test_displacement_gram_adds_spring_slopes(sys4):

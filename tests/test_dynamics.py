@@ -429,6 +429,19 @@ def test_remainder_jacobians_agree(sys8, beam, nonlinear):
         assert np.abs(fd - analytic).max() <= 1e-5
 
 
+def test_jacobian_fd_is_the_per_column_forward_difference(sys8, beam, nonlinear):
+    for config in (nonlinear, asymmetric_config(beam)):
+        remainder = RemainderMap(sys8, config)
+        q = 0.5 * np.random.default_rng(13).standard_normal(remainder.m)
+        h = 1e-7 * (1.0 + 2.0)
+        expected = np.empty((remainder.p, remainder.m))
+        for j in range(remainder.m):
+            qj = q.copy()
+            qj[j] += h
+            expected[:, j] = (remainder.value(qj) - remainder.value(q)) / h
+        assert np.array_equal(remainder.jacobian_fd(q, scale=2.0), expected)
+
+
 def test_linear_config_generator_matches_assembled_matrix(sys8, linear):
     g = linear_generator_matrix(sys8, linear)
     op = ClosedLoopOperator(sys8, linear)

@@ -272,6 +272,19 @@ def test_n1024_steps_at_default_tolerance(beam):
     assert not traj.h_flagged
 
 
+def test_n1024_energy_never_rises_between_records(beam):
+    # recorded every step, the strain u^T K u of the smooth first mode cancels
+    # to n^4 eps as a quadratic form (+2.4e-6 H0 into the third record, budget
+    # 1e-8 H0); as a sum of squares of strain coordinates no record rises
+    sys_n = make_system(beam, 1024)
+    config = default_config(beam)
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=0.3, record_every=1)
+    traj = pb.simulate(pb.first_mode_initial_state(sys_n, config), settings, sys_n, config)
+    assert len(traj.times) == 301
+    assert not traj.h_flagged
+    assert traj.h_increase_max <= 0.0
+
+
 @pytest.mark.parametrize("n_elements", [8, 64])
 @pytest.mark.parametrize("make_config", [default_config, asymmetric_config])
 def test_reduced_residual_is_the_full_residual(beam, n_elements, make_config):
@@ -708,6 +721,32 @@ def test_tangent_residual_needs_three_records(sys6, beam):
     assert len(traj.times) == 2
     with pytest.raises(InsufficientResolution):
         pb.tangent_residual(traj, sys6, config)
+
+
+def per_record_tangent_residual(traj, sys_n, config):
+    """``pb.tangent_residual`` one record at a time, with one Jacobian per record."""
+    op = ClosedLoopOperator(sys_n, config)
+    remainder = op.remainder
+    ws = op.generator(traj.packed)
+    linear = op.linear(ws[1:-1])
+    max_residual = 0.0
+    for i in range(1, len(ws) - 1):
+        wdot = (ws[i + 1] - ws[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
+        jac = remainder.jacobian_analytic(remainder.q_of(traj.packed[i]))
+        nonlinear = remainder.placement @ (jac @ remainder.q_of(ws[i]))
+        max_residual = max(max_residual, op.qnorm(wdot - linear[i - 1] - nonlinear))
+    return max_residual / float(op.qnorm(ws).max())
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_tangent_residual_matches_the_per_record_loop(beam, monkeypatch, chunk):
+    sys_n = make_system(beam, 4)
+    config = default_config(beam)
+    settings = pb.IntegratorSettings(dt=1e-3, t_end=0.6, record_every=1)
+    traj = pb.simulate(pb.first_mode_initial_state(sys_n, config, tip_fraction=0.3), settings, sys_n, config)
+    expected = per_record_tangent_residual(traj, sys_n, config)
+    monkeypatch.setattr(integrator, "RECORD_CHUNK", chunk)
+    assert pb.tangent_residual(traj, sys_n, config) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_tangent_residual_linear_second_order(beam):
